@@ -61,7 +61,10 @@ def parse_rational(value: Union[int, str]) -> Fraction:
     if isinstance(value, str):
         parts = value.split("/")
         if len(parts) == 2:
-            return Fraction(int(parts[0]), int(parts[1]))
+            num, den = int(parts[0]), int(parts[1])
+            if den == 0:
+                raise ValueError(f"zero denominator in rational entry {value!r}")
+            return Fraction(num, den)
         if len(parts) == 1:
             return Fraction(int(parts[0]))
     raise ValueError(f"not a rational entry: {value!r}")

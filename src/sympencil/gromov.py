@@ -26,7 +26,8 @@ def riemann_roch_chi(x: FourManifoldLattice, d: Sequence[int]) -> int:
             f"chi_h = {chi_h} is not integral; Riemann-Roch needs even b1 data"
         )
     num = x.square(d) - x.k_dot(d)
-    assert num % 2 == 0, "characteristic K forces D.D = D.K mod 2"
+    if num % 2:
+        raise ArithmeticError("characteristic K forces D.D = D.K mod 2")
     return chi_h + num // 2
 
 

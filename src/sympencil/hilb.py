@@ -19,13 +19,12 @@ elimination with a finite-field cross-check.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
-from .exact import RationalMatrix, rank_and_kernel
+from .exact import RationalMatrix, char_poly, rank_and_kernel
 
 Rational = Union[int, Fraction]
 Vector = tuple[Fraction, ...]
@@ -287,24 +286,6 @@ def sample_commuting_diagonal(r: int, seed: int) -> ADHMTriple:
     return ADHMTriple(b1, b2, v, r)
 
 
-def _char_poly(m: RationalMatrix) -> list[Fraction]:
-    """Coefficients, constant first, of det(x I - M); always monic."""
-    r = m.nrows
-    coeffs = [Fraction(0)] * (r + 1)
-    coeffs[r] = Fraction(1)
-    work = RationalMatrix.identity(r)
-    for k in range(1, r + 1):
-        prod = m.matmul(work)
-        c = Fraction(-sum(prod.rows[i][i] for i in range(r)), k)
-        coeffs[r - k] = c
-        if k < r:
-            work = RationalMatrix(
-                [[prod.rows[i][j] + (c if i == j else 0) for j in range(r)]
-                 for i in range(r)]
-            )
-    return coeffs
-
-
 def _eval_poly(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(coeffs):
@@ -362,7 +343,7 @@ def support_points(q: RelADHMQuad) -> tuple[tuple[Fraction, Fraction], ...]:
     """
     if q.lam == 0:
         raise ValueError("support points are defined for lambda != 0 only")
-    coeffs = _char_poly(q.b1)
+    coeffs = char_poly(q.b1)
     multiplicities: dict[Fraction, int] = {}
     remaining = list(coeffs)
     while len(remaining) > 1:
@@ -438,6 +419,10 @@ def certify_stratum(stratum: str, r: int, samples: int, seed: int = 1729,
         raise ValueError("worker count must be positive")
     jobs = [(stratum, r, seed, i) for i in range(samples)]
     if workers > 1:
+        # Imported here so that importing the package, and so every CLI
+        # start, does not load the process-pool modules.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_certify_one, jobs))
     else:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from itertools import compress
+from typing import Iterator, Optional, Sequence, Union
 
 from .exact import Rational
 
@@ -21,23 +22,96 @@ IntVector = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
+class _Support(tuple):
+    """Per-row nonzero entries of a matrix already checked square and
+    symmetric by :func:`_symmetric_support`."""
+
+    __slots__ = ()
+
+
+def _symmetric_support(rows: Sequence[Sequence[Rational]],
+                       name: str = "matrix") -> _Support:
+    """The nonzero entries ``((j, a_ij), ...)`` of each row, from one pass
+    over a matrix that must be square and symmetric.
+
+    A mismatch ``a_ij != a_ji`` has a nonzero side, so comparing each
+    recorded entry with its transpose checks symmetry in O(nnz).
+    """
+    n = len(rows)
+    support = []
+    for row in rows:
+        if len(row) != n:
+            raise ValueError(f"{name} must be square")
+        support.append(tuple((j, row[j]) for j in compress(range(n), row)))
+    for i, entries in enumerate(support):
+        for j, v in entries:
+            if rows[j][i] != v:
+                raise ValueError(f"{name} must be symmetric")
+    return _Support(support)
+
+
+def _direct_sum_blocks(support: _Support) -> Iterator[list[int]]:
+    """Index sets of the direct-sum blocks: the connected components of the
+    nonzero pattern, each in increasing order."""
+    seen = [False] * len(support)
+    for start in range(len(support)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block = [start]
+        for i in block:
+            for j, _ in support[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    block.append(j)
+        block.sort()
+        yield block
+
+
 def signature_of_symmetric(rows: Sequence[Sequence[Rational]]) -> tuple[int, int, int]:
     """Inertia ``(n_pos, n_neg, n_zero)`` of a symmetric rational matrix.
 
-    Symmetric congruence diagonalization (Sylvester), done exactly over
-    ``Fraction``. Zero diagonal entries are repaired by a diagonal swap when
-    one is available, and otherwise by the hyperbolic row/column addition
-    trick. Elimination skips zero multipliers, so block-sparse forms cost
-    little more than their nonzero profile.
+    Inertia adds over a direct sum, so the matrix is split into the blocks
+    of its nonzero pattern: a 1x1 block contributes the sign of its entry,
+    and a larger one goes through the exact dense elimination of
+    :func:`_dense_signature`. The lattice constructor passes the support it
+    has already checked, so the form is scanned once.
+    """
+    support = rows if isinstance(rows, _Support) else _symmetric_support(rows)
+    pos = neg = zero = 0
+    for block in _direct_sum_blocks(support):
+        if len(block) == 1:
+            entries = support[block[0]]
+            d = entries[0][1] if entries else 0
+            if d > 0:
+                pos += 1
+            elif d < 0:
+                neg += 1
+            else:
+                zero += 1
+            continue
+        local = {g: i for i, g in enumerate(block)}
+        dense = [[0] * len(block) for _ in block]
+        for i, g in enumerate(block):
+            for j, v in support[g]:
+                dense[i][local[j]] = v
+        p, m, z = _dense_signature(dense)
+        pos += p
+        neg += m
+        zero += z
+    return pos, neg, zero
+
+
+def _dense_signature(rows: Sequence[Sequence[Rational]]) -> tuple[int, int, int]:
+    """Inertia of a square symmetric matrix by symmetric congruence
+    diagonalization (Sylvester), done exactly over ``Fraction``.
+
+    Zero diagonal entries are repaired by a diagonal swap when one is
+    available, and otherwise by the hyperbolic row/column addition trick.
+    The caller checks that the matrix is square and symmetric.
     """
     n = len(rows)
     a = [[Fraction(x) for x in row] for row in rows]
-    for i in range(n):
-        if len(a[i]) != n:
-            raise ValueError("matrix is not square")
-        for j in range(i + 1, n):
-            if a[i][j] != a[j][i]:
-                raise ValueError("matrix is not symmetric")
     pos = neg = zero = 0
     for k in range(n):
         if a[k][k] == 0:
@@ -127,16 +201,11 @@ class FourManifoldLattice:
     ):
         if b1 < 0:
             raise ValueError("b1 must be nonnegative")
-        q: IntMatrix = tuple(tuple(int(x) for x in row) for row in form)
+        q: IntMatrix = tuple(tuple(map(int, row)) for row in form)
         n = len(q)
         if n == 0:
             raise ValueError("intersection form must be nonempty")
-        for i, row in enumerate(q):
-            if len(row) != n:
-                raise ValueError("intersection form must be square")
-            for j in range(i + 1, n):
-                if row[j] != q[j][i]:
-                    raise ValueError("intersection form must be symmetric")
+        support = _symmetric_support(q, "intersection form")
         k = tuple(int(x) for x in canonical)
         w = tuple(Fraction(x) for x in omega)
         if len(k) != n or len(w) != n:
@@ -150,7 +219,7 @@ class FourManifoldLattice:
         self.minimal = bool(minimal)
 
         if _signature is None:
-            b_plus, b_minus, b_zero = signature_of_symmetric(q)
+            b_plus, b_minus, b_zero = signature_of_symmetric(support)
             if b_zero:
                 raise ValueError("intersection form is degenerate")
         else:
@@ -158,22 +227,26 @@ class FourManifoldLattice:
         self._b_plus = b_plus
         self._b_minus = b_minus
 
-        # Characteristic congruence on basis vectors: K.e_i = Q_ii mod 2.
-        for i in range(n):
-            ke = 0
-            for j, kj in enumerate(k):
-                if kj:
-                    ke += kj * q[j][i]
+        # Characteristic congruence on basis vectors, K.e_i = Q_ii mod 2,
+        # and K.K and omega.omega, all over the nonzero entries of Q.
+        k_squared = 0
+        for i, entries in enumerate(support):
+            ke = sum(k[j] * v for j, v in entries)
             if (ke - q[i][i]) % 2:
                 raise ValueError(
                     f"canonical vector is not characteristic at basis index {i}"
                 )
-        if self.pairing(k, k) != self.two_e_plus_3sigma:
+            k_squared += k[i] * ke
+        if k_squared != self.two_e_plus_3sigma:
             raise ValueError(
-                f"K.K = {self.pairing(k, k)} but 2e + 3sigma = "
+                f"K.K = {k_squared} but 2e + 3sigma = "
                 f"{self.two_e_plus_3sigma}; inconsistent almost-complex data"
             )
-        if self.pairing(w, w) <= 0:
+        omega_squared = sum(
+            w[i] * sum(w[j] * v for j, v in support[i])
+            for i in range(n) if w[i]
+        )
+        if omega_squared <= 0:
             raise ValueError("omega.omega must be positive")
         if self.b1 % 2 == 0 and (self.euler + self.signature) % 4:
             raise ValueError(
@@ -292,7 +365,8 @@ class HomologyClass:
     def virtual_dim(self) -> int:
         """(a.a - K.a)/2, the expected dimension of the incidence moduli."""
         num = self.square() - self.k_dot()
-        assert num % 2 == 0, "characteristic K forces a.a = K.a mod 2"
+        if num % 2:
+            raise ArithmeticError("characteristic K forces a.a = K.a mod 2")
         return num // 2
 
 

@@ -1,7 +1,11 @@
 """CLI: command outputs, exit codes, determinism, and schema conformance."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -70,6 +74,14 @@ class TestManifoldCheck:
         path = tmp_path / "short.json"
         path.write_text(json.dumps({"label": "x"}))
         check(runner, ["manifold-check", str(path)], expect_exit=2)
+
+    def test_zero_denominator_exits_two(self, runner, tmp_path):
+        data = lattice_to_dict(STANDARD_BUILDERS["cp2"]())
+        data["omega"] = ["1/0"]
+        path = tmp_path / "zero_den.json"
+        path.write_text(json.dumps(data))
+        result = check(runner, ["manifold-check", str(path)], expect_exit=2)
+        assert "zero denominator" in result.output
 
     def test_text_format(self, runner, manifold_file):
         result = check(runner, ["manifold-check", manifold_file("cp2"),
@@ -270,3 +282,18 @@ class TestDeterminism:
 
     def test_unknown_command_exit_two(self, runner):
         check(runner, ["transmogrify"], expect_exit=2)
+
+
+def test_cli_import_does_not_load_process_pool():
+    """The pool modules load only when `hilb` runs with several workers."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, sympencil.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -10,6 +10,7 @@ from sympencil.exact import (
     TruncatedSeries,
     _rank_mod_prime,
     binom,
+    char_poly,
     rank_and_kernel,
     series_geom_pow,
 )
@@ -170,3 +171,15 @@ class TestRankAndKernel:
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
             RationalMatrix([[1, 2], [3]])
+
+
+class TestCharPoly:
+    def test_two_by_two(self):
+        # det(x I - [[2, 1], [1, 2]]) = x^2 - 4x + 3, constant first.
+        assert char_poly(RationalMatrix([[2, 1], [1, 2]])) == [3, -4, 1]
+
+    def test_constant_term_is_signed_determinant(self):
+        m = RationalMatrix([[1, 2, 0], [0, 3, 1], [4, 0, 1]])
+        coeffs = char_poly(m)
+        assert coeffs[-1] == 1
+        assert coeffs[0] == -11  # (-1)^3 det(M), det(M) = 11

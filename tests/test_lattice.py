@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympencil.catalog import (
     E8_GRAM,
@@ -17,9 +19,11 @@ from sympencil.catalog import (
     parse_rational,
     spin_model,
 )
+from sympencil.exact import RationalMatrix, char_poly
 from sympencil.lattice import (
     BlownUpLattice,
     FourManifoldLattice,
+    _dense_signature,
     blow_up,
     classify_b_plus_one,
     is_even_form,
@@ -52,6 +56,99 @@ class TestSignature:
     def test_sum_of_hyperbolics(self):
         q = block_diag(HYPERBOLIC, HYPERBOLIC, HYPERBOLIC)
         assert signature_of_symmetric(q) == (3, 3, 0)
+
+    def test_interleaved_blocks(self):
+        # H on the non-adjacent e_0, e_2, then <-1>, <1> and a degenerate <0>.
+        q = [
+            [0, 0, 1, 0, 0],
+            [0, -1, 0, 0, 0],
+            [1, 0, 0, 0, 0],
+            [0, 0, 0, 1, 0],
+            [0, 0, 0, 0, 0],
+        ]
+        assert signature_of_symmetric(q) == (2, 2, 1)
+
+    def test_rejects_ragged(self):
+        with pytest.raises(ValueError, match="square"):
+            signature_of_symmetric([[1, 0], [0]])
+
+    def test_rejects_asymmetry_against_zero(self):
+        # The mismatch sits opposite a zero entry, not between two nonzeros.
+        with pytest.raises(ValueError, match="symmetric"):
+            signature_of_symmetric([[1, 0, 0], [0, 1, 0], [3, 0, 1]])
+
+
+def descartes_inertia(rows):
+    """``(pos, neg, zero)`` read off the exact characteristic polynomial.
+
+    A symmetric matrix has only real eigenvalues, so Descartes' rule of
+    signs counts the positive roots exactly, and applied to p(-x) the
+    negative ones; the zero eigenvalues are the vanishing low coefficients.
+    Independent of the elimination it checks.
+    """
+    coeffs = char_poly(RationalMatrix(rows))
+    zero = next(i for i, c in enumerate(coeffs) if c)
+    rest = coeffs[zero:]
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    neg = sign_changes([-c if k % 2 else c for k, c in enumerate(rest)])
+    return sign_changes(rest), neg, zero
+
+
+@st.composite
+def _small_symmetric(draw):
+    m = draw(st.integers(1, 4))
+    q = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            q[i][j] = q[j][i] = draw(st.integers(-3, 3))
+    return q
+
+
+_SUMMANDS = st.one_of(
+    st.sampled_from([((1,),), ((-1,),), HYPERBOLIC, E8_GRAM, negated(E8_GRAM)]),
+    _small_symmetric(),
+)
+
+
+@st.composite
+def _interleaved_sums(draw):
+    """A direct sum of standard and random blocks in a shuffled basis."""
+    blocks = draw(st.lists(_SUMMANDS, min_size=1, max_size=4))
+    q = block_diag(*blocks)
+    n = len(q)
+    perm = draw(st.permutations(range(n)))
+    return [[q[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+class TestSignatureOracle:
+    """The block route against the whole-matrix elimination and against
+    Descartes' rule on the characteristic polynomial."""
+
+    def test_descartes_oracle_on_known_forms(self):
+        assert descartes_inertia(E8_GRAM) == (8, 0, 0)
+        assert descartes_inertia(HYPERBOLIC) == (1, 1, 0)
+        assert descartes_inertia([[1, 1], [1, 1]]) == (1, 0, 1)
+        assert descartes_inertia([[0, 0], [0, 0]]) == (0, 0, 2)
+
+    @given(_interleaved_sums())
+    @settings(max_examples=60, deadline=None)
+    def test_three_routes_agree_on_interleaved_sums(self, q):
+        block = signature_of_symmetric(q)
+        assert block == _dense_signature(q) == descartes_inertia(q)
+        assert sum(block) == len(q)
+
+    def test_three_routes_agree_on_catalog(self):
+        small = [x for x in load_catalog().values() if x.b2 <= 30]
+        assert len(small) >= 4
+        for x in small:
+            expected = (x.b_plus, x.b_minus, 0)
+            assert signature_of_symmetric(x.form) == expected, x.label
+            assert _dense_signature(x.form) == expected, x.label
+            assert descartes_inertia(x.form) == expected, x.label
 
 
 class TestCatalogEntries:
@@ -296,6 +393,10 @@ class TestManifoldFiles:
             parse_rational("1.5")
         with pytest.raises(ValueError):
             parse_rational(True)
+
+    def test_parse_rational_rejects_zero_denominator(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational("1/0")
 
     def test_missing_fields(self):
         with pytest.raises(ValueError, match="missing"):

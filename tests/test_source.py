@@ -1,0 +1,18 @@
+"""Source-level checks on the package."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sympencil"
+
+
+def test_no_assert_statements():
+    """Invariants are checked with ``raise``; ``python -O`` strips asserts."""
+    found = []
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

@@ -4,130 +4,64 @@ certification of commuting-matrix models of points on a surface.
 
 Everything is computed over the rationals (fractions.Fraction); floating
 point never enters. The CLI entry point lives in :mod:`sympencil.cli`.
+
+The public names below resolve on first use (PEP 562), so importing the
+package, or one of its modules, loads only the modules that are used.
 """
 
-from sympencil.applications import CheckReport, general_type_classes, run_all
-from sympencil.brill_noether import (
-    AbelJacobiFibres,
-    BNQuery,
-    abel_jacobi_fibre_dims,
-    eh_predicate,
-    rho,
-    singular_fibre_h0,
-)
-from sympencil.catalog import (
-    STANDARD_BUILDERS,
-    elliptic_like,
-    lattice_from_dict,
-    lattice_to_dict,
-    load_manifold,
-    spin_model,
-)
-from sympencil.exact import (
-    RationalMatrix,
-    TruncatedSeries,
-    binom,
-    rank_and_kernel,
-    series_geom_pow,
-)
-from sympencil.gromov import (
-    CohomologyProfile,
-    duality_check,
-    gr_parity,
-    gromov_invariant,
-    riemann_roch_chi,
-    serre_dual,
-    vanishing_profile,
-)
-from sympencil.hilb import (
-    ADHMTriple,
-    CertificationReport,
-    RelADHMQuad,
-    certify_stratum,
-    differential_matrix,
-    is_stable,
-    support_points,
-    verify_absolute_cokernel,
-    verify_kernel_dim,
-)
-from sympencil.lattice import (
-    BlownUpLattice,
-    BPlusOneClassification,
-    FourManifoldLattice,
-    HomologyClass,
-    blow_up,
-    classify_b_plus_one,
-    is_even_form,
-    minimality_inequality,
-    signature_of_symmetric,
-    twist,
-)
-from sympencil.pencil import (
-    PencilData,
-    SurfaceCountVerdict,
-    build_pencil,
-    count_decision,
-    fibre_degree,
-    ratio_convergence,
-    residual_fibre_degree,
-    virtual_dim,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ADHMTriple",
-    "AbelJacobiFibres",
-    "BNQuery",
-    "BPlusOneClassification",
-    "BlownUpLattice",
-    "CertificationReport",
-    "CheckReport",
-    "CohomologyProfile",
-    "FourManifoldLattice",
-    "HomologyClass",
-    "PencilData",
-    "RationalMatrix",
-    "RelADHMQuad",
-    "STANDARD_BUILDERS",
-    "SurfaceCountVerdict",
-    "TruncatedSeries",
-    "abel_jacobi_fibre_dims",
-    "binom",
-    "blow_up",
-    "build_pencil",
-    "certify_stratum",
-    "classify_b_plus_one",
-    "count_decision",
-    "differential_matrix",
-    "duality_check",
-    "eh_predicate",
-    "elliptic_like",
-    "fibre_degree",
-    "general_type_classes",
-    "gr_parity",
-    "gromov_invariant",
-    "is_even_form",
-    "is_stable",
-    "lattice_from_dict",
-    "lattice_to_dict",
-    "load_manifold",
-    "minimality_inequality",
-    "rank_and_kernel",
-    "ratio_convergence",
-    "residual_fibre_degree",
-    "rho",
-    "riemann_roch_chi",
-    "run_all",
-    "serre_dual",
-    "series_geom_pow",
-    "signature_of_symmetric",
-    "singular_fibre_h0",
-    "spin_model",
-    "support_points",
-    "twist",
-    "vanishing_profile",
-    "verify_absolute_cokernel",
-    "verify_kernel_dim",
-    "virtual_dim",
-]
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "applications": ("CheckReport", "general_type_classes", "run_all"),
+        "brill_noether": (
+            "AbelJacobiFibres", "BNQuery", "abel_jacobi_fibre_dims",
+            "eh_predicate", "rho", "singular_fibre_h0",
+        ),
+        "catalog": (
+            "STANDARD_BUILDERS", "elliptic_like", "lattice_from_dict",
+            "lattice_to_dict", "load_manifold", "spin_model",
+        ),
+        "exact": (
+            "RationalMatrix", "TruncatedSeries", "binom", "rank_and_kernel",
+            "series_geom_pow",
+        ),
+        "gromov": (
+            "CohomologyProfile", "duality_check", "gr_parity",
+            "gromov_invariant", "riemann_roch_chi", "serre_dual",
+            "vanishing_profile",
+        ),
+        "hilb": (
+            "ADHMTriple", "CertificationReport", "RelADHMQuad",
+            "certify_stratum", "differential_matrix", "is_stable",
+            "support_points", "verify_absolute_cokernel", "verify_kernel_dim",
+        ),
+        "lattice": (
+            "BlownUpLattice", "BPlusOneClassification", "FourManifoldLattice",
+            "HomologyClass", "blow_up", "classify_b_plus_one", "is_even_form",
+            "minimality_inequality", "signature_of_symmetric", "twist",
+        ),
+        "pencil": (
+            "PencilData", "SurfaceCountVerdict", "build_pencil",
+            "count_decision", "fibre_degree", "ratio_convergence",
+            "residual_fibre_degree", "virtual_dim",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

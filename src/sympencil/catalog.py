@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from importlib import resources
 from typing import Union
 
 from .lattice import FourManifoldLattice
@@ -80,9 +79,10 @@ def format_rational(q: Fraction) -> Union[int, str]:
 def manifold_fields(data: dict) -> dict:
     """Shape-check a manifold dict and return constructor keywords.
 
-    Only the file format is validated here; the lattice invariants are
-    checked by the constructor itself, so callers can tell a malformed
-    file apart from a well-formed one describing an invalid lattice.
+    Only the file format is validated here. The constructor checks the
+    entry types of ``Q`` and ``K`` (``TypeError``) and then the lattice
+    invariants (``ValueError``), so callers can tell a malformed file apart
+    from a well-formed one describing an invalid lattice.
     """
     if not isinstance(data, dict):
         raise ValueError("manifold file must contain a JSON object")
@@ -101,13 +101,6 @@ def manifold_fields(data: dict) -> dict:
         raise ValueError("'Q' must be an array of arrays")
     if not isinstance(canonical, list) or not isinstance(data["omega"], list):
         raise ValueError("'K' and 'omega' must be arrays")
-    for row in form:
-        for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError("'Q' entries must be integers")
-    for x in canonical:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise ValueError("'K' entries must be integers")
     omega = [parse_rational(x) for x in data["omega"]]
     return {
         "label": data["label"],
@@ -120,7 +113,13 @@ def manifold_fields(data: dict) -> dict:
 
 
 def lattice_from_dict(data: dict) -> FourManifoldLattice:
-    return FourManifoldLattice(**manifold_fields(data))
+    """Parse a manifold dict; every error, a malformed file or an invalid
+    lattice, is a ``ValueError``."""
+    fields = manifold_fields(data)
+    try:
+        return FourManifoldLattice(**fields)
+    except TypeError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def lattice_to_dict(x: FourManifoldLattice) -> dict:
@@ -144,6 +143,10 @@ def load_manifold(path) -> FourManifoldLattice:
 
 
 def _catalog_dir():
+    # Imported here: importlib.resources costs a fresh interpreter about as
+    # much as the rest of the CLI's imports, and no command reads the catalog.
+    from importlib import resources
+
     return resources.files("sympencil").joinpath("data", "catalog")
 
 

@@ -4,9 +4,13 @@ All commands emit JSON by default (canonical form: sorted keys, compact
 separators, one trailing newline), so identical invocations are
 byte-identical; ``--format text`` renders the same structure as key:
 value lines.  Exit codes: 0 success, 1 a computed check failed, 2 input
-or usage error.  Seeded commands default to seed 1729.  The ``hilb``
-command reads the worker count from the SYMPENCIL_WORKERS environment
-variable; its output does not depend on it.
+or usage error, reported as one ``Error: ...`` line on stderr.  Seeded
+commands default to seed 1729.  The ``hilb`` command reads the worker
+count from the SYMPENCIL_WORKERS environment variable, capped at the CPU
+count and at ``--samples``; its output does not depend on it.
+
+A process imports only what its command uses: ``hilb``, ``brill_noether``
+and ``applications`` load inside the commands that need them.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from typing import Optional
 
 import click
 
-from . import brill_noether, hilb
-from .applications import run_all
 from .catalog import format_rational, lattice_from_dict, manifold_fields
 from .gromov import duality_check, gromov_invariant, serre_dual, vanishing_profile
 from .lattice import FourManifoldLattice, is_even_form
@@ -31,6 +33,7 @@ from .pencil import (
     residual_fibre_degree,
     virtual_dim,
 )
+from .strata import STRATA
 
 DEFAULT_SEED = 1729
 WORKERS_ENV = "SYMPENCIL_WORKERS"
@@ -97,13 +100,32 @@ def _parse_class(text: str, width: Optional[int] = None) -> tuple[int, ...]:
     return coords
 
 
+class _Group(click.Group):
+    """The command group. A usage error, whether click's parser or a
+    command raises it, prints as one ``Error: ...`` line on stderr and
+    exits 2: re-raised without its context, it carries no usage line and
+    no help hint."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            raise click.UsageError(exc.format_message()) from None
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            raise click.UsageError(exc.format_message()) from None
+
+
 _format_option = click.option(
     "--format", "fmt", type=click.Choice(["text", "json"]), default="json",
     show_default=True, help="Report rendering.",
 )
 
 
-@click.group()
+@click.group(cls=_Group, no_args_is_help=False)
 @click.version_option(package_name="sympencil")
 def main():
     """Exact invariants of symplectic surface counting: lattices, section
@@ -123,6 +145,8 @@ def manifold_check(ctx, manifold, fmt):
         raise click.UsageError(f"{manifold}: {exc}")
     try:
         x = FourManifoldLattice(**fields)
+    except TypeError as exc:
+        raise click.UsageError(f"{manifold}: {exc}")
     except ValueError as exc:
         _emit({
             "command": "manifold-check",
@@ -307,6 +331,8 @@ def count_cmd(manifold, class_, fmt):
 @_format_option
 def bn_cmd(g, r, s, fmt):
     """Virtual dimension of degree-r, dimension-s systems on genus g."""
+    from . import brill_noether
+
     try:
         query = brill_noether.BNQuery(g, r, s)
     except ValueError as exc:
@@ -332,6 +358,8 @@ def bn_cmd(g, r, s, fmt):
 @_format_option
 def aj_fibres_cmd(g, r, fmt):
     """Fibre dimensions of the degree-r divisor-to-line-bundle map."""
+    from . import brill_noether
+
     try:
         prof = brill_noether.abel_jacobi_fibre_dims(g, r)
     except ValueError as exc:
@@ -356,12 +384,19 @@ def aj_fibres_cmd(g, r, fmt):
 @click.option("--samples", required=True, type=int, help="Samples to certify.")
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True,
               help="Base seed; sample i uses seed + i.")
-@click.option("--stratum", type=click.Choice(hilb.STRATA), default="smooth",
+@click.option("--stratum", type=click.Choice(STRATA), default="smooth",
               show_default=True, help="Stratum to sample.")
 @_format_option
 @click.pass_context
 def hilb_cmd(ctx, r, samples, seed, stratum, fmt):
-    """Certify the kernel dimension r^2 + 1 on sampled matrix models."""
+    """Certify the kernel dimension r^2 + 1 on sampled matrix models.
+
+    The SYMPENCIL_WORKERS environment variable (default 1) sets the number
+    of worker processes; at most the CPU count and at most --samples of
+    them run. The report does not depend on it.
+    """
+    from . import hilb
+
     workers_text = os.environ.get(WORKERS_ENV, "1")
     try:
         workers = int(workers_text)
@@ -404,6 +439,8 @@ def hilb_cmd(ctx, r, samples, seed, stratum, fmt):
 @click.pass_context
 def classify_cmd(ctx, manifold, classes_path, fmt):
     """Run every applicable named check; exit 1 if any check fails."""
+    from . import applications
+
     x = _load_lattice(manifold)
     classes = []
     if classes_path is not None:
@@ -423,7 +460,7 @@ def classify_cmd(ctx, manifold, classes_path, fmt):
                 )
         classes = [tuple(row) for row in data]
     try:
-        reports = run_all(x, classes)
+        reports = applications.run_all(x, classes)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     payload = [

@@ -18,13 +18,18 @@ elimination with a finite-field cross-check.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
-from .exact import RationalMatrix, char_poly, rank_and_kernel
+# rank_and_kernel is looked up on its module at each call, so a wrapper set
+# there later (such as the benchmark's tracer) is seen from this module too.
+from . import exact
+from .exact import RationalMatrix, char_poly
+from .strata import STRATA
 
 Rational = Union[int, Fraction]
 Vector = tuple[Fraction, ...]
@@ -33,8 +38,6 @@ Vector = tuple[Fraction, ...]
 # the assembled differentials stays cheap, generic enough to exercise
 # each stratum.
 _NONZERO_POOL = tuple(x for x in range(-9, 10) if x != 0)
-
-STRATA = ("smooth", "singular", "b1zero")
 
 
 def _as_vector(v: Sequence[Rational]) -> Vector:
@@ -86,7 +89,7 @@ def is_stable(b1: RationalMatrix, b2: RationalMatrix,
         w = queue.pop(0)
         if all(x == 0 for x in w):
             continue
-        new_rank, _ = rank_and_kernel(RationalMatrix(basis + [w]))
+        new_rank, _ = exact.rank_and_kernel(RationalMatrix(basis + [w]))
         if new_rank > rank:
             basis.append(w)
             rank = new_rank
@@ -238,7 +241,7 @@ def differential_matrix(q: RelADHMQuad) -> RationalMatrix:
 
 def kernel_dimension(q: RelADHMQuad) -> int:
     """Exact kernel dimension of the differential at q."""
-    _, kernel = rank_and_kernel(differential_matrix(q))
+    _, kernel = exact.rank_and_kernel(differential_matrix(q))
     return len(kernel)
 
 
@@ -268,7 +271,7 @@ def absolute_commutator_differential(t: ADHMTriple) -> RationalMatrix:
 def verify_absolute_cokernel(t: ADHMTriple) -> bool:
     """Certify the commutator map's constant corank r: its differential
     at t has rank r^2 - r."""
-    rank, _ = rank_and_kernel(absolute_commutator_differential(t))
+    rank, _ = exact.rank_and_kernel(absolute_commutator_differential(t))
     return rank == t.r * t.r - t.r
 
 
@@ -359,7 +362,7 @@ def support_points(q: RelADHMQuad) -> tuple[tuple[Fraction, Fraction], ...]:
             [[q.b1.rows[i][j] - (z if i == j else 0) for j in range(q.r)]
              for i in range(q.r)]
         )
-        rank, _ = rank_and_kernel(shifted)
+        rank, _ = exact.rank_and_kernel(shifted)
         if q.r - rank != mult:
             raise ValueError(
                 "unsupported: B1 is not diagonalizable over the rationals"
@@ -408,8 +411,10 @@ def certify_stratum(stratum: str, r: int, samples: int, seed: int = 1729,
     certify the kernel dimension at each point.
 
     Samples are independent, so any worker count yields the same report;
-    results merge by sample index.  The singular stratum cycles through
-    all chain splits (n, m) as the index advances.
+    results merge by sample index.  At most ``min(workers, cpu count,
+    samples)`` worker processes run, and none when that is 1.  The
+    singular stratum cycles through all chain splits (n, m) as the index
+    advances.
     """
     if stratum not in STRATA:
         raise ValueError(f"unknown stratum {stratum!r}; choose from {STRATA}")
@@ -418,6 +423,7 @@ def certify_stratum(stratum: str, r: int, samples: int, seed: int = 1729,
     if workers < 1:
         raise ValueError("worker count must be positive")
     jobs = [(stratum, r, seed, i) for i in range(samples)]
+    workers = min(workers, os.cpu_count() or 1, samples)
     if workers > 1:
         # Imported here so that importing the package, and so every CLI
         # start, does not load the process-pool modules.

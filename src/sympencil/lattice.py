@@ -21,6 +21,9 @@ from .exact import Rational
 IntVector = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
 
+# Exactly ``int``: ``bool`` is a subclass of it, and is not an entry.
+_INT = frozenset((int,))
+
 
 class _Support(tuple):
     """Per-row nonzero entries of a matrix already checked square and
@@ -184,10 +187,14 @@ class FourManifoldLattice:
         Symplectic direction; needs omega.omega > 0.
     minimal : bool
         Declared minimality (no embedded (-1)-sphere), taken on trust.
+
+    Raises ``TypeError`` when an entry of ``form`` or ``canonical`` is not
+    an ``int`` (a ``bool``, float, string or ``Fraction`` is not truncated),
+    and ``ValueError`` when the data describe no valid lattice.
     """
 
     __slots__ = ("label", "b1", "form", "canonical", "omega", "minimal",
-                 "_b_plus", "_b_minus")
+                 "_b_plus", "_b_minus", "_k_squared")
 
     def __init__(
         self,
@@ -201,12 +208,19 @@ class FourManifoldLattice:
     ):
         if b1 < 0:
             raise ValueError("b1 must be nonnegative")
-        q: IntMatrix = tuple(tuple(map(int, row)) for row in form)
+        # Entry types are checked once per row; tuple rows are kept as they
+        # are (tuple() of a tuple is the tuple itself), list rows copied once.
+        q: IntMatrix = tuple(map(tuple, form))
         n = len(q)
         if n == 0:
             raise ValueError("intersection form must be nonempty")
+        for row in q:
+            if not _INT.issuperset(map(type, row)):
+                raise TypeError("intersection form entries must be integers")
         support = _symmetric_support(q, "intersection form")
-        k = tuple(int(x) for x in canonical)
+        k = tuple(canonical)
+        if not _INT.issuperset(map(type, k)):
+            raise TypeError("canonical vector entries must be integers")
         w = tuple(Fraction(x) for x in omega)
         if len(k) != n or len(w) != n:
             raise ValueError("canonical and omega must match the form's rank")
@@ -237,6 +251,7 @@ class FourManifoldLattice:
                     f"canonical vector is not characteristic at basis index {i}"
                 )
             k_squared += k[i] * ke
+        self._k_squared = k_squared
         if k_squared != self.two_e_plus_3sigma:
             raise ValueError(
                 f"K.K = {k_squared} but 2e + 3sigma = "
@@ -282,7 +297,8 @@ class FourManifoldLattice:
 
     @property
     def k_squared(self) -> int:
-        return int(self.pairing(self.canonical, self.canonical))
+        """K.K, as computed over the nonzero entries at construction."""
+        return self._k_squared
 
     @property
     def chi_h(self) -> Union[int, Fraction]:

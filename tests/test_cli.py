@@ -284,14 +284,52 @@ class TestDeterminism:
         check(runner, ["transmogrify"], expect_exit=2)
 
 
+CP2 = lattice_to_dict(STANDARD_BUILDERS["cp2"]())
+
+# Malformed invocations, each built from a writer of one input file and the
+# catalog manifold fixture.
+BAD_INPUTS = {
+    "bad_json": lambda write, m: ["classify", write('{"label": "cp2", "Q": [[1]')],
+    "class_width": lambda write, m: ["count", m("e3"), "--class", "1,2"],
+    "flag_value": lambda write, m: ["bn", "--g", "five", "--r", "2", "--s", "1"],
+    "flag_choice": lambda write, m: ["manifold-check", m("cp2"), "--format", "xml"],
+    "zero_denominator": lambda write, m: [
+        "manifold-check", write(json.dumps(dict(CP2, omega=["1/0"])))],
+    "float_entry": lambda write, m: [
+        "manifold-check", write(json.dumps(dict(CP2, Q=[[1.0]])))],
+    "string_entry": lambda write, m: [
+        "count", write(json.dumps(dict(CP2, K=["-3"]))), "--class", "1"],
+    "unknown_option": lambda write, m: ["--bogus"],
+    "unknown_command": lambda write, m: ["transmogrify"],
+    "missing_command": lambda write, m: [],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_usage_error_is_one_line_on_stderr(runner, manifold_file, tmp_path, case):
+    def write(text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        return str(path)
+
+    result = runner.invoke(main, BAD_INPUTS[case](write, manifold_file))
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), result.stderr
+
+
 def test_cli_import_does_not_load_process_pool():
-    """The pool modules load only when `hilb` runs with several workers."""
+    """A fresh `import sympencil.cli` loads neither the process-pool modules
+    (only `hilb` with several workers does) nor the modules that only some
+    commands use."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = (
         "import sys, sympencil.cli; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', "
+        "'sympencil.hilb', 'sympencil.brill_noether', 'sympencil.applications') "
         "if m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env,

@@ -340,6 +340,40 @@ class TestCertifyStratum:
         parallel = certify_stratum("singular", 3, 6, seed=11, workers=2)
         assert serial == parallel
 
+    @pytest.mark.parametrize("workers, cpus, samples, pool", [
+        (1, 8, 5, None),
+        (64, 4, 10, 4),
+        (64, 4, 3, 3),
+        (3, 8, 10, 3),
+        (64, None, 10, None),
+        (64, 8, 1, None),
+    ])
+    def test_pool_size_capped(self, monkeypatch, workers, cpus, samples, pool):
+        """At most min(workers, cpu count, samples) processes, and no pool
+        at all when that is 1; checked with a stand-in that starts none."""
+        import concurrent.futures
+
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        rep = certify_stratum("b1zero", 1, samples, seed=3, workers=workers)
+        assert rep == certify_stratum("b1zero", 1, samples, seed=3)
+        assert started == ([] if pool is None else [pool])
+
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):
             certify_stratum("mystery", 2, 5)

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from sympencil.catalog import (
     E8_GRAM,
     HYPERBOLIC,
+    STANDARD_BUILDERS,
+    _catalog_dir,
     block_diag,
+    catalog_names,
     elliptic_like,
     lattice_from_dict,
     lattice_to_dict,
@@ -196,6 +199,18 @@ class TestCatalogEntries:
             assert y.b1 == x.b1
             assert y.minimal == x.minimal
 
+    def test_json_files_match_builders(self):
+        assert catalog_names() == sorted(STANDARD_BUILDERS)
+        for name in catalog_names():
+            text = _catalog_dir().joinpath(f"{name}.json").read_text(encoding="utf-8")
+            assert json.loads(text) == lattice_to_dict(STANDARD_BUILDERS[name]()), name
+
+    def test_k_squared_matches_dense_pairing(self):
+        lattices = list(load_catalog().values())
+        lattices += [blow_up(x, 2) for x in lattices]
+        for x in lattices:
+            assert x.k_squared == x.pairing(x.canonical, x.canonical), x.label
+
     def test_characteristic_vector_random_classes(self):
         # K.x + x.x must be even for arbitrary integer classes.
         rng = random.Random(20260822)
@@ -259,6 +274,22 @@ class TestValidation:
     def test_negative_b1_rejected(self):
         with pytest.raises(ValueError, match="b1"):
             FourManifoldLattice("bad", -1, [[1]], [-3], [1], True)
+
+    @pytest.mark.parametrize("entry", [1.9, True, "1", Fraction(1, 2), Fraction(1)])
+    def test_non_integer_entries_not_truncated(self, entry):
+        with pytest.raises(TypeError, match="intersection form entries"):
+            FourManifoldLattice("bad", 0, [[entry]], [-3], [1], True)
+        with pytest.raises(TypeError, match="canonical vector entries"):
+            FourManifoldLattice("bad", 0, [[1]], [entry], [1], True)
+        with pytest.raises(TypeError, match="intersection form entries"):
+            FourManifoldLattice("bad", 0, [[-1, 0], [0, entry]], [1, 1], [1, 0], True)
+
+    def test_tuple_rows_kept(self):
+        rows = ((0, 1), (1, 0))
+        x = FourManifoldLattice("s2xs2", 0, rows, (-2, -2), (1, 1), True)
+        assert x.form[0] is rows[0] and x.form[1] is rows[1]
+        y = FourManifoldLattice("s2xs2", 0, [[0, 1], [1, 0]], [-2, -2], [1, 1], True)
+        assert y.form == rows and type(y.form[0]) is tuple
 
 
 class TestAdjunction:
@@ -407,4 +438,10 @@ class TestManifoldFiles:
         bad = dict(good)
         bad["K"] = [True]
         with pytest.raises(ValueError):
+            lattice_from_dict(bad)
+
+    @pytest.mark.parametrize("entry", [1.9, True, "1", None, [1]])
+    def test_non_integer_form_entries_rejected(self, entry):
+        bad = dict(lattice_to_dict(load_catalog_entry("cp2")), Q=[[entry]])
+        with pytest.raises(ValueError, match="intersection form entries"):
             lattice_from_dict(bad)

@@ -3,6 +3,10 @@
 import ast
 from pathlib import Path
 
+import pytest
+
+import sympencil
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sympencil"
 
 
@@ -16,3 +20,12 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_package_exports_resolve():
+    """Every name in the lazy export table names a real object."""
+    for name in sympencil.__all__:
+        getattr(sympencil, name)
+        assert name in dir(sympencil)
+    with pytest.raises(AttributeError):
+        sympencil.no_such_name

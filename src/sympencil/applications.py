@@ -9,13 +9,12 @@ from the numbers the report carries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 # count_decision is looked up on its module at each call, so a wrapper set
 # there later (such as the benchmark's tracer) is seen from this module too.
 from . import pencil
+from .catalog import format_rational
 from .gromov import gr_parity
 from .lattice import (
     FourManifoldLattice,
@@ -23,18 +22,13 @@ from .lattice import (
     is_even_form,
     minimality_inequality,
 )
-
-Number = Union[int, str, bool]
-
-
-def _num(value) -> Number:
-    f = Fraction(value)
-    return int(f) if f.denominator == 1 else str(f)
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """One named check: verdict plus the hypotheses and numbers behind it."""
+
+    __slots__ = ("check_name", "verdict", "cited_hypotheses", "numbers")
 
     check_name: str
     verdict: str  # "pass" | "fail" | "not-applicable"
@@ -67,14 +61,14 @@ def _classification_report(x: FourManifoldLattice) -> CheckReport:
         return CheckReport(name, "not-applicable", cited, {
             "b_plus": x.b_plus,
             "b1": x.b1,
-            "k_omega": _num(k_omega),
+            "k_omega": format_rational(k_omega),
         })
     outcome = classify_b_plus_one(x)
     numbers = {
         "b_minus": outcome.b_minus,
         "two_e_plus_3sigma": outcome.two_e_plus_3sigma,
         "even": outcome.even,
-        "k_omega": _num(k_omega),
+        "k_omega": format_rational(k_omega),
     }
     if outcome.verdict == "rejected":
         return CheckReport(name, "fail", cited, numbers)
@@ -88,7 +82,7 @@ def _inflation_report(x: FourManifoldLattice) -> CheckReport:
     k_omega = x.omega_dot(x.canonical)
     numbers = {
         "k_squared": x.k_squared,
-        "k_omega": _num(k_omega),
+        "k_omega": format_rational(k_omega),
         "b_plus": x.b_plus,
     }
     if not (x.minimal and x.b_plus == 1):

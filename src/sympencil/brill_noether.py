@@ -8,14 +8,16 @@ range, and the section count on an irreducible one-node fibre.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from .record import Record
 
-@dataclass(frozen=True)
-class BNQuery:
+
+class BNQuery(Record):
     """A query for systems of degree r and projective dimension s on a
     genus-g curve."""
+
+    __slots__ = ("g", "r", "s")
 
     g: int
     r: int
@@ -39,9 +41,10 @@ def eh_predicate(q: BNQuery) -> bool:
     return rho(q) < -1
 
 
-@dataclass(frozen=True)
-class AbelJacobiFibres:
+class AbelJacobiFibres(Record):
     """Fibre-dimension profile of the degree-r Abel-Jacobi map."""
+
+    __slots__ = ("generic_dim", "jump_dim", "jump_locus_degree", "descriptor")
 
     generic_dim: int
     jump_dim: Optional[int]

@@ -14,6 +14,7 @@ import json
 from fractions import Fraction
 from typing import Union
 
+from .exact import Rational
 from .lattice import FourManifoldLattice
 
 HYPERBOLIC = ((0, 1), (1, 0))
@@ -69,7 +70,9 @@ def parse_rational(value: Union[int, str]) -> Fraction:
     raise ValueError(f"not a rational entry: {value!r}")
 
 
-def format_rational(q: Fraction) -> Union[int, str]:
+def format_rational(q: Rational) -> Union[int, str]:
+    """The JSON form of an exact rational, the inverse of
+    :func:`parse_rational`: an int, or ``"p/q"`` for a non-integer."""
     q = Fraction(q)
     if q.denominator == 1:
         return q.numerator

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from fractions import Fraction
 from typing import Optional
 
 import click
@@ -33,14 +32,10 @@ from .pencil import (
     residual_fibre_degree,
     virtual_dim,
 )
-from .strata import STRATA
+from .strata import MAX_R, MAX_SAMPLES, STRATA
 
 DEFAULT_SEED = 1729
 WORKERS_ENV = "SYMPENCIL_WORKERS"
-
-
-def _num(value):
-    return format_rational(Fraction(value))
 
 
 def _emit(payload, fmt: str) -> None:
@@ -167,7 +162,7 @@ def manifold_check(ctx, manifold, fmt):
         "signature": x.signature,
         "two_e_plus_3sigma": x.two_e_plus_3sigma,
         "k_squared": x.k_squared,
-        "chi_h": _num(x.chi_h),
+        "chi_h": format_rational(x.chi_h),
         "even_form": is_even_form(x),
         "minimal": x.minimal,
         "citations": [
@@ -380,8 +375,10 @@ def aj_fibres_cmd(g, r, fmt):
 
 
 @main.command("hilb")
-@click.option("--r", "r", required=True, type=int, help="Matrix size.")
-@click.option("--samples", required=True, type=int, help="Samples to certify.")
+@click.option("--r", "r", required=True, type=int,
+              help=f"Matrix size, 1 to {MAX_R}.")
+@click.option("--samples", required=True, type=int,
+              help=f"Samples to certify, 1 to {MAX_SAMPLES}.")
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True,
               help="Base seed; sample i uses seed + i.")
 @click.option("--stratum", type=click.Choice(STRATA), default="smooth",

@@ -11,11 +11,11 @@ orientation that the formulas do not pin down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .exact import binom
 from .lattice import FourManifoldLattice, HomologyClass
+from .record import Record
 
 
 def riemann_roch_chi(x: FourManifoldLattice, d: Sequence[int]) -> int:
@@ -31,9 +31,10 @@ def riemann_roch_chi(x: FourManifoldLattice, d: Sequence[int]) -> int:
     return chi_h + num // 2
 
 
-@dataclass(frozen=True)
-class CohomologyProfile:
+class CohomologyProfile(Record):
     """Section dimensions (h0, h1, h2) of a divisor class, chi-validated."""
+
+    __slots__ = ("h0", "h1", "h2", "divisor")
 
     h0: int
     h1: int

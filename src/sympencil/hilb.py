@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
@@ -29,7 +28,8 @@ from typing import Optional, Sequence, Union
 # there later (such as the benchmark's tracer) is seen from this module too.
 from . import exact
 from .exact import RationalMatrix, char_poly
-from .strata import STRATA
+from .record import Record
+from .strata import MAX_R, MAX_SAMPLES, STRATA
 
 Rational = Union[int, Fraction]
 Vector = tuple[Fraction, ...]
@@ -100,9 +100,10 @@ def is_stable(b1: RationalMatrix, b2: RationalMatrix,
     return rank == r
 
 
-@dataclass(frozen=True)
-class ADHMTriple:
+class ADHMTriple(Record):
     """Commuting pair with cyclic vector: a length-r cluster on the plane."""
+
+    __slots__ = ("b1", "b2", "v", "r")
 
     b1: RationalMatrix
     b2: RationalMatrix
@@ -118,10 +119,11 @@ class ADHMTriple:
             raise ValueError("cyclic vector generates a proper invariant subspace")
 
 
-@dataclass(frozen=True)
-class RelADHMQuad:
+class RelADHMQuad(Record):
     """Matrix point of the relative model: B1 B2 = lambda I = B2 B1 with
     a cyclic vector."""
+
+    __slots__ = ("b1", "b2", "lam", "v", "r")
 
     b1: RationalMatrix
     b2: RationalMatrix
@@ -373,9 +375,11 @@ def support_points(q: RelADHMQuad) -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple(sorted(pairs))
 
 
-@dataclass(frozen=True)
-class CertificationReport:
+class CertificationReport(Record):
     """Outcome of a sample-and-certify sweep over one stratum."""
+
+    __slots__ = ("stratum", "r", "samples", "failures", "kernel_dims_observed",
+                 "expected_kernel_dim", "passed")
 
     stratum: str
     r: int
@@ -414,15 +418,18 @@ def certify_stratum(stratum: str, r: int, samples: int, seed: int = 1729,
     results merge by sample index.  At most ``min(workers, cpu count,
     samples)`` worker processes run, and none when that is 1.  The
     singular stratum cycles through all chain splits (n, m) as the index
-    advances.
+    advances.  ``r`` may be at most ``MAX_R`` and ``samples`` at most
+    ``MAX_SAMPLES``; both are checked before anything is sampled.
     """
     if stratum not in STRATA:
         raise ValueError(f"unknown stratum {stratum!r}; choose from {STRATA}")
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    if not 1 <= r <= MAX_R:
+        raise ValueError(f"matrix size r must be between 1 and {MAX_R}")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must be between 1 and {MAX_SAMPLES}")
     if workers < 1:
         raise ValueError("worker count must be positive")
-    jobs = [(stratum, r, seed, i) for i in range(samples)]
+    jobs = ((stratum, r, seed, i) for i in range(samples))
     workers = min(workers, os.cpu_count() or 1, samples)
     if workers > 1:
         # Imported here so that importing the package, and so every CLI

@@ -11,12 +11,12 @@ holomorphic Euler characteristic when the first Betti number is even.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Iterator, Optional, Sequence, Union
 
 from .exact import Rational
+from .record import Record
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -159,16 +159,6 @@ def _dense_signature(rows: Sequence[Sequence[Rational]]) -> tuple[int, int, int]
     return pos, neg, zero
 
 
-@dataclass(frozen=True)
-class CharNumbers:
-    """Characteristic numbers derived from a lattice."""
-
-    euler: int
-    signature: int
-    two_e_plus_3sigma: int
-    chi_h: Union[int, Fraction]
-
-
 class FourManifoldLattice:
     """Intersection form data of a closed almost-complex 4-manifold.
 
@@ -221,7 +211,8 @@ class FourManifoldLattice:
         k = tuple(canonical)
         if not _INT.issuperset(map(type, k)):
             raise TypeError("canonical vector entries must be integers")
-        w = tuple(Fraction(x) for x in omega)
+        # Entries parsed from a manifold file are Fractions already.
+        w = tuple(x if type(x) is Fraction else Fraction(x) for x in omega)
         if len(k) != n or len(w) != n:
             raise ValueError("canonical and omega must match the form's rank")
 
@@ -306,14 +297,6 @@ class FourManifoldLattice:
         q = Fraction(self.euler + self.signature, 4)
         return q.numerator if q.denominator == 1 else q
 
-    def char_numbers(self) -> CharNumbers:
-        return CharNumbers(
-            euler=self.euler,
-            signature=self.signature,
-            two_e_plus_3sigma=self.two_e_plus_3sigma,
-            chi_h=self.chi_h,
-        )
-
     # -- pairings -----------------------------------------------------------
 
     def pairing(self, x: Sequence[Rational], y: Sequence[Rational]):
@@ -359,9 +342,10 @@ class FourManifoldLattice:
         )
 
 
-@dataclass(frozen=True)
-class HomologyClass:
+class HomologyClass(Record):
     """An integer degree-2 class in the basis of a lattice's form."""
+
+    __slots__ = ("lattice", "coords")
 
     lattice: FourManifoldLattice
     coords: IntVector
@@ -455,9 +439,11 @@ def is_even_form(x: FourManifoldLattice) -> bool:
     return all(x.form[i][i] % 2 == 0 for i in range(x.b2))
 
 
-@dataclass(frozen=True)
-class BPlusOneClassification:
+class BPlusOneClassification(Record):
     """Outcome of the b+ = 1 homeomorphism-type argument."""
+
+    __slots__ = ("verdict", "homeo_type", "b_minus", "two_e_plus_3sigma",
+                 "even")
 
     verdict: str  # "classified" or "rejected"
     homeo_type: Optional[str]

@@ -12,17 +12,19 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .gromov import CohomologyProfile, gromov_invariant
 from .lattice import FourManifoldLattice, HomologyClass, blow_up, twist
+from .record import Record
 
 
-@dataclass(frozen=True)
-class PencilData:
+class PencilData(Record):
     """Numerical shadow of a degree-k pencil on a lattice."""
+
+    __slots__ = ("lattice", "k", "fibre_class", "genus", "base_points",
+                 "critical_fibres")
 
     lattice: FourManifoldLattice
     k: int
@@ -162,10 +164,11 @@ def picard_vertical_index(x: FourManifoldLattice) -> int:
     return 1 + x.b1 - x.b_plus
 
 
-@dataclass(frozen=True)
-class SectionSpaceDim:
+class SectionSpaceDim(Record):
     """Dimension report for holomorphic sections of the fibrewise canonical
     family, with the Jacobian torus dimension R riding along."""
+
+    __slots__ = ("dimension", "jacobian_dim", "integral")
 
     dimension: Fraction
     jacobian_dim: int
@@ -196,14 +199,23 @@ def sections_of_fK_dim(b_plus: int, b1: int) -> SectionSpaceDim:
     )
 
 
-@dataclass(frozen=True)
-class SurfaceCountVerdict:
-    """Outcome of the conservative count decision, with its justification."""
+class SurfaceCountVerdict(Record):
+    """Outcome of the conservative count decision, with its justification.
+
+    ``value`` defaults to None and ``context`` to a new empty dict.
+    """
+
+    __slots__ = ("kind", "reason", "value", "context")
+    _defaults = {"value": None, "context": None}
 
     kind: str  # Zero | PlusMinusOne | BinomialValue | Unknown
     reason: str
-    value: Optional[int] = None
-    context: dict = field(default_factory=dict)
+    value: Optional[int]
+    context: dict
+
+    def __post_init__(self):
+        if self.context is None:
+            object.__setattr__(self, "context", {})
 
 
 def count_decision(

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 from sympencil.catalog import STANDARD_BUILDERS, lattice_to_dict
 from sympencil.cli import main
+from sympencil.strata import MAX_R, MAX_SAMPLES
 
 SCHEMA = json.loads(
     (resources.files("sympencil") / "data" / "report.schema.json").read_text()
@@ -211,6 +212,11 @@ class TestHilbCommand:
         check(runner, ["hilb", "--r", "2", "--samples", "2"],
               expect_exit=2, env={"SYMPENCIL_WORKERS": "zero"})
 
+    def test_help_states_the_caps(self, runner):
+        result = check(runner, ["hilb", "--help"])
+        assert f"1 to {MAX_R}." in result.output
+        assert f"1 to {MAX_SAMPLES}." in result.output
+
     def test_bad_stratum_exit_two(self, runner):
         check(runner, ["hilb", "--r", "2", "--samples", "2",
                        "--stratum", "mystery"], expect_exit=2)
@@ -299,6 +305,10 @@ BAD_INPUTS = {
         "manifold-check", write(json.dumps(dict(CP2, Q=[[1.0]])))],
     "string_entry": lambda write, m: [
         "count", write(json.dumps(dict(CP2, K=["-3"]))), "--class", "1"],
+    "hilb_r_cap": lambda write, m: [
+        "hilb", "--r", str(MAX_R + 1), "--samples", "2", "--stratum", "singular"],
+    "hilb_samples_cap": lambda write, m: [
+        "hilb", "--r", "2", "--samples", str(MAX_SAMPLES + 1)],
     "unknown_option": lambda write, m: ["--bogus"],
     "unknown_command": lambda write, m: ["transmogrify"],
     "missing_command": lambda write, m: [],
@@ -321,16 +331,16 @@ def test_usage_error_is_one_line_on_stderr(runner, manifold_file, tmp_path, case
 
 def test_cli_import_does_not_load_process_pool():
     """A fresh `import sympencil.cli` loads neither the process-pool modules
-    (only `hilb` with several workers does) nor the modules that only some
-    commands use."""
+    (only `hilb` with several workers does), nor the modules that only some
+    commands use, nor `dataclasses`."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = (
         "import sys, sympencil.cli; "
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', "
-        "'sympencil.hilb', 'sympencil.brill_noether', 'sympencil.applications') "
-        "if m in sys.modules))"
+        "'sympencil.hilb', 'sympencil.brill_noether', 'sympencil.applications', "
+        "'dataclasses') if m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)

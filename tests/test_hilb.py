@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from sympencil import hilb
 from sympencil.exact import RationalMatrix, rank_and_kernel
 from sympencil.hilb import (
     ADHMTriple,
@@ -24,6 +25,7 @@ from sympencil.hilb import (
     verify_absolute_cokernel,
     verify_kernel_dim,
 )
+from sympencil.strata import MAX_R, MAX_SAMPLES
 
 
 def diag(*entries):
@@ -381,3 +383,19 @@ class TestCertifyStratum:
             certify_stratum("smooth", 2, 0)
         with pytest.raises(ValueError):
             certify_stratum("smooth", 2, 5, workers=0)
+
+    @pytest.mark.parametrize("stratum, r, samples", [
+        ("singular", MAX_R + 1, 2),
+        ("b1zero", MAX_R + 1, 2),
+        ("smooth", 0, 2),
+        ("singular", 0, 2),
+        ("b1zero", 2, MAX_SAMPLES + 1),
+        ("singular", 2, 10**12),
+    ])
+    def test_caps_checked_before_sampling(self, monkeypatch, stratum, r, samples):
+        def no_sampling(job):
+            raise AssertionError(f"sampled {job}")
+
+        monkeypatch.setattr(hilb, "_certify_one", no_sampling)
+        with pytest.raises(ValueError, match="must be between 1 and"):
+            certify_stratum(stratum, r, samples)

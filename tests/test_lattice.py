@@ -161,13 +161,12 @@ class TestCatalogEntries:
 
     def test_projective_plane_numbers(self):
         cp2 = load_catalog_entry("cp2")
-        cn = cp2.char_numbers()
-        assert (cn.euler, cn.signature, cn.two_e_plus_3sigma, cn.chi_h) == (3, 1, 9, 1)
+        assert (cp2.euler, cp2.signature, cp2.two_e_plus_3sigma, cp2.chi_h) == (
+            3, 1, 9, 1)
 
     def test_k3_numbers(self):
         k3 = load_catalog_entry("k3")
-        cn = k3.char_numbers()
-        assert (cn.euler, cn.signature, cn.two_e_plus_3sigma, cn.chi_h) == (
+        assert (k3.euler, k3.signature, k3.two_e_plus_3sigma, k3.chi_h) == (
             24,
             -16,
             0,

@@ -29,3 +29,21 @@ def test_package_exports_resolve():
         assert name in dir(sympencil)
     with pytest.raises(AttributeError):
         sympencil.no_such_name
+
+
+def test_no_dataclasses_import():
+    """Records subclass ``sympencil.record.Record``; a dataclass would build
+    its methods at import, in every CLI process."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

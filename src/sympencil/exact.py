@@ -4,9 +4,12 @@ characteristic polynomials.
 
 Everything in this module is exact. Scalars are ``int`` or
 ``fractions.Fraction``; floats never enter. The rank routine runs a
-fraction-free integer elimination and double-checks the resulting rank with
-an independent elimination over a large prime field, raising if the two
-routes disagree.
+fraction-free integer elimination and returns the kernel as primitive
+integer vectors. Its result is certified from both sides: an independent
+elimination over a large prime field must reach the same rank (the lower
+bound), and every kernel vector is re-substituted exactly, in integers,
+into the input matrix's own entries (the upper bound). It raises if either
+check fails.
 """
 
 from __future__ import annotations
@@ -338,17 +341,77 @@ def _rank_mod_prime(rows: list[list[int]], ncols: int, p: int) -> int:
     return rank
 
 
+def _back_substituted(
+    fc: int, bottom_up: list[tuple[int, int, list[tuple[int, int]]]], ncols: int
+) -> tuple[int, ...]:
+    """Primitive integer kernel vector of an echelon, with free column fc.
+
+    bottom_up lists the echelon rows last first, each as its pivot column,
+    its pivot and its ``(column, entry)`` nonzeros right of the pivot.
+    A row is supported on columns from its pivot on, so solving bottom-up
+    only ever consumes entries that are already fixed. Where the pivot does
+    not divide, the partial vector is scaled by the smallest positive factor
+    that makes it divide instead. The result is positive at fc and
+    primitive: the new entry is coprime to that factor, so a gcd of 1
+    survives each step.
+    """
+    x = [0] * ncols
+    x[fc] = 1
+    for pc, p, tail in bottom_up:
+        acc = 0
+        for c, a in tail:
+            if x[c]:
+                acc += a * x[c]
+        if not acc:
+            continue
+        q, rem = divmod(acc, p)
+        if rem:
+            s = abs(p) // math.gcd(acc, p)
+            x = [v * s for v in x]
+            q = acc * s // p
+        x[pc] = -q
+    return tuple(x)
+
+
+def _annihilates(
+    m: RationalMatrix, basis: list[tuple[int, ...]]
+) -> bool:
+    """Whether every vector of basis is mapped to zero by m exactly.
+
+    Works from m's own nonzero entries, each row scaled by the lcm of its
+    denominators, so it shares nothing with the elimination it checks.
+    """
+    for row in m.rows:
+        entries = [(c, x) for c, x in enumerate(row) if x]
+        denlcm = 1
+        for _, x in entries:
+            d = x.denominator
+            denlcm = denlcm * d // math.gcd(denlcm, d)
+        scaled = [(c, x.numerator * (denlcm // x.denominator))
+                  for c, x in entries]
+        for v in basis:
+            if sum(a * v[c] for c, a in scaled):
+                return False
+    return True
+
+
 def rank_and_kernel(
     m: RationalMatrix,
-) -> tuple[int, list[tuple[Fraction, ...]]]:
+) -> tuple[int, list[tuple[int, ...]]]:
     """Exact rank and a kernel basis of ``m`` over the rationals.
 
     The rank comes from fraction-free integer elimination. An independent
     elimination over GF(2**61 - 1) must report the same rank; on
     disagreement a second prime is tried, and if that also disagrees a
     ``RuntimeError`` is raised (the finite-field rank can only undercount,
-    so persistent disagreement means a real inconsistency). Every kernel
-    basis vector is re-substituted into ``m`` exactly before returning.
+    so persistent disagreement means a real inconsistency). That rank is
+    the lower bound of the certificate.
+
+    Each kernel basis vector is a primitive integer tuple, read off the
+    echelon by integer back-substitution, one per non-pivot column (where
+    it is positive). Every vector is re-substituted exactly into ``m``'s
+    own entries before returning; that gives the upper bound, and a
+    ``RuntimeError`` if any vector fails.
     """
     ncols = m.ncols
     int_rows = _cleared_integer_rows(m)
@@ -361,22 +424,12 @@ def rank_and_kernel(
             "rank mismatch between rational and finite-field elimination"
         )
 
+    bottom_up = [(pc, row[pc], [(c, row[c]) for c in range(pc + 1, ncols)
+                                if row[c]])
+                 for pc, row in zip(reversed(pivots), reversed(ech))]
     pivset = set(pivots)
-    basis: list[tuple[Fraction, ...]] = []
-    for fc in (c for c in range(ncols) if c not in pivset):
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        # Echelon row i is supported on columns >= pivots[i], so solving
-        # bottom-up only ever consumes entries that are already fixed.
-        for i in range(rank - 1, -1, -1):
-            pc = pivots[i]
-            row = ech[i]
-            acc = Fraction(0)
-            for c in range(pc + 1, ncols):
-                if row[c] and x[c]:
-                    acc += row[c] * x[c]
-            x[pc] = -acc / row[pc]
-        if any(m.apply(x)):
-            raise RuntimeError("kernel vector failed exact re-substitution")
-        basis.append(tuple(x))
+    basis = [_back_substituted(fc, bottom_up, ncols)
+             for fc in range(ncols) if fc not in pivset]
+    if not _annihilates(m, basis):
+        raise RuntimeError("kernel vector failed exact re-substitution")
     return rank, basis

@@ -343,7 +343,11 @@ class FourManifoldLattice:
 
 
 class HomologyClass(Record):
-    """An integer degree-2 class in the basis of a lattice's form."""
+    """An integer degree-2 class in the basis of a lattice's form.
+
+    Raises ``TypeError`` when a coordinate is not an ``int`` (a ``bool``,
+    float, string or ``Fraction`` is not truncated).
+    """
 
     __slots__ = ("lattice", "coords")
 
@@ -351,7 +355,9 @@ class HomologyClass(Record):
     coords: IntVector
 
     def __post_init__(self):
-        coords = tuple(int(x) for x in self.coords)
+        coords = tuple(self.coords)
+        if not _INT.issuperset(map(type, coords)):
+            raise TypeError("class coordinates must be integers")
         if len(coords) != self.lattice.b2:
             raise ValueError("class length does not match the lattice rank")
         object.__setattr__(self, "coords", coords)

@@ -227,12 +227,14 @@ def count_decision(
 
     Rules are applied in a fixed order and the first match wins; a
     non-Unknown verdict is only ever emitted when its hypothesis holds on
-    the supplied numbers, which ride along in the context.
+    the supplied numbers, which ride along in the context. Raises
+    ``TypeError`` when a coordinate of ``a`` is not an ``int``.
     """
-    coords = tuple(int(v) for v in a)
+    divisor = HomologyClass(x, a)
+    coords = divisor.coords
     if profile is not None and profile.divisor.coords != coords:
         raise ValueError("supplied profile is for a different class")
-    d = virtual_dim(x, coords)
+    d = divisor.virtual_dim()
     a_omega = x.omega_dot(coords)
     k_omega = x.omega_dot(x.canonical)
     a_sq = x.square(coords)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sympencil import exact
 from sympencil.exact import (
     RationalMatrix,
     TruncatedSeries,
@@ -108,6 +109,46 @@ def _random_matrix_strategy():
     )
 
 
+@st.composite
+def _rational_matrices(draw, max_rows=8, max_cols=9):
+    """Rational matrices up to max_rows x max_cols; about half the rows are
+    rational combinations of earlier rows, so kernels are often large."""
+    ncols = draw(st.integers(1, max_cols))
+    entry = st.one_of(
+        st.just(0),
+        st.integers(-9, 9),
+        st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    )
+    rows = []
+    for _ in range(draw(st.integers(1, max_rows))):
+        if rows and draw(st.booleans()):
+            a = draw(st.sampled_from(rows))
+            b = draw(st.sampled_from(rows))
+            s = draw(st.fractions(min_value=-4, max_value=4, max_denominator=5))
+            rows.append([x + s * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+def _rank_over_q(vectors):
+    """Rank by plain Fraction elimination, a route of its own."""
+    work = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((r for r in work[rank:] if r[col]), None)
+        if pivot is None:
+            continue
+        work.remove(pivot)
+        work.insert(rank, pivot)
+        for r in work[rank + 1:]:
+            f = r[col] / pivot[col]
+            if f:
+                r[:] = [a - f * b for a, b in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
 class TestRankAndKernel:
     def test_identity(self):
         m = RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -150,15 +191,22 @@ class TestRankAndKernel:
         rank, _ = rank_and_kernel(RationalMatrix(rows))
         assert _rank_mod_prime(rows, 3, 2**61 - 1) == rank == 2
 
-    @given(_random_matrix_strategy())
-    @settings(max_examples=80)
+    @given(_rational_matrices())
+    @settings(max_examples=100)
     def test_rank_nullity_and_exact_kernel(self, rows):
+        # The kernel is ncols - rank independent primitive integer vectors,
+        # each mapped to zero by apply, which shares no code with the route.
         m = RationalMatrix(rows)
         rank, kernel = rank_and_kernel(m)
         assert rank + len(kernel) == m.ncols
         assert rank <= min(m.nrows, m.ncols)
         for v in kernel:
+            assert len(v) == m.ncols
+            assert all(type(c) is int for c in v)
+            assert math.gcd(*v) == 1
             assert all(c == 0 for c in m.apply(v))
+        assert _rank_over_q(kernel) == len(kernel)
+        assert _rank_over_q(m.rows) == rank
 
     @given(_random_matrix_strategy(), st.randoms(use_true_random=False))
     @settings(max_examples=40)
@@ -171,6 +219,56 @@ class TestRankAndKernel:
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
             RationalMatrix([[1, 2], [3]])
+
+
+# Full row rank with a one-dimensional kernel; the fractions make the
+# denominator clearing do real work.
+_WIDE = RationalMatrix(
+    [
+        [1, Fraction(1, 2), 0, 2],
+        [0, Fraction(2, 3), 3, -1],
+        [2, 0, Fraction(1, 5), 1],
+    ]
+)
+
+
+class TestKernelVerifierChecksTheInput:
+    """A fault in denominator clearing or in the echelon must not slip past
+    the exact check, because the check reads the input matrix itself."""
+
+    def test_unpatched_matrix_passes(self):
+        rank, kernel = rank_and_kernel(_WIDE)
+        assert rank == 3 and len(kernel) == 1
+
+    @pytest.mark.parametrize("row", range(3))
+    @pytest.mark.parametrize("fault", ["zero", "perturb"])
+    def test_faulty_clearing_is_caught(self, monkeypatch, row, fault):
+        cleared = exact._cleared_integer_rows
+
+        def faulty(m):
+            rows = cleared(m)
+            if fault == "zero":
+                rows[row] = [0] * len(rows[row])
+            else:
+                rows[row][3] += 1
+            return rows
+
+        monkeypatch.setattr(exact, "_cleared_integer_rows", faulty)
+        with pytest.raises(RuntimeError, match="re-substitution"):
+            rank_and_kernel(_WIDE)
+
+    @pytest.mark.parametrize("row", range(3))
+    def test_faulty_echelon_is_caught(self, monkeypatch, row):
+        echelon = exact._integer_echelon
+
+        def faulty(rows, ncols):
+            rank, pivots, ech = echelon(rows, ncols)
+            ech[row][3] += 1  # column 3 is the free column
+            return rank, pivots, ech
+
+        monkeypatch.setattr(exact, "_integer_echelon", faulty)
+        with pytest.raises(RuntimeError, match="re-substitution"):
+            rank_and_kernel(_WIDE)
 
 
 class TestCharPoly:

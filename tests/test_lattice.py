@@ -26,6 +26,7 @@ from sympencil.exact import RationalMatrix, char_poly
 from sympencil.lattice import (
     BlownUpLattice,
     FourManifoldLattice,
+    HomologyClass,
     _dense_signature,
     blow_up,
     classify_b_plus_one,
@@ -282,6 +283,9 @@ class TestValidation:
             FourManifoldLattice("bad", 0, [[1]], [entry], [1], True)
         with pytest.raises(TypeError, match="intersection form entries"):
             FourManifoldLattice("bad", 0, [[-1, 0], [0, entry]], [1, 1], [1, 0], True)
+        cp2 = FourManifoldLattice("cp2", 0, [[1]], [-3], [1], True)
+        with pytest.raises(TypeError, match="class coordinates"):
+            HomologyClass(cp2, [entry])
 
     def test_tuple_rows_kept(self):
         rows = ((0, 1), (1, 0))

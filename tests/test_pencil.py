@@ -225,6 +225,14 @@ class TestCountDecision:
         assert v.kind == "PlusMinusOne"
         assert v.context["section_torus_dim"] == 0
 
+    @pytest.mark.parametrize("entry", [1.9, True, "1", Fraction(1, 2), Fraction(1)])
+    def test_non_integer_class_not_truncated(self, entry):
+        cp2 = load_catalog_entry("cp2")
+        with pytest.raises(TypeError, match="class coordinates"):
+            count_decision(cp2, [entry])
+        with pytest.raises(TypeError, match="class coordinates"):
+            count_decision(cp2, [entry], vanishing_profile(cp2, [1], 3, 0))
+
     def test_canonical_and_zero_class(self):
         e3 = load_catalog_entry("e3")
         assert count_decision(e3, e3.canonical).kind == "PlusMinusOne"

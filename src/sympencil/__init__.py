@@ -23,7 +23,7 @@ _EXPORTS = {
         ),
         "catalog": (
             "STANDARD_BUILDERS", "elliptic_like", "lattice_from_dict",
-            "lattice_to_dict", "load_manifold", "spin_model",
+            "lattice_to_dict", "spin_model",
         ),
         "exact": (
             "RationalMatrix", "TruncatedSeries", "binom", "rank_and_kernel",
@@ -37,7 +37,7 @@ _EXPORTS = {
         "hilb": (
             "ADHMTriple", "CertificationReport", "RelADHMQuad",
             "certify_stratum", "differential_matrix", "is_stable",
-            "support_points", "verify_absolute_cokernel", "verify_kernel_dim",
+            "support_points", "verify_absolute_cokernel",
         ),
         "lattice": (
             "BlownUpLattice", "BPlusOneClassification", "FourManifoldLattice",

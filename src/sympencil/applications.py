@@ -18,6 +18,7 @@ from .catalog import format_rational
 from .gromov import gr_parity
 from .lattice import (
     FourManifoldLattice,
+    HomologyClass,
     classify_b_plus_one,
     is_even_form,
     minimality_inequality,
@@ -127,7 +128,8 @@ def run_all(
     classes: Optional[Iterable[Sequence[int]]] = None,
 ) -> list[CheckReport]:
     """Run every applicable check on the lattice, plus a surface-count
-    decision for each supplied class; reports come back sorted by name."""
+    decision for each supplied class; reports come back sorted by name.
+    Raises ``TypeError`` when a class coordinate is not an ``int``."""
     reports = [
         _minimality_report(x),
         _classification_report(x),
@@ -135,7 +137,7 @@ def run_all(
         _spin_parity_report(x),
     ]
     for cand in classes or ():
-        reports.append(_count_report(x, tuple(int(c) for c in cand)))
+        reports.append(_count_report(x, tuple(cand)))
     reports.sort(key=lambda rep: rep.check_name)
     return reports
 
@@ -151,7 +153,8 @@ def general_type_classes(
     two-class restriction (a.a)(K.K) <= (K.a)^2 from the signature of
     the form on span(a, K) all hold.  These are necessary conditions:
     anything eliminated is certainly count-zero aside from 0 and K,
-    while survivors are merely not excluded by arithmetic.
+    while survivors are merely not excluded by arithmetic. Raises
+    ``TypeError`` when a coordinate is not an ``int``.
     """
     if not x.minimal:
         raise ValueError("filter needs a declared-minimal lattice")
@@ -163,7 +166,7 @@ def general_type_classes(
         )
     survivors = []
     for cand in candidates:
-        coords = tuple(int(v) for v in cand)
+        coords = HomologyClass(x, cand).coords
         a_omega = x.omega_dot(coords)
         if a_omega < 0 or a_omega > k_omega:
             continue

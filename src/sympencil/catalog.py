@@ -1,16 +1,15 @@
-"""Bundled example lattices and JSON (de)serialization of manifold files.
+"""Standard example lattices and JSON (de)serialization of manifold files.
 
 Manifold files are JSON objects with fields ``label``, ``b1``, ``Q`` (array
 of arrays), ``K``, ``omega``, ``minimal``. Integers parse bit-exactly;
-rational entries are written as ``"p/q"`` strings. The catalog directory
-ships a handful of standard examples (projective plane, quadric, elliptic
-surfaces, a triple connected sum) plus generator functions for whole
-families of them.
+rational entries are written as ``"p/q"`` strings. ``STANDARD_BUILDERS``
+is the catalog: it builds a handful of standard examples (projective plane,
+quadric, K3, elliptic surfaces, a triple connected sum) from the generator
+functions below, which also give whole families of them.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Union
 
@@ -134,44 +133,6 @@ def lattice_to_dict(x: FourManifoldLattice) -> dict:
         "omega": [format_rational(q) for q in x.omega],
         "minimal": x.minimal,
     }
-
-
-def load_manifold(path) -> FourManifoldLattice:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return lattice_from_dict(data)
-
-
-# -- bundled catalog --------------------------------------------------------
-
-
-def _catalog_dir():
-    # Imported here: importlib.resources costs a fresh interpreter about as
-    # much as the rest of the CLI's imports, and no command reads the catalog.
-    from importlib import resources
-
-    return resources.files("sympencil").joinpath("data", "catalog")
-
-
-def catalog_names() -> list[str]:
-    names = []
-    for entry in _catalog_dir().iterdir():
-        if entry.name.endswith(".json"):
-            names.append(entry.name[: -len(".json")])
-    return sorted(names)
-
-
-def load_catalog_entry(name: str) -> FourManifoldLattice:
-    entry = _catalog_dir().joinpath(f"{name}.json")
-    try:
-        text = entry.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise KeyError(f"no catalog entry named {name!r}") from None
-    return lattice_from_dict(json.loads(text))
-
-
-def load_catalog() -> dict[str, FourManifoldLattice]:
-    return {name: load_catalog_entry(name) for name in catalog_names()}
 
 
 # -- generator families -----------------------------------------------------

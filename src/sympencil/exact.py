@@ -5,25 +5,25 @@ characteristic polynomials.
 Everything in this module is exact. Scalars are ``int`` or
 ``fractions.Fraction``; floats never enter. The rank routine runs a
 fraction-free integer elimination and returns the kernel as primitive
-integer vectors. Its result is certified from both sides: an independent
-elimination over a large prime field must reach the same rank (the lower
-bound), and every kernel vector is re-substituted exactly, in integers,
-into the input matrix's own entries (the upper bound). It raises if either
-check fails.
+integer vectors. Its result is certified from both sides, each from the
+input matrix's own entries: every kernel vector is re-substituted into them
+exactly, in integers (the upper bound), and an independent elimination of
+them over a large prime field must reach the same rank (the lower bound).
+It raises if either check fails.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 
 # Mersenne primes used for the independent rank check. The second is only
-# consulted if the first disagrees with the rational elimination (a prime can
-# be unlucky when it divides every maximal minor, so one retry is allowed
-# before declaring the pipeline inconsistent).
+# consulted if the first disagrees with the rational elimination or divides
+# a denominator (a prime can be unlucky when it divides every maximal minor,
+# so one retry is allowed before declaring the pipeline inconsistent).
 _CHECK_PRIMES = (2**61 - 1, 2**31 - 1)
 
 
@@ -305,13 +305,35 @@ def _integer_echelon(
     return len(pivots), pivots, ech
 
 
+def _rows_mod_prime(
+    entries: list[list[tuple[int, Fraction]]], ncols: int, p: int
+) -> Optional[list[list[int]]]:
+    """Dense rows of a matrix's own nonzero entries reduced mod p, or None
+    when p divides a denominator.
+
+    Reads nothing that the integer elimination produced, so a fault in
+    clearing the rows to integers cannot reach the GF(p) rank.
+    """
+    inverses = {1: 1}
+    rows = []
+    for row in entries:
+        rr = [0] * ncols
+        for c, x in row:
+            d = x.denominator
+            inv = inverses.get(d)
+            if inv is None:
+                if d % p == 0:
+                    return None
+                inv = inverses[d] = pow(d, -1, p)
+            rr[c] = x.numerator * inv % p
+        rows.append(rr)
+    return rows
+
+
 def _rank_mod_prime(rows: list[list[int]], ncols: int, p: int) -> int:
-    """Rank of the integer rows over GF(p), by ordinary Gaussian elimination."""
-    work = []
-    for r in rows:
-        rr = [v % p for v in r]
-        if any(rr):
-            work.append(rr)
+    """Rank over GF(p), by ordinary Gaussian elimination, of integer rows
+    already reduced mod p."""
+    work = [r for r in rows if any(r)]
     rank = 0
     col = 0
     while work and col < ncols:
@@ -374,21 +396,21 @@ def _back_substituted(
 
 
 def _annihilates(
-    m: RationalMatrix, basis: list[tuple[int, ...]]
+    entries: list[list[tuple[int, Fraction]]], basis: list[tuple[int, ...]]
 ) -> bool:
-    """Whether every vector of basis is mapped to zero by m exactly.
+    """Whether every vector of basis is mapped to zero exactly by the
+    matrix with these nonzero entries.
 
-    Works from m's own nonzero entries, each row scaled by the lcm of its
+    Works from the matrix's own entries, each row scaled by the lcm of its
     denominators, so it shares nothing with the elimination it checks.
     """
-    for row in m.rows:
-        entries = [(c, x) for c, x in enumerate(row) if x]
+    for row in entries:
         denlcm = 1
-        for _, x in entries:
+        for _, x in row:
             d = x.denominator
             denlcm = denlcm * d // math.gcd(denlcm, d)
         scaled = [(c, x.numerator * (denlcm // x.denominator))
-                  for c, x in entries]
+                  for c, x in row]
         for v in basis:
             if sum(a * v[c] for c, a in scaled):
                 return False
@@ -400,36 +422,38 @@ def rank_and_kernel(
 ) -> tuple[int, list[tuple[int, ...]]]:
     """Exact rank and a kernel basis of ``m`` over the rationals.
 
-    The rank comes from fraction-free integer elimination. An independent
-    elimination over GF(2**61 - 1) must report the same rank; on
-    disagreement a second prime is tried, and if that also disagrees a
-    ``RuntimeError`` is raised (the finite-field rank can only undercount,
-    so persistent disagreement means a real inconsistency). That rank is
-    the lower bound of the certificate.
+    The rank comes from fraction-free integer elimination. Each kernel
+    basis vector is a primitive integer tuple, read off the echelon by
+    integer back-substitution, one per non-pivot column (where it is
+    positive).
 
-    Each kernel basis vector is a primitive integer tuple, read off the
-    echelon by integer back-substitution, one per non-pivot column (where
-    it is positive). Every vector is re-substituted exactly into ``m``'s
-    own entries before returning; that gives the upper bound, and a
-    ``RuntimeError`` if any vector fails.
+    Both bounds are then certified from ``m``'s own entries. Every vector
+    is re-substituted exactly into them, which gives the upper bound, and a
+    ``RuntimeError`` if any vector fails. Then an independent elimination
+    of the entries reduced mod 2**61 - 1 must report the same rank, which
+    gives the lower bound. On disagreement, or when the prime divides a
+    denominator, a second prime is tried, and if that also fails a
+    ``RuntimeError`` is raised (the finite-field rank can only undercount,
+    so persistent disagreement means a real inconsistency).
     """
     ncols = m.ncols
-    int_rows = _cleared_integer_rows(m)
-    rank, pivots, ech = _integer_echelon(int_rows, ncols)
-    for p in _CHECK_PRIMES:
-        if _rank_mod_prime(int_rows, ncols, p) == rank:
-            break
-    else:
-        raise RuntimeError(
-            "rank mismatch between rational and finite-field elimination"
-        )
-
+    rank, pivots, ech = _integer_echelon(_cleared_integer_rows(m), ncols)
     bottom_up = [(pc, row[pc], [(c, row[c]) for c in range(pc + 1, ncols)
                                 if row[c]])
                  for pc, row in zip(reversed(pivots), reversed(ech))]
     pivset = set(pivots)
     basis = [_back_substituted(fc, bottom_up, ncols)
              for fc in range(ncols) if fc not in pivset]
-    if not _annihilates(m, basis):
+    # Both bounds read m's own nonzero entries, not the cleared rows.
+    entries = [[(c, x) for c, x in enumerate(row) if x] for row in m.rows]
+    if not _annihilates(entries, basis):
         raise RuntimeError("kernel vector failed exact re-substitution")
+    for p in _CHECK_PRIMES:
+        rows = _rows_mod_prime(entries, ncols, p)
+        if rows is not None and _rank_mod_prime(rows, ncols, p) == rank:
+            break
+    else:
+        raise RuntimeError(
+            "rank mismatch between rational and finite-field elimination"
+        )
     return rank, basis

@@ -126,14 +126,6 @@ def duality_check(p: CohomologyProfile, r: int) -> bool:
     return abs(gromov_invariant(p, r)) == abs(gromov_invariant(serre_dual(p), r))
 
 
-def hopf_bound(rk_v: int, rk_v_prime: int, rk_w: int) -> bool:
-    """Rank inequality forced by a bilinear map V x V' -> W without zero
-    divisors: the image has dimension at least rk V + rk V' - 1."""
-    if min(rk_v, rk_v_prime, rk_w) < 1:
-        raise ValueError("all ranks must be at least 1")
-    return rk_w >= rk_v + rk_v_prime - 1
-
-
 def gr_parity(n: int) -> int:
     """Parity (0 or 1) of binom(2n - 2, n - 1). Odd only at n = 1."""
     if n < 1:

@@ -247,11 +247,6 @@ def kernel_dimension(q: RelADHMQuad) -> int:
     return len(kernel)
 
 
-def verify_kernel_dim(q: RelADHMQuad) -> bool:
-    """Certify the constant-rank claim at q: kernel dimension r^2 + 1."""
-    return kernel_dimension(q) == q.r * q.r + 1
-
-
 def absolute_commutator_differential(t: ADHMTriple) -> RationalMatrix:
     """Matrix of (C1, C2) -> [C1, B2] + [B1, C2]: r^2 rows, 2 r^2 columns."""
     r = t.r

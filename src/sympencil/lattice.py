@@ -178,9 +178,11 @@ class FourManifoldLattice:
     minimal : bool
         Declared minimality (no embedded (-1)-sphere), taken on trust.
 
-    Raises ``TypeError`` when an entry of ``form`` or ``canonical`` is not
-    an ``int`` (a ``bool``, float, string or ``Fraction`` is not truncated),
-    and ``ValueError`` when the data describe no valid lattice.
+    Raises ``TypeError`` when ``b1`` or an entry of ``form`` or
+    ``canonical`` is not an ``int`` (a ``bool``, float, string or
+    ``Fraction`` is not truncated), when ``minimal`` is not a ``bool`` or
+    ``label`` not a ``str``, and ``ValueError`` when the data describe no
+    valid lattice.
     """
 
     __slots__ = ("label", "b1", "form", "canonical", "omega", "minimal",
@@ -196,6 +198,12 @@ class FourManifoldLattice:
         minimal: bool,
         _signature: Optional[tuple[int, int]] = None,
     ):
+        if type(b1) is not int:
+            raise TypeError("b1 must be an integer")
+        if type(minimal) is not bool:
+            raise TypeError("minimal must be a boolean")
+        if not isinstance(label, str):
+            raise TypeError("label must be a string")
         if b1 < 0:
             raise ValueError("b1 must be nonnegative")
         # Entry types are checked once per row; tuple rows are kept as they
@@ -216,12 +224,12 @@ class FourManifoldLattice:
         if len(k) != n or len(w) != n:
             raise ValueError("canonical and omega must match the form's rank")
 
-        self.label = str(label)
-        self.b1 = int(b1)
+        self.label = label
+        self.b1 = b1
         self.form = q
         self.canonical = k
         self.omega = w
-        self.minimal = bool(minimal)
+        self.minimal = minimal
 
         if _signature is None:
             b_plus, b_minus, b_zero = signature_of_symmetric(support)
@@ -379,8 +387,8 @@ class HomologyClass(Record):
 class BlownUpLattice(FourManifoldLattice):
     """A lattice extended by ``n`` exceptional (-1)-classes.
 
-    Built by :func:`blow_up`; keeps the base lattice and the index range of
-    the exceptional block so classes can be pulled back and twisted.
+    Built by :func:`blow_up`; keeps the base lattice and the size of the
+    exceptional block so classes can be twisted.
     """
 
     __slots__ = ("base", "n_exceptional")
@@ -413,12 +421,6 @@ class BlownUpLattice(FourManifoldLattice):
         self.base = base
         self.n_exceptional = n_exceptional
 
-    def pullback(self, a: Sequence[int]) -> IntVector:
-        """Coordinates of a base class inside the blown-up lattice."""
-        if len(a) != self.base.b2:
-            raise ValueError("class does not live on the base lattice")
-        return tuple(int(x) for x in a) + (0,) * self.n_exceptional
-
     def exceptional_class(self, i: int) -> IntVector:
         if not 0 <= i < self.n_exceptional:
             raise ValueError(f"no exceptional class with index {i}")
@@ -434,10 +436,19 @@ def blow_up(x: FourManifoldLattice, n_points: int) -> BlownUpLattice:
 
 
 def twist(xp: BlownUpLattice, a: Sequence[int]) -> IntVector:
-    """The shifted class ``i(a) + E_1 + ... + E_n`` in the blown-up lattice."""
+    """The shifted class ``i(a) + E_1 + ... + E_n`` in the blown-up lattice.
+
+    Raises ``TypeError`` when a coordinate of ``a`` is not an ``int``, and
+    ``ValueError`` when ``a`` does not live on the base lattice.
+    """
     if not isinstance(xp, BlownUpLattice):
         raise TypeError("twist needs a blown-up lattice")
-    return tuple(int(v) for v in a) + (1,) * xp.n_exceptional
+    a = tuple(a)
+    if not _INT.issuperset(map(type, a)):
+        raise TypeError("class coordinates must be integers")
+    if len(a) != xp.base.b2:
+        raise ValueError("class does not live on the base lattice")
+    return a + (1,) * xp.n_exceptional
 
 
 def is_even_form(x: FourManifoldLattice) -> bool:

@@ -1,5 +1,6 @@
 """Pencil numerology: fibre genus, base and critical point counts, fibre
-degrees, index formulas, and the conservative surface-count decision rules.
+degrees, the virtual dimension of a class, and the conservative
+surface-count decision rules.
 
 A degree-k pencil on a lattice is pure bookkeeping here: the fibre class is
 k times the primitive integral multiple of omega, the genus comes from
@@ -145,58 +146,6 @@ def ratio_convergence(
 def virtual_dim(x: FourManifoldLattice, a: Sequence[int]) -> int:
     """(a.a - K.a)/2; an integer because K is characteristic."""
     return HomologyClass(x, tuple(a)).virtual_dim()
-
-
-def family_index(x: FourManifoldLattice, a: Sequence[int]) -> int:
-    """Index (a.a - K.a)/2 + (b+ + 1 - b1)/2 of the deformation problem of
-    the class in the family over the pencil base."""
-    parity = x.b_plus + 1 - x.b1
-    if parity % 2:
-        raise ValueError(
-            f"half-integer family index: b+ + 1 - b1 = {parity} is odd"
-        )
-    return virtual_dim(x, a) + parity // 2
-
-
-def picard_vertical_index(x: FourManifoldLattice) -> int:
-    """Real index 1 + b1 - b+ of the vertical tangent complex over the
-    degree-r Picard fibration; equals 2 - 2*family_index(X, 0)."""
-    return 1 + x.b1 - x.b_plus
-
-
-class SectionSpaceDim(Record):
-    """Dimension report for holomorphic sections of the fibrewise canonical
-    family, with the Jacobian torus dimension R riding along."""
-
-    __slots__ = ("dimension", "jacobian_dim", "integral")
-
-    dimension: Fraction
-    jacobian_dim: int
-    integral: bool
-
-    def as_int(self) -> int:
-        if not self.integral:
-            raise ValueError(f"dimension {self.dimension} is not an integer")
-        return self.dimension.numerator
-
-
-def sections_of_fK_dim(b_plus: int, b1: int) -> SectionSpaceDim:
-    """Expected section-space dimension: (b+ - 1)/2 for even b1 and
-    (b+ - 2)/2 for odd b1, flagged rather than rejected when the parity
-    leaves it non-integral."""
-    if b_plus < 1:
-        raise ValueError("b+ must be at least 1")
-    if b1 < 0:
-        raise ValueError("b1 must be nonnegative")
-    if b1 % 2 == 0:
-        dim = Fraction(b_plus - 1, 2)
-        r = b1 // 2
-    else:
-        dim = Fraction(b_plus - 2, 2)
-        r = (b1 - 1) // 2
-    return SectionSpaceDim(
-        dimension=dim, jacobian_dim=r, integral=(dim.denominator == 1)
-    )
 
 
 class SurfaceCountVerdict(Record):

@@ -67,6 +67,11 @@ class TestRunAllCatalog:
         assert rep.verdict == "not-applicable"
         assert rep.numbers["minimal"] is False
 
+    @pytest.mark.parametrize("entry", [1.9, True, Fraction(1)])
+    def test_non_integer_class_not_truncated(self, entry):
+        with pytest.raises(TypeError, match="class coordinates"):
+            run_all(STANDARD_BUILDERS["cp2"](), [(entry,)])
+
     def test_plane_classification_and_count(self):
         reports = by_name(run_all(STANDARD_BUILDERS["cp2"](), [(1,)]))
         cls = reports["b_plus_one_classification"]
@@ -207,6 +212,13 @@ class TestGeneralTypeFilter:
         x = general_type_lattice()
         e4 = (0, 0, 0, 1) + (0,) * 9
         assert general_type_classes(x, [e4]) == [e4]
+
+    @pytest.mark.parametrize("entry", [0.5, False, Fraction(0)])
+    def test_non_integer_class_not_truncated(self, entry):
+        # Truncated, each of these would be the zero class, which survives.
+        x = general_type_lattice()
+        with pytest.raises(TypeError, match="class coordinates"):
+            general_type_classes(x, [(entry,) + (0,) * 12])
 
     def test_forced_survivor_set(self):
         x = general_type_lattice()

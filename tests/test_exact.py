@@ -234,7 +234,8 @@ _WIDE = RationalMatrix(
 
 class TestKernelVerifierChecksTheInput:
     """A fault in denominator clearing or in the echelon must not slip past
-    the exact check, because the check reads the input matrix itself."""
+    the exact kernel check or the GF(p) rank, because both read the input
+    matrix itself."""
 
     def test_unpatched_matrix_passes(self):
         rank, kernel = rank_and_kernel(_WIDE)
@@ -256,6 +257,27 @@ class TestKernelVerifierChecksTheInput:
         monkeypatch.setattr(exact, "_cleared_integer_rows", faulty)
         with pytest.raises(RuntimeError, match="re-substitution"):
             rank_and_kernel(_WIDE)
+
+    def test_clearing_fault_that_raises_the_rank_is_caught(self, monkeypatch):
+        # Rank 2 leaves an empty kernel, so the exact check has nothing to
+        # test; the GF(p) rank, read from the input itself, stays 1.
+        cleared = exact._cleared_integer_rows
+
+        def faulty(m):
+            rows = cleared(m)
+            rows[1][1] += 1
+            return rows
+
+        monkeypatch.setattr(exact, "_cleared_integer_rows", faulty)
+        with pytest.raises(RuntimeError, match="rank mismatch"):
+            rank_and_kernel(RationalMatrix([[1, 2], [2, 4]]))
+
+    def test_denominator_divisible_by_check_prime(self):
+        # The first check prime divides a denominator, so the second one
+        # confirms the rank.
+        p = 2**61 - 1
+        rank, kernel = rank_and_kernel(RationalMatrix([[Fraction(1, p), 1], [1, p]]))
+        assert (rank, kernel) == (1, [(-p, 1)])
 
     @pytest.mark.parametrize("row", range(3))
     def test_faulty_echelon_is_caught(self, monkeypatch, row):

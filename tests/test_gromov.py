@@ -11,14 +11,13 @@ from conftest import (
     spin,
     spin_half_canonical_profile,
 )
-from sympencil.catalog import load_catalog_entry
+from sympencil.catalog import STANDARD_BUILDERS
 from sympencil.exact import binom, series_geom_pow
 from sympencil.gromov import (
     CohomologyProfile,
     duality_check,
     gr_parity,
     gromov_invariant,
-    hopf_bound,
     riemann_roch_chi,
     serre_dual,
     vanishing_profile,
@@ -28,12 +27,12 @@ from sympencil.lattice import FourManifoldLattice, HomologyClass
 
 class TestRiemannRoch:
     def test_plane_hyperplane_class(self):
-        cp2 = load_catalog_entry("cp2")
+        cp2 = STANDARD_BUILDERS["cp2"]()
         assert riemann_roch_chi(cp2, [1]) == 3
 
     def test_zero_class_gives_chi_h(self):
         for name in ("cp2", "k3", "e3"):
-            x = load_catalog_entry(name)
+            x = STANDARD_BUILDERS[name]()
             assert riemann_roch_chi(x, [0] * x.b2) == x.chi_h
 
     def test_canonical_class_gives_chi_h(self):
@@ -48,12 +47,12 @@ class TestRiemannRoch:
 
 class TestProfiles:
     def test_chi_validation(self):
-        cp2 = load_catalog_entry("cp2")
+        cp2 = STANDARD_BUILDERS["cp2"]()
         with pytest.raises(ValueError, match="inconsistent"):
             CohomologyProfile(1, 0, 1, HomologyClass(cp2, (1,)))
 
     def test_negative_dimensions_rejected(self):
-        cp2 = load_catalog_entry("cp2")
+        cp2 = STANDARD_BUILDERS["cp2"]()
         with pytest.raises(ValueError):
             CohomologyProfile(4, -1, 0, HomologyClass(cp2, (1,)))
 
@@ -125,7 +124,7 @@ class TestGromovInvariant:
     def test_rigid_sphere_profile(self):
         # (1, 0, 0) at r = 0 counts exactly one curve; the exceptional
         # class on the blown-up plane realizes it.
-        e1 = load_catalog_entry("e1")
+        e1 = STANDARD_BUILDERS["e1"]()
         e = [0] * 10
         e[1] = 1  # exceptional class: a.a = -1, K.a = -1, virtual dim 0
         p = CohomologyProfile(1, 0, 0, HomologyClass(e1, tuple(e)))
@@ -187,26 +186,6 @@ class TestDualityCheck:
         for _ in range(120):
             p, r = profile_pair_sample(rng)
             assert duality_check(p, r)
-
-
-class TestHopfBound:
-    def test_scalars(self):
-        assert hopf_bound(1, 1, 1) is True
-
-    def test_three_four_five(self):
-        assert hopf_bound(3, 4, 5) is False
-
-    @pytest.mark.parametrize("n", range(1, 6))
-    def test_spin_derivation_boundary(self, n):
-        # h0(K/2) = n against p_g = 2n - 1: the bound holds with equality,
-        # and one more section would break it.
-        p_g = 2 * n - 1
-        assert hopf_bound(n, n, p_g) is True
-        assert hopf_bound(n + 1, n + 1, p_g) is False
-
-    def test_rejects_empty_factors(self):
-        with pytest.raises(ValueError):
-            hopf_bound(0, 1, 1)
 
 
 class TestParity:

@@ -4,20 +4,17 @@ from fractions import Fraction
 import pytest
 
 from conftest import class_of_virtual_dim, elliptic
-from sympencil.catalog import load_catalog_entry
+from sympencil.catalog import STANDARD_BUILDERS
 from sympencil.gromov import vanishing_profile
 from sympencil.lattice import FourManifoldLattice
 from sympencil.pencil import (
     build_pencil,
     count_decision,
-    family_index,
     fibre_degree,
     fibre_degree_blowup_route,
-    picard_vertical_index,
     primitive_symplectic_class,
     ratio_convergence,
     residual_fibre_degree,
-    sections_of_fK_dim,
     virtual_dim,
 )
 
@@ -28,13 +25,13 @@ class TestBuildPencil:
         [(1, (0, 1, 0)), (2, (0, 4, 3)), (3, (1, 9, 12))],
     )
     def test_plane_pencils(self, k, expected):
-        cp2 = load_catalog_entry("cp2")
+        cp2 = STANDARD_BUILDERS["cp2"]()
         with pytest.warns(UserWarning, match="genus"):
             p = build_pencil(cp2, k)
         assert (p.genus, p.base_points, p.critical_fibres) == expected
 
     def test_plane_low_degree_warns_high_degree_does_not(self):
-        cp2 = load_catalog_entry("cp2")
+        cp2 = STANDARD_BUILDERS["cp2"]()
         import warnings
 
         with warnings.catch_warnings():
@@ -43,7 +40,7 @@ class TestBuildPencil:
         assert p.genus == 3
 
     def test_k3_pencil(self):
-        k3 = load_catalog_entry("k3")
+        k3 = STANDARD_BUILDERS["k3"]()
         p = build_pencil(k3, 1)
         assert p.base_points == 2
         assert p.genus == 2
@@ -51,7 +48,7 @@ class TestBuildPencil:
 
     def test_rejects_bad_degree(self):
         with pytest.raises(ValueError):
-            build_pencil(load_catalog_entry("cp2"), 0)
+            build_pencil(STANDARD_BUILDERS["cp2"](), 0)
 
     def test_primitive_normalization(self):
         x = FourManifoldLattice(
@@ -69,20 +66,20 @@ class TestBuildPencil:
 
 class TestFibreDegree:
     def test_plane_cubics_with_line(self):
-        cp2 = load_catalog_entry("cp2")
+        cp2 = STANDARD_BUILDERS["cp2"]()
         with pytest.warns(UserWarning):
             p = build_pencil(cp2, 3)
         assert fibre_degree(p, [1]) == 12
 
     def test_zero_class_gives_base_points(self):
-        k3 = load_catalog_entry("k3")
+        k3 = STANDARD_BUILDERS["k3"]()
         p = build_pencil(k3, 1)
         assert fibre_degree(p, [0] * k3.b2) == p.base_points
 
     def test_blowup_route_agrees(self):
         rng = random.Random(5)
         for name, k in (("cp2", 1), ("cp2", 2), ("cp2", 3), ("s2xs2", 1)):
-            x = load_catalog_entry(name)
+            x = STANDARD_BUILDERS[name]()
             import warnings
 
             with warnings.catch_warnings():
@@ -95,7 +92,7 @@ class TestFibreDegree:
     def test_residual_fills_out_adjunction(self):
         rng = random.Random(11)
         for name in ("cp2", "s2xs2", "k3", "e3"):
-            x = load_catalog_entry(name)
+            x = STANDARD_BUILDERS[name]()
             import warnings
 
             with warnings.catch_warnings():
@@ -111,93 +108,49 @@ class TestFibreDegree:
 
 class TestRatioConvergence:
     def test_plane_value_at_fifty(self):
-        cp2 = load_catalog_entry("cp2")
+        cp2 = STANDARD_BUILDERS["cp2"]()
         table = ratio_convergence(cp2, [1], [50])
         assert table == [(50, Fraction(47, 51))]
 
     def test_plane_closed_form(self):
         # (2g-2)/r = (k-3)/(k+1) for the plane with the line class.
-        cp2 = load_catalog_entry("cp2")
+        cp2 = STANDARD_BUILDERS["cp2"]()
         for k, ratio in ratio_convergence(cp2, [1], range(10, 40, 7)):
             assert ratio == Fraction(k - 3, k + 1)
 
     def test_monotone_and_close_to_one(self):
-        cp2 = load_catalog_entry("cp2")
+        cp2 = STANDARD_BUILDERS["cp2"]()
         table = ratio_convergence(cp2, [1], range(50, 121))
         ratios = [r for _, r in table]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
         assert all(abs(r - 1) < Fraction(1, 10) for r in ratios)
 
     def test_doubling_halves_distance_to_one(self):
-        cp2 = load_catalog_entry("cp2")
+        cp2 = STANDARD_BUILDERS["cp2"]()
         ((_, r50),) = ratio_convergence(cp2, [1], [50])
         ((_, r100),) = ratio_convergence(cp2, [1], [100])
         shrink = abs(r100 - 1) / abs(r50 - 1)
         assert Fraction(1, 2) < shrink < Fraction(1, 2) + Fraction(1, 50)
 
     def test_zero_degree_rejected(self):
-        cp2 = load_catalog_entry("cp2")
+        cp2 = STANDARD_BUILDERS["cp2"]()
         with pytest.raises(ValueError, match="fibre degree"):
             ratio_convergence(cp2, [-1], [1])
 
 
 class TestIndices:
     def test_virtual_dims(self):
-        cp2 = load_catalog_entry("cp2")
+        cp2 = STANDARD_BUILDERS["cp2"]()
         assert virtual_dim(cp2, [1]) == 2
         for name in ("cp2", "k3", "e3", "e4"):
-            x = load_catalog_entry(name)
+            x = STANDARD_BUILDERS[name]()
             assert virtual_dim(x, x.canonical) == 0
             assert virtual_dim(x, [0] * x.b2) == 0
-
-    def test_family_index_k3(self):
-        k3 = load_catalog_entry("k3")
-        assert family_index(k3, [0] * 22) == 2
-
-    def test_family_index_parity_failure(self):
-        odd = FourManifoldLattice("odd", 1, [[5]], [1], [1], True)
-        with pytest.raises(ValueError, match="half-integer"):
-            family_index(odd, [0])
-
-    def test_picard_vertical_relation(self):
-        for name in ("cp2", "k3", "e3", "e4", "s2xs2"):
-            x = load_catalog_entry(name)
-            assert picard_vertical_index(x) == 2 - 2 * family_index(x, [0] * x.b2)
-
-    def test_picard_vertical_negative_in_high_b_plus(self):
-        assert picard_vertical_index(load_catalog_entry("k3")) == -2
-
-
-class TestSectionDims:
-    def test_even_b1(self):
-        s = sections_of_fK_dim(3, 0)
-        assert s.as_int() == 1 and s.jacobian_dim == 0 and s.integral
-
-    def test_even_b1_larger(self):
-        s = sections_of_fK_dim(5, 2)
-        assert s.as_int() == 2 and s.jacobian_dim == 1
-
-    def test_odd_b1_flagged(self):
-        s = sections_of_fK_dim(3, 1)
-        assert not s.integral
-        assert s.dimension == Fraction(1, 2)
-        with pytest.raises(ValueError):
-            s.as_int()
-
-    def test_odd_b1_integral_case(self):
-        s = sections_of_fK_dim(4, 1)
-        assert s.as_int() == 1 and s.jacobian_dim == 0
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            sections_of_fK_dim(0, 0)
-        with pytest.raises(ValueError):
-            sections_of_fK_dim(3, -1)
 
 
 class TestCountDecision:
     def test_negative_virtual_dim(self):
-        k3 = load_catalog_entry("k3")
+        k3 = STANDARD_BUILDERS["k3"]()
         a = [0] * 22
         a[6] = 1  # root of the first -E8 block: a.a = -2, K.a = 0
         v = count_decision(k3, a)
@@ -205,7 +158,7 @@ class TestCountDecision:
         assert "negative" in v.reason
 
     def test_simple_type_off_diagonal(self):
-        k3 = load_catalog_entry("k3")
+        k3 = STANDARD_BUILDERS["k3"]()
         a = [0] * 22
         a[0] = a[1] = 1  # a.a = 2 != 0 = K.a, virtual dim 1
         v = count_decision(k3, a)
@@ -213,28 +166,28 @@ class TestCountDecision:
         assert "simple type" in v.reason
 
     def test_omega_bounds(self):
-        e3 = load_catalog_entry("e3")
+        e3 = STANDARD_BUILDERS["e3"]()
         a = tuple(-c for c in e3.canonical)
         v = count_decision(e3, a)
         assert v.kind == "Zero"
         assert "a.omega" in v.reason
 
     def test_plane_line_is_plus_minus_one(self):
-        cp2 = load_catalog_entry("cp2")
+        cp2 = STANDARD_BUILDERS["cp2"]()
         v = count_decision(cp2, [1])
         assert v.kind == "PlusMinusOne"
         assert v.context["section_torus_dim"] == 0
 
     @pytest.mark.parametrize("entry", [1.9, True, "1", Fraction(1, 2), Fraction(1)])
     def test_non_integer_class_not_truncated(self, entry):
-        cp2 = load_catalog_entry("cp2")
+        cp2 = STANDARD_BUILDERS["cp2"]()
         with pytest.raises(TypeError, match="class coordinates"):
             count_decision(cp2, [entry])
         with pytest.raises(TypeError, match="class coordinates"):
             count_decision(cp2, [entry], vanishing_profile(cp2, [1], 3, 0))
 
     def test_canonical_and_zero_class(self):
-        e3 = load_catalog_entry("e3")
+        e3 = STANDARD_BUILDERS["e3"]()
         assert count_decision(e3, e3.canonical).kind == "PlusMinusOne"
         assert count_decision(e3, [0] * e3.b2).kind == "PlusMinusOne"
 
@@ -264,7 +217,7 @@ class TestCountDecision:
         # on catalog data.
         rng = random.Random(99)
         for name in ("k3", "e3", "e4", "k3_sum3"):
-            x = load_catalog_entry(name)
+            x = STANDARD_BUILDERS[name]()
             k_omega = x.omega_dot(x.canonical)
             assert k_omega >= 0
             for a in ([0] * x.b2, list(x.canonical)):

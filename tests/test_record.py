@@ -24,7 +24,6 @@ EXAMPLES = {
     "HomologyClass": lambda: lattice.HomologyClass(CP2, (1,)),
     "BPlusOneClassification": lambda: lattice.classify_b_plus_one(CP2),
     "PencilData": _pencil,
-    "SectionSpaceDim": lambda: pencil.sections_of_fK_dim(3, 0),
     "SurfaceCountVerdict": lambda: pencil.count_decision(CP2, (1,)),
     "CohomologyProfile": lambda: gromov.vanishing_profile(CP2, (1,), 3, 0),
     "BNQuery": lambda: brill_noether.BNQuery(5, 2, 1),

@@ -47,3 +47,10 @@ def test_no_dataclasses_import():
             if any(name.split(".")[0] == "dataclasses" for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_data_holds_only_the_schemas():
+    """``catalog.STANDARD_BUILDERS`` is the only catalog; no second copy of
+    it ships as package data."""
+    names = sorted(path.name for path in (PACKAGE / "data").iterdir())
+    assert names == ["manifold.schema.json", "report.schema.json"]

@@ -10,6 +10,7 @@ functions below, which also give whole families of them.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -51,21 +52,23 @@ def block_diag(*blocks):
     return tuple(tuple(row) for row in out)
 
 
+# The omega string pattern of data/manifold.schema.json. [0-9] is ASCII
+# only, unlike int(), which also takes other digits, signs, spaces and "_".
+_RATIONAL_STRING = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rational(value: Union[int, str]) -> Fraction:
-    """Bit-exact rational parsing: ints stay ints, strings must be 'p/q'."""
+    """Bit-exact rational parsing: ints stay ints, and a string must match
+    the manifold schema's omega pattern ``-?[0-9]+(/[0-9]+)?`` in full."""
     if isinstance(value, bool):
         raise ValueError("booleans are not rational entries")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        parts = value.split("/")
-        if len(parts) == 2:
-            num, den = int(parts[0]), int(parts[1])
-            if den == 0:
-                raise ValueError(f"zero denominator in rational entry {value!r}")
-            return Fraction(num, den)
-        if len(parts) == 1:
-            return Fraction(int(parts[0]))
+    if isinstance(value, str) and _RATIONAL_STRING.fullmatch(value):
+        num, _, den = value.partition("/")
+        if den and int(den) == 0:
+            raise ValueError(f"zero denominator in rational entry {value!r}")
+        return Fraction(int(num), int(den or 1))
     raise ValueError(f"not a rational entry: {value!r}")
 
 

@@ -148,12 +148,19 @@ def series_geom_pow(exponent: int, cap: int) -> list[int]:
 
 
 class RationalMatrix:
-    """Dense matrix over the rationals, stored as tuples of ``Fraction`` rows."""
+    """Dense matrix over the rationals, stored as tuples of ``Fraction`` rows.
+
+    An entry whose type is exactly ``Fraction`` is kept as the same object;
+    anything else (an ``int``, a ``bool``, a ``Fraction`` subclass) is
+    converted with ``Fraction(x)``. ``Fraction`` is immutable, so sharing
+    entries between matrices is safe, and products of matrices copy none.
+    """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[Rational]]):
-        rs = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        rs = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+                   for row in rows)
         if not rs:
             raise ValueError("matrix needs at least one row")
         width = len(rs[0])
@@ -175,7 +182,7 @@ class RationalMatrix:
         """Matrix-vector product ``M v``."""
         if len(vector) != self.ncols:
             raise ValueError(f"vector length {len(vector)} != ncols {self.ncols}")
-        vec = [Fraction(x) for x in vector]
+        vec = [x if type(x) is Fraction else Fraction(x) for x in vector]
         out = []
         for row in self.rows:
             acc = Fraction(0)

@@ -13,13 +13,18 @@ has kernel of dimension exactly r^2 + 1 at every point, on every stratum
 of the lambda = 0 fibre as well as off it.  This module samples each
 stratum deterministically, assembles that differential as an exact
 rational matrix, and certifies the kernel dimension by integer
-elimination with a finite-field cross-check.
+elimination with a finite-field cross-check.  The cyclicity of v is
+decided by growing its span under B1 and B2 in one integer echelon, and
+that verdict too is certified, by a single rank call on the vectors the
+echelon accepted and those it reduced to zero.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from bisect import insort
+from collections import deque
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
@@ -41,7 +46,8 @@ _NONZERO_POOL = tuple(x for x in range(-9, 10) if x != 0)
 
 
 def _as_vector(v: Sequence[Rational]) -> Vector:
-    return tuple(Fraction(x) for x in v)
+    """v as a tuple of ``Fraction``, by the entry rule of ``RationalMatrix``."""
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in v)
 
 
 def _check_model_shapes(b1: RationalMatrix, b2: RationalMatrix, v: Sequence,
@@ -72,31 +78,73 @@ def _is_scalar_matrix(m: RationalMatrix, scalar: Fraction) -> bool:
     return True
 
 
+def _reduced(row: list[int], echelon: list[tuple[int, list[int]]]
+             ) -> Optional[list[int]]:
+    """row reduced against the echelon rows and divided by its gcd, or None
+    when it reduces to zero.
+
+    The echelon lists ``(pivot column, row)`` by increasing pivot, each row
+    zero left of its pivot. Clearing a pivot column in that order touches
+    only later columns, so every pivot column of the result is zero.
+    """
+    for pc, e in echelon:
+        f = row[pc]
+        if f:
+            p = e[pc]
+            g = gcd(p, f)
+            p, f = p // g, f // g
+            row = [p * a - f * b for a, b in zip(row, e)]
+    g = gcd(*row)
+    if not g:
+        return None
+    return row if g == 1 else [a // g for a in row]
+
+
 def is_stable(b1: RationalMatrix, b2: RationalMatrix,
               v: Sequence[Rational]) -> bool:
     """Whether the smallest subspace containing v and preserved by both
     matrices is the whole space.
 
-    Grows the span iteratively: each vector that enlarges the current
-    rank gets its two images enqueued, with every rank computed exactly.
+    The span grows in one integer echelon. Each queued vector is cleared by
+    the lcm of its denominators, reduced against the echelon and
+    gcd-normalised. A vector that survives is accepted, its primitive row
+    joins the echelon and its nonzero images are queued; one that reduces
+    to zero is spent. Growth stops when r vectors are accepted or the queue
+    runs empty.
+
+    The verdict is then certified by a single ``exact.rank_and_kernel``
+    call on the accepted vectors together with the spent ones, which must
+    have rank exactly the number accepted, or ``RuntimeError`` is raised.
+    With r accepted, that rank proves stability. With fewer, every nonzero
+    image of an accepted vector was accepted or spent, and the rank proves
+    their span invariant: a proper subspace containing v.
     """
     r = b1.nrows
     _check_model_shapes(b1, b2, v, r)
-    basis: list[Vector] = []
-    rank = 0
-    queue: list[Vector] = [_as_vector(v)]
-    while queue:
-        w = queue.pop(0)
-        if all(x == 0 for x in w):
+    echelon: list[tuple[int, list[int]]] = []
+    accepted: list[Vector] = []
+    spent: list[Vector] = []
+    queue = deque([_as_vector(v)])
+    while queue and len(accepted) < r:
+        w = queue.popleft()
+        denlcm = lcm(*(x.denominator for x in w))
+        row = _reduced([x.numerator * (denlcm // x.denominator) for x in w],
+                       echelon)
+        if row is None:
+            spent.append(w)
             continue
-        new_rank, _ = exact.rank_and_kernel(RationalMatrix(basis + [w]))
-        if new_rank > rank:
-            basis.append(w)
-            rank = new_rank
-            if rank == r:
-                return True
-            queue.append(b1.apply(w))
-            queue.append(b2.apply(w))
+        pivot = next(c for c, a in enumerate(row) if a)
+        insort(echelon, (pivot, row))
+        accepted.append(w)
+        for image in (b1.apply(w), b2.apply(w)):
+            if any(image):
+                queue.append(image)
+    rank, _ = exact.rank_and_kernel(RationalMatrix(accepted + spent))
+    if rank != len(accepted):
+        raise RuntimeError(
+            f"certified rank {rank} of the span of v disagrees with the "
+            f"{len(accepted)} vectors its integer echelon accepted"
+        )
     return rank == r
 
 

@@ -301,6 +301,8 @@ BAD_INPUTS = {
     "flag_choice": lambda write, m: ["manifold-check", m("cp2"), "--format", "xml"],
     "zero_denominator": lambda write, m: [
         "manifold-check", write(json.dumps(dict(CP2, omega=["1/0"])))],
+    "omega_pattern": lambda write, m: [
+        "manifold-check", write(json.dumps(dict(CP2, omega=["1/-2"])))],
     "float_entry": lambda write, m: [
         "manifold-check", write(json.dumps(dict(CP2, Q=[[1.0]])))],
     "string_entry": lambda write, m: [

@@ -293,6 +293,24 @@ class TestKernelVerifierChecksTheInput:
             rank_and_kernel(_WIDE)
 
 
+class _Half(Fraction):
+    """A Fraction subclass, which the matrix must not keep."""
+
+
+class TestRationalMatrixEntries:
+    def test_exact_fraction_kept_by_identity(self):
+        x = Fraction(3, 7)
+        m = RationalMatrix([[x, 1]])
+        assert m.rows[0][0] is x
+
+    @pytest.mark.parametrize("entry", [2, True, _Half(1, 2)],
+                             ids=["int", "bool", "subclass"])
+    def test_other_entries_become_plain_fractions(self, entry):
+        x = RationalMatrix([[entry]]).rows[0][0]
+        assert type(x) is Fraction
+        assert x == entry and hash(x) == hash(entry)
+
+
 class TestCharPoly:
     def test_two_by_two(self):
         # det(x I - [[2, 1], [1, 2]]) = x^2 - 4x + 3, constant first.

@@ -2,11 +2,15 @@
 certification of the differential's kernel dimension."""
 
 import itertools
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sympencil import hilb
+from sympencil import exact, hilb
 from sympencil.exact import RationalMatrix, rank_and_kernel
 from sympencil.hilb import (
     ADHMTriple,
@@ -83,6 +87,102 @@ class TestIsStable:
             for kept in itertools.combinations(range(r), size)
         )
         assert is_stable(b1, b2, v) == (not in_proper_coordinate_subspace)
+
+
+def _words_below(b1, b2, v, r):
+    """Every w(B1, B2) v over the words w of length less than r."""
+    level = [tuple(Fraction(x) for x in v)]
+    out = list(level)
+    for _ in range(r - 1):
+        level = [m.apply(w) for w in level for m in (b1, b2)]
+        out.extend(level)
+    return out
+
+
+def _elementary(r, i, j, c):
+    """I + c E_ij, whose inverse is I - c E_ij."""
+    return RationalMatrix([[int(a == b) + (c if (a, b) == (i, j) else 0)
+                            for b in range(r)] for a in range(r)])
+
+
+_ENTRY = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def _dense_triples(draw):
+    """A dense rational (B1, B2, v), half the time made unstable: block
+    upper-triangular with v in the leading invariant block, conjugated by
+    a random unimodular matrix."""
+    r = draw(st.integers(1, 5))
+    square = st.lists(st.lists(_ENTRY, min_size=r, max_size=r),
+                      min_size=r, max_size=r)
+    b1, b2 = draw(square), draw(square)
+    v = draw(st.lists(_ENTRY, min_size=r, max_size=r))
+    if r > 1 and draw(st.booleans()):
+        k = draw(st.integers(1, r - 1))
+        for b in (b1, b2):
+            for i in range(k, r):
+                b[i][:k] = [0] * k
+        v[k:] = [0] * (r - k)
+        u = RationalMatrix.identity(r)
+        u_inv = u
+        for _ in range(draw(st.integers(0, 2 * r))):
+            i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+            if i == j:
+                continue
+            c = draw(st.integers(-3, 3))
+            u = _elementary(r, i, j, c).matmul(u)
+            u_inv = u_inv.matmul(_elementary(r, i, j, -c))
+        b1, b2 = (u.matmul(RationalMatrix(b)).matmul(u_inv) for b in (b1, b2))
+        return b1, b2, u.apply(v), r, True
+    return RationalMatrix(b1), RationalMatrix(b2), tuple(v), r, False
+
+
+class TestIsStableDense:
+    @settings(max_examples=150, deadline=None)
+    @given(_dense_triples())
+    def test_agrees_with_word_span(self, case):
+        b1, b2, v, r, unstable = case
+        rank, _ = rank_and_kernel(RationalMatrix(_words_below(b1, b2, v, r)))
+        assert rank < r or not unstable
+        reduce = hilb._reduced
+
+        def checked(row, echelon):
+            # A surviving row is primitive and zero at every pivot column.
+            out = reduce(row, echelon)
+            if out is not None:
+                assert math.gcd(*out) == 1
+                assert not any(out[pc] for pc, _ in echelon)
+            return out
+
+        with mock.patch.object(hilb, "_reduced", checked):
+            assert is_stable(b1, b2, v) == (rank == r)
+
+    def test_one_certifying_rank_call(self, monkeypatch):
+        calls = []
+        original = exact.rank_and_kernel
+
+        def counted(m):
+            calls.append(m.nrows)
+            return original(m)
+
+        monkeypatch.setattr(exact, "rank_and_kernel", counted)
+        b1 = RationalMatrix([[1, 2, 0], [0, 1, 3], [4, 0, 1]])
+        assert is_stable(b1, zeros(3), (1, 0, 0))
+        assert len(calls) == 1
+        assert not is_stable(diag(1, 2, 3), diag(4, 5, 6), (1, 1, 0))
+        assert len(calls) == 2
+
+    def test_rank_fault_raises(self, monkeypatch):
+        original = exact.rank_and_kernel
+
+        def undercounting(m):
+            rank, kernel = original(m)
+            return rank - 1, kernel
+
+        monkeypatch.setattr(exact, "rank_and_kernel", undercounting)
+        with pytest.raises(RuntimeError, match="certified rank"):
+            is_stable(diag(1, 2), diag(2, 1), (1, 1))
 
 
 class TestModelValidation:

@@ -449,6 +449,14 @@ class TestManifoldFiles:
         with pytest.raises(ValueError):
             parse_rational(True)
 
+    # Each but the last passes int(); "\u0663/\u0664" is 3/4 in Arabic-Indic
+    # digits.
+    @pytest.mark.parametrize(
+        "text", ["1_000", "+3", " 1/2 ", "1/-2", "\u0663/\u0664", "abc"])
+    def test_parse_rational_takes_only_the_schema_pattern(self, text):
+        with pytest.raises(ValueError, match="not a rational entry"):
+            parse_rational(text)
+
     def test_parse_rational_rejects_zero_denominator(self):
         with pytest.raises(ValueError, match="zero denominator"):
             parse_rational("1/0")

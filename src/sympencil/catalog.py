@@ -57,19 +57,30 @@ def block_diag(*blocks):
 _RATIONAL_STRING = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
+def _shown(value) -> str:
+    """``repr(value)`` cut to 40 characters, for an error message."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def parse_rational(value: Union[int, str]) -> Fraction:
     """Bit-exact rational parsing: ints stay ints, and a string must match
-    the manifold schema's omega pattern ``-?[0-9]+(/[0-9]+)?`` in full."""
+    the manifold schema's omega pattern ``-?[0-9]+(/[0-9]+)?`` in full,
+    with no more digits per part than ``int()`` converts."""
     if isinstance(value, bool):
         raise ValueError("booleans are not rational entries")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL_STRING.fullmatch(value):
         num, _, den = value.partition("/")
-        if den and int(den) == 0:
-            raise ValueError(f"zero denominator in rational entry {value!r}")
-        return Fraction(int(num), int(den or 1))
-    raise ValueError(f"not a rational entry: {value!r}")
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise ValueError(f"not a rational entry: {_shown(value)}") from None
+        if den == 0:
+            raise ValueError(f"zero denominator in rational entry {_shown(value)}")
+        return Fraction(num, den)
+    raise ValueError(f"not a rational entry: {_shown(value)}")
 
 
 def format_rational(q: Rational) -> Union[int, str]:

@@ -1,13 +1,17 @@
 """Command-line front end: every operation behind one executable.
 
-All commands emit JSON by default (canonical form: sorted keys, compact
-separators, one trailing newline), so identical invocations are
-byte-identical; ``--format text`` renders the same structure as key:
-value lines.  Exit codes: 0 success, 1 a computed check failed, 2 input
-or usage error, reported as one ``Error: ...`` line on stderr.  Seeded
-commands default to seed 1729.  The ``hilb`` command reads the worker
-count from the SYMPENCIL_WORKERS environment variable, capped at the CPU
-count and at ``--samples``; its output does not depend on it.
+A command's callback returns its report: the payload, or ``(payload,
+passed)`` when it has a check that can fail.  One command class,
+``_ReportCommand``, renders every report and sets the exit code.  Output
+is JSON by default (canonical form: sorted keys, compact separators, one
+trailing newline), so identical invocations are byte-identical;
+``--format text`` renders the same structure as key: value lines.  Exit
+codes: 0 success, 1 a computed check failed, 2 input or usage error (a
+library ``ValueError`` included), reported as one ``Error: ...`` line on
+stderr.  Seeded commands default to seed 1729.  The ``hilb`` command
+reads the worker count from the SYMPENCIL_WORKERS environment variable,
+capped at the CPU count and at ``--samples``; its output does not depend
+on it.
 
 A process imports only what its command uses: ``hilb``, ``brill_noether``
 and ``applications`` load inside the commands that need them.
@@ -18,7 +22,6 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from typing import Optional
 
 import click
 
@@ -71,7 +74,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise click.UsageError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise click.UsageError(f"{path} is not valid JSON: {exc}")
 
 
@@ -83,16 +86,43 @@ def _load_lattice(path: str) -> FourManifoldLattice:
         raise click.UsageError(f"{path}: {exc}")
 
 
-def _parse_class(text: str, width: Optional[int] = None) -> tuple[int, ...]:
+def _parse_class(text: str, width: int) -> tuple[int, ...]:
     try:
         coords = tuple(int(part.strip()) for part in text.split(","))
     except ValueError:
         raise click.UsageError(f"class {text!r} is not a comma-separated integer list")
-    if width is not None and len(coords) != width:
+    if len(coords) != width:
         raise click.UsageError(
             f"class has {len(coords)} coordinates, lattice rank is {width}"
         )
     return coords
+
+
+class _ReportCommand(click.Command):
+    """A command whose callback returns its report, the payload or
+    ``(payload, passed)``. Adds ``--format``, writes the command's name
+    into a dict payload, renders it, and exits 1 when ``passed`` is false;
+    a ``ValueError`` raised while computing it is a usage error."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.params.append(click.Option(
+            ["--format", "fmt"], type=click.Choice(["text", "json"]),
+            default="json", show_default=True, help="Report rendering.",
+        ))
+
+    def invoke(self, ctx):
+        fmt = ctx.params.pop("fmt")
+        try:
+            report = super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
+        payload, passed = report if isinstance(report, tuple) else (report, True)
+        if isinstance(payload, dict):
+            payload = {"command": self.name, **payload}
+        _emit(payload, fmt)
+        if not passed:
+            ctx.exit(1)
 
 
 class _Group(click.Group):
@@ -100,6 +130,8 @@ class _Group(click.Group):
     command raises it, prints as one ``Error: ...`` line on stderr and
     exits 2: re-raised without its context, it carries no usage line and
     no help hint."""
+
+    command_class = _ReportCommand
 
     def make_context(self, *args, **kwargs):
         try:
@@ -114,12 +146,6 @@ class _Group(click.Group):
             raise click.UsageError(exc.format_message()) from None
 
 
-_format_option = click.option(
-    "--format", "fmt", type=click.Choice(["text", "json"]), default="json",
-    show_default=True, help="Report rendering.",
-)
-
-
 @click.group(cls=_Group, no_args_is_help=False)
 @click.version_option(package_name="sympencil")
 def main():
@@ -129,9 +155,7 @@ def main():
 
 @main.command("manifold-check")
 @click.argument("manifold", type=click.Path(exists=True, dir_okay=False))
-@_format_option
-@click.pass_context
-def manifold_check(ctx, manifold, fmt):
+def manifold_check(manifold):
     """Validate a manifold file and report its characteristic numbers."""
     data = _load_json(manifold)
     try:
@@ -143,15 +167,8 @@ def manifold_check(ctx, manifold, fmt):
     except TypeError as exc:
         raise click.UsageError(f"{manifold}: {exc}")
     except ValueError as exc:
-        _emit({
-            "command": "manifold-check",
-            "label": fields["label"],
-            "valid": False,
-            "error": str(exc),
-        }, fmt)
-        ctx.exit(1)
-    _emit({
-        "command": "manifold-check",
+        return {"label": fields["label"], "valid": False, "error": str(exc)}, False
+    return {
         "label": x.label,
         "valid": True,
         "b1": x.b1,
@@ -170,15 +187,7 @@ def manifold_check(ctx, manifold, fmt):
             "K = diag(Q) mod 2 (characteristic vector)",
             "chi_h = (e + sigma)/4",
         ],
-    }, fmt)
-
-
-def _profile_from_flags(x, coords, h0, h2):
-    try:
-        return vanishing_profile(x, coords, h0, h2)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
+    }
 
 @main.command("gromov")
 @click.argument("manifold", type=click.Path(exists=True, dir_okay=False))
@@ -188,16 +197,14 @@ def _profile_from_flags(x, coords, h0, h2):
               help="Sections of the class.")
 @click.option("--h2", required=True, type=int,
               help="Sections of the residual class K - D.")
-@_format_option
-def gromov_cmd(manifold, class_, h0, h2, fmt):
+def gromov_cmd(manifold, class_, h0, h2):
     """Surface count of a class from its two section dimensions."""
     x = _load_lattice(manifold)
     coords = _parse_class(class_, x.b2)
-    profile = _profile_from_flags(x, coords, h0, h2)
+    profile = vanishing_profile(x, coords, h0, h2)
     r = virtual_dim(x, coords)
     value = gromov_invariant(profile, r) if r >= 0 else 0
-    _emit({
-        "command": "gromov",
+    return {
         "label": x.label,
         "class": list(coords),
         "h0": profile.h0,
@@ -210,7 +217,7 @@ def gromov_cmd(manifold, class_, h0, h2, fmt):
             "chi = chi_h + (a.a - K.a)/2",
             "invariant = binom(r - h2, h0 - 1 - r); 0 when r < 0 or h0 = 0",
         ],
-    }, fmt)
+    }
 
 
 @main.command("duality")
@@ -221,39 +228,32 @@ def gromov_cmd(manifold, class_, h0, h2, fmt):
               help="Sections of the class.")
 @click.option("--h2", required=True, type=int,
               help="Sections of the residual class K - D.")
-@_format_option
-@click.pass_context
-def duality_cmd(ctx, manifold, class_, h0, h2, fmt):
+def duality_cmd(manifold, class_, h0, h2):
     """Check |count(D)| = |count(K - D)| for a section profile."""
     x = _load_lattice(manifold)
     coords = _parse_class(class_, x.b2)
-    profile = _profile_from_flags(x, coords, h0, h2)
+    profile = vanishing_profile(x, coords, h0, h2)
     r = virtual_dim(x, coords)
     if r < 0:
         raise click.UsageError(
             f"virtual dimension {r} is negative; the duality check needs r >= 0"
         )
     dual = serre_dual(profile)
-    value = gromov_invariant(profile, r)
-    dual_value = gromov_invariant(dual, r)
     ok = duality_check(profile, r)
-    _emit({
-        "command": "duality",
+    return {
         "label": x.label,
         "class": list(coords),
         "profile": {"h0": profile.h0, "h1": profile.h1, "h2": profile.h2},
         "dual_profile": {"h0": dual.h0, "h1": dual.h1, "h2": dual.h2},
         "virtual_dim": r,
-        "invariant": value,
-        "dual_invariant": dual_value,
+        "invariant": gromov_invariant(profile, r),
+        "dual_invariant": gromov_invariant(dual, r),
         "magnitudes_equal": ok,
         "citations": [
             "dual section dims (h2, h1, h0) live on K - a",
             "|count(a)| = |count(K - a)| at equal virtual dimension",
         ],
-    }, fmt)
-    if not ok:
-        ctx.exit(1)
+    }, ok
 
 
 @main.command("pencil")
@@ -262,21 +262,16 @@ def duality_cmd(ctx, manifold, class_, h0, h2, fmt):
               help="Multiple of the primitive symplectic class to use as fibre.")
 @click.option("--class", "class_", default=None,
               help="Optional class whose fibre degrees to report.")
-@_format_option
-def pencil_cmd(manifold, k, class_, fmt):
+def pencil_cmd(manifold, k, class_):
     """Pencil numerology: fibre genus, base points, critical fibres."""
     x = _load_lattice(manifold)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pencil = build_pencil(x, k)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pencil = build_pencil(x, k)
     payload = {
-        "command": "pencil",
         "label": x.label,
         "k": k,
-        "fibre_class": [int(c) for c in pencil.fibre_class.coords],
+        "fibre_class": list(pencil.fibre_class.coords),
         "genus": pencil.genus,
         "base_points": pencil.base_points,
         "critical_fibres": pencil.critical_fibres,
@@ -294,21 +289,19 @@ def pencil_cmd(manifold, k, class_, fmt):
         payload["residual_degree"] = resid
         payload["degree_sum"] = r + resid
         payload["citations"].append("degree(a) + degree(K - a) = 2g - 2")
-    _emit(payload, fmt)
+    return payload
 
 
 @main.command("count")
 @click.argument("manifold", type=click.Path(exists=True, dir_okay=False))
 @click.option("--class", "class_", required=True,
               help="Class to decide, comma-separated integers.")
-@_format_option
-def count_cmd(manifold, class_, fmt):
+def count_cmd(manifold, class_):
     """Decide a standard surface count from quoted hypotheses."""
     x = _load_lattice(manifold)
     coords = _parse_class(class_, x.b2)
     verdict = count_decision(x, coords)
-    _emit({
-        "command": "count",
+    return {
         "label": x.label,
         "class": list(coords),
         "kind": verdict.kind,
@@ -316,51 +309,40 @@ def count_cmd(manifold, class_, fmt):
         "value": verdict.value,
         "context": verdict.context,
         "citations": [verdict.reason],
-    }, fmt)
+    }
 
 
 @main.command("bn")
 @click.option("--g", "g", required=True, type=int, help="Curve genus.")
 @click.option("--r", "r", required=True, type=int, help="System degree.")
 @click.option("--s", "s", required=True, type=int, help="System dimension.")
-@_format_option
-def bn_cmd(g, r, s, fmt):
+def bn_cmd(g, r, s):
     """Virtual dimension of degree-r, dimension-s systems on genus g."""
     from . import brill_noether
 
-    try:
-        query = brill_noether.BNQuery(g, r, s)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    rho = brill_noether.rho(query)
-    _emit({
-        "command": "bn",
+    query = brill_noether.BNQuery(g, r, s)
+    return {
         "g": g,
         "r": r,
         "s": s,
-        "rho": rho,
+        "rho": brill_noether.rho(query),
         "excess_codimension": brill_noether.eh_predicate(query),
         "citations": [
             "rho = g - (s+1)(g - r + s)",
             "excess codimension in moduli iff rho < -1",
         ],
-    }, fmt)
+    }
 
 
 @main.command("aj-fibres")
 @click.option("--g", "g", required=True, type=int, help="Curve genus.")
 @click.option("--r", "r", required=True, type=int, help="Divisor degree.")
-@_format_option
-def aj_fibres_cmd(g, r, fmt):
+def aj_fibres_cmd(g, r):
     """Fibre dimensions of the degree-r divisor-to-line-bundle map."""
     from . import brill_noether
 
-    try:
-        prof = brill_noether.abel_jacobi_fibre_dims(g, r)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    _emit({
-        "command": "aj-fibres",
+    prof = brill_noether.abel_jacobi_fibre_dims(g, r)
+    return {
         "g": g,
         "r": r,
         "generic_dim": prof.generic_dim,
@@ -371,7 +353,7 @@ def aj_fibres_cmd(g, r, fmt):
             "generic fibre dimension r - g",
             "jump by one over the degree 2g - 2 - r symmetric product",
         ],
-    }, fmt)
+    }
 
 
 @main.command("hilb")
@@ -383,9 +365,7 @@ def aj_fibres_cmd(g, r, fmt):
               help="Base seed; sample i uses seed + i.")
 @click.option("--stratum", type=click.Choice(STRATA), default="smooth",
               show_default=True, help="Stratum to sample.")
-@_format_option
-@click.pass_context
-def hilb_cmd(ctx, r, samples, seed, stratum, fmt):
+def hilb_cmd(r, samples, seed, stratum):
     """Certify the kernel dimension r^2 + 1 on sampled matrix models.
 
     The SYMPENCIL_WORKERS environment variable (default 1) sets the number
@@ -403,13 +383,9 @@ def hilb_cmd(ctx, r, samples, seed, stratum, fmt):
         raise click.UsageError(
             f"{WORKERS_ENV}={workers_text!r} is not a positive integer"
         )
-    try:
-        report = hilb.certify_stratum(stratum, r, samples, seed=seed,
-                                      workers=workers)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    _emit({
-        "command": "hilb",
+    report = hilb.certify_stratum(stratum, r, samples, seed=seed,
+                                  workers=workers)
+    return {
         "stratum": report.stratum,
         "r": report.r,
         "samples": report.samples,
@@ -422,9 +398,7 @@ def hilb_cmd(ctx, r, samples, seed, stratum, fmt):
             "kernel of (C1, C2, mu) -> (C1 B2 + B1 C2 - mu I, B2 C1 + C2 B1 - mu I) "
             "has dimension r^2 + 1 at every point",
         ],
-    }, fmt)
-    if not report.passed:
-        ctx.exit(1)
+    }, report.passed
 
 
 @main.command("classify")
@@ -432,9 +406,7 @@ def hilb_cmd(ctx, r, samples, seed, stratum, fmt):
 @click.option("--classes", "classes_path", default=None,
               type=click.Path(exists=True, dir_okay=False),
               help="JSON file with an array of class vectors to decide.")
-@_format_option
-@click.pass_context
-def classify_cmd(ctx, manifold, classes_path, fmt):
+def classify_cmd(manifold, classes_path):
     """Run every applicable named check; exit 1 if any check fails."""
     from . import applications
 
@@ -456,11 +428,8 @@ def classify_cmd(ctx, manifold, classes_path, fmt):
                     f"class {row} has {len(row)} coordinates, lattice rank is {x.b2}"
                 )
         classes = [tuple(row) for row in data]
-    try:
-        reports = applications.run_all(x, classes)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    payload = [
+    reports = applications.run_all(x, classes)
+    return [
         {
             "check_name": rep.check_name,
             "verdict": rep.verdict,
@@ -468,10 +437,7 @@ def classify_cmd(ctx, manifold, classes_path, fmt):
             "numbers": rep.numbers,
         }
         for rep in reports
-    ]
-    _emit(payload, fmt)
-    if any(rep.verdict == "fail" for rep in reports):
-        ctx.exit(1)
+    ], all(rep.verdict != "fail" for rep in reports)
 
 
 if __name__ == "__main__":

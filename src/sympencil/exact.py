@@ -27,6 +27,14 @@ Rational = Union[int, Fraction]
 _CHECK_PRIMES = (2**61 - 1, 2**31 - 1)
 
 
+def _fraction(x: Rational) -> Fraction:
+    """An ``int``, ``bool`` or ``Fraction`` entry as a ``Fraction``; any
+    other entry (a float, a string) raises ``TypeError``."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise TypeError(f"exact entries are int or Fraction, not {type(x).__name__}")
+
+
 def binom(n: int, k: int) -> int:
     """Binomial coefficient ``C(n, k)`` for arbitrary integer ``n``.
 
@@ -55,7 +63,7 @@ class TruncatedSeries:
     def __init__(self, coeffs: Iterable[Rational], cap: int):
         if cap < 1:
             raise ValueError("cap must be at least 1")
-        cs = [Fraction(c) for c in coeffs][:cap]
+        cs = [_fraction(c) for c in coeffs][:cap]
         cs.extend([Fraction(0)] * (cap - len(cs)))
         self.cap = cap
         self.coeffs = cs
@@ -151,15 +159,16 @@ class RationalMatrix:
     """Dense matrix over the rationals, stored as tuples of ``Fraction`` rows.
 
     An entry whose type is exactly ``Fraction`` is kept as the same object;
-    anything else (an ``int``, a ``bool``, a ``Fraction`` subclass) is
-    converted with ``Fraction(x)``. ``Fraction`` is immutable, so sharing
-    entries between matrices is safe, and products of matrices copy none.
+    an ``int``, a ``bool`` or a ``Fraction`` subclass is converted with
+    ``Fraction(x)``, and any other entry (a float, a string) raises
+    ``TypeError``. ``Fraction`` is immutable, so sharing entries between
+    matrices is safe, and products of matrices copy none.
     """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[Rational]]):
-        rs = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+        rs = tuple(tuple(x if type(x) is Fraction else _fraction(x) for x in row)
                    for row in rows)
         if not rs:
             raise ValueError("matrix needs at least one row")
@@ -182,7 +191,7 @@ class RationalMatrix:
         """Matrix-vector product ``M v``."""
         if len(vector) != self.ncols:
             raise ValueError(f"vector length {len(vector)} != ncols {self.ncols}")
-        vec = [x if type(x) is Fraction else Fraction(x) for x in vector]
+        vec = [x if type(x) is Fraction else _fraction(x) for x in vector]
         out = []
         for row in self.rows:
             acc = Fraction(0)

@@ -25,10 +25,7 @@ def riemann_roch_chi(x: FourManifoldLattice, d: Sequence[int]) -> int:
         raise ValueError(
             f"chi_h = {chi_h} is not integral; Riemann-Roch needs even b1 data"
         )
-    num = x.square(d) - x.k_dot(d)
-    if num % 2:
-        raise ArithmeticError("characteristic K forces D.D = D.K mod 2")
-    return chi_h + num // 2
+    return chi_h + HomologyClass(x, d).virtual_dim()
 
 
 class CohomologyProfile(Record):

@@ -47,7 +47,7 @@ _NONZERO_POOL = tuple(x for x in range(-9, 10) if x != 0)
 
 def _as_vector(v: Sequence[Rational]) -> Vector:
     """v as a tuple of ``Fraction``, by the entry rule of ``RationalMatrix``."""
-    return tuple(x if type(x) is Fraction else Fraction(x) for x in v)
+    return tuple(x if type(x) is Fraction else exact._fraction(x) for x in v)
 
 
 def _check_model_shapes(b1: RationalMatrix, b2: RationalMatrix, v: Sequence,
@@ -65,7 +65,7 @@ def _diagonal(entries: Sequence[Rational]) -> RationalMatrix:
     n = len(entries)
     zero = Fraction(0)
     return RationalMatrix(
-        [[Fraction(entries[i]) if i == j else zero for j in range(n)]
+        [[entries[i] if i == j else zero for j in range(n)]
          for i in range(n)]
     )
 
@@ -180,7 +180,7 @@ class RelADHMQuad(Record):
     r: int
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", Fraction(self.lam))
+        object.__setattr__(self, "lam", exact._fraction(self.lam))
         object.__setattr__(self, "v", _as_vector(self.v))
         _check_model_shapes(self.b1, self.b2, self.v, self.r)
         if not _is_scalar_matrix(self.b1.matmul(self.b2), self.lam):
@@ -194,7 +194,7 @@ class RelADHMQuad(Record):
 def sample_smooth_stratum(r: int, lam: Rational, seed: int) -> RelADHMQuad:
     """Generic point over lambda != 0: B1 a distinct-diagonal matrix,
     B2 = lambda * B1^{-1}, all-ones cyclic vector."""
-    lam = Fraction(lam)
+    lam = exact._fraction(lam)
     if lam == 0:
         raise ValueError("smooth-stratum samples need lambda != 0")
     if r < 1:

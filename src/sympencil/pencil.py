@@ -63,10 +63,7 @@ def build_pencil(x: FourManifoldLattice, k: int) -> PencilData:
     n = x.square(w)
     if n <= 0:
         raise ValueError("fibre class must have positive square")
-    two_g_minus_2 = x.k_dot(w) + n
-    if two_g_minus_2 % 2:
-        raise ValueError("adjunction gave an odd 2g - 2; K is not characteristic")
-    genus = two_g_minus_2 // 2 + 1
+    genus = x.adjunction_genus(w)
     if genus < 0:
         raise ValueError(f"negative fibre genus {genus}")
     delta = x.euler + n - (4 - 4 * genus)
@@ -98,9 +95,10 @@ def fibre_degree(pencil: PencilData, a: Sequence[int]) -> int:
     i(W) - sum E_j and the class becomes i(a) + sum E_j, so the pairing is
     a.W + N. Evaluated in closed form; `fibre_degree_blowup_route` does the
     same computation on the actual blown-up lattice for cross-checking.
+    Raises ``TypeError`` when a coordinate of ``a`` is not an ``int``.
     """
-    x = pencil.lattice
-    return int(x.pairing(a, pencil.fibre_class.coords)) + pencil.base_points
+    a = HomologyClass(pencil.lattice, a).coords
+    return pencil.lattice.pairing(a, pencil.fibre_class.coords) + pencil.base_points
 
 
 def fibre_degree_blowup_route(pencil: PencilData, a: Sequence[int]) -> int:
@@ -112,15 +110,17 @@ def fibre_degree_blowup_route(pencil: PencilData, a: Sequence[int]) -> int:
     xp = blow_up(pencil.lattice, pencil.base_points)
     twisted = twist(xp, a)
     fibre = list(pencil.fibre_class.coords) + [-1] * pencil.base_points
-    return int(xp.pairing(twisted, fibre))
+    return xp.pairing(twisted, fibre)
 
 
 def residual_fibre_degree(pencil: PencilData, a: Sequence[int]) -> int:
     """Fibre degree of the untwisted residual class i(K - a); together with
-    fibre_degree(a) it fills out 2g - 2."""
+    fibre_degree(a) it fills out 2g - 2. Raises ``TypeError`` when a
+    coordinate of ``a`` is not an ``int``."""
     x = pencil.lattice
+    a = HomologyClass(x, a).coords
     residual = [k - v for k, v in zip(x.canonical, a)]
-    return int(x.pairing(residual, pencil.fibre_class.coords))
+    return x.pairing(residual, pencil.fibre_class.coords)
 
 
 def ratio_convergence(
@@ -191,8 +191,8 @@ def count_decision(
     high_b_plus = x.b_plus > 1 + x.b1
     context = {
         "virtual_dim": d,
-        "a_sq": int(a_sq),
-        "k_dot_a": int(ka),
+        "a_sq": a_sq,
+        "k_dot_a": ka,
         "a_omega": str(a_omega),
         "k_omega": str(k_omega),
         "b_plus": x.b_plus,

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from sympencil.catalog import STANDARD_BUILDERS, lattice_to_dict
-from sympencil.cli import main
+from sympencil.cli import _ReportCommand, main
 from sympencil.strata import MAX_R, MAX_SAMPLES
 
 SCHEMA = json.loads(
@@ -296,6 +296,7 @@ CP2 = lattice_to_dict(STANDARD_BUILDERS["cp2"]())
 # catalog manifold fixture.
 BAD_INPUTS = {
     "bad_json": lambda write, m: ["classify", write('{"label": "cp2", "Q": [[1]')],
+    "not_utf8": lambda write, m: ["manifold-check", write(b'\xff{"label": "cp2"}')],
     "class_width": lambda write, m: ["count", m("e3"), "--class", "1,2"],
     "flag_value": lambda write, m: ["bn", "--g", "five", "--r", "2", "--s", "1"],
     "flag_choice": lambda write, m: ["manifold-check", m("cp2"), "--format", "xml"],
@@ -303,6 +304,8 @@ BAD_INPUTS = {
         "manifold-check", write(json.dumps(dict(CP2, omega=["1/0"])))],
     "omega_pattern": lambda write, m: [
         "manifold-check", write(json.dumps(dict(CP2, omega=["1/-2"])))],
+    "omega_digits": lambda write, m: [
+        "manifold-check", write(json.dumps(dict(CP2, omega=["1" * 5000])))],
     "float_entry": lambda write, m: [
         "manifold-check", write(json.dumps(dict(CP2, Q=[[1.0]])))],
     "string_entry": lambda write, m: [
@@ -321,7 +324,7 @@ BAD_INPUTS = {
 def test_usage_error_is_one_line_on_stderr(runner, manifold_file, tmp_path, case):
     def write(text):
         path = tmp_path / "input.json"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         return str(path)
 
     result = runner.invoke(main, BAD_INPUTS[case](write, manifold_file))
@@ -329,6 +332,14 @@ def test_usage_error_is_one_line_on_stderr(runner, manifold_file, tmp_path, case
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error: "), result.stderr
+
+
+def test_every_command_takes_the_report_path():
+    """Every command is a `_ReportCommand`, so none renders its own report,
+    sets its own exit code or maps its own input errors."""
+    assert len(main.commands) == 9
+    for name, command in main.commands.items():
+        assert isinstance(command, _ReportCommand), name
 
 
 def test_cli_import_does_not_load_process_pool():

@@ -1,11 +1,12 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympencil import exact
+from sympencil import exact, hilb
 from sympencil.exact import (
     RationalMatrix,
     TruncatedSeries,
@@ -309,6 +310,19 @@ class TestRationalMatrixEntries:
         x = RationalMatrix([[entry]]).rows[0][0]
         assert type(x) is Fraction
         assert x == entry and hash(x) == hash(entry)
+
+    @pytest.mark.parametrize("entry", [0.1, 1.0, "1/2", "3", Decimal("0.5")],
+                             ids=["float", "whole_float", "fraction_string",
+                                  "int_string", "decimal"])
+    @pytest.mark.parametrize("build", [
+        lambda x: RationalMatrix([[x]]),
+        lambda x: RationalMatrix([[1]]).apply([x]),
+        lambda x: hilb._as_vector([x]),
+        lambda x: TruncatedSeries([x], 2),
+    ], ids=["constructor", "apply", "as_vector", "series"])
+    def test_inexact_entries_raise(self, build, entry):
+        with pytest.raises(TypeError):
+            build(entry)
 
 
 class TestCharPoly:

@@ -106,6 +106,25 @@ class TestFibreDegree:
                 )
 
 
+    def test_non_integer_class_not_truncated(self):
+        cp2 = STANDARD_BUILDERS["cp2"]()
+        with pytest.warns(UserWarning):
+            p = build_pencil(cp2, 3)
+        for route in (fibre_degree, residual_fibre_degree,
+                      fibre_degree_blowup_route):
+            with pytest.raises(TypeError):
+                route(p, [1.9])
+
+    def test_class_length_checked(self):
+        cp2 = STANDARD_BUILDERS["cp2"]()
+        with pytest.warns(UserWarning):
+            p = build_pencil(cp2, 3)
+        for route in (fibre_degree, residual_fibre_degree,
+                      fibre_degree_blowup_route):
+            with pytest.raises(ValueError):
+                route(p, [1, 2])
+
+
 class TestRatioConvergence:
     def test_plane_value_at_fifty(self):
         cp2 = STANDARD_BUILDERS["cp2"]()

@@ -57,15 +57,36 @@ def _text_lines(payload, prefix: str = ""):
             if isinstance(value, (dict, list)):
                 yield from _text_lines(value, prefix=f"{name}.")
             else:
-                yield f"{name}: {value}"
+                yield f"{name}: {_text_value(value)}"
     elif isinstance(payload, list):
         if all(not isinstance(v, (dict, list)) for v in payload):
-            yield f"{prefix.rstrip('.')}: {', '.join(str(v) for v in payload)}"
+            items = ", ".join(_text_value(v) for v in payload)
+            yield f"{prefix.rstrip('.')}: {items}"
         else:
             for i, value in enumerate(payload):
                 yield from _text_lines(value, prefix=f"{prefix}{i}.")
     else:
-        yield f"{prefix.rstrip('.')}: {payload}"
+        yield f"{prefix.rstrip('.')}: {_text_value(payload)}"
+
+
+def _text_value(value) -> str:
+    """A scalar as text. A string with a newline or another unprintable
+    character is written as its JSON literal, so one value stays on one
+    line and cannot forge another key's line."""
+    if isinstance(value, str) and not value.isprintable():
+        return json.dumps(value)
+    return str(value)
+
+
+def _parse_int(text: str) -> int:
+    """An integer in the omega rule's form ``-?[0-9]+``, ASCII spaces
+    around it allowed; anything else raises ``ValueError``. ``int()``
+    alone also takes ``"+1"``, ``"1_0"`` and non-ASCII digits."""
+    text = text.strip(" ")
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _load_json(path: str):
@@ -88,7 +109,7 @@ def _load_lattice(path: str) -> FourManifoldLattice:
 
 def _parse_class(text: str, width: int) -> tuple[int, ...]:
     try:
-        coords = tuple(int(part.strip()) for part in text.split(","))
+        coords = tuple(_parse_int(part) for part in text.split(","))
     except ValueError:
         raise click.UsageError(f"class {text!r} is not a comma-separated integer list")
     if len(coords) != width:
@@ -376,7 +397,7 @@ def hilb_cmd(r, samples, seed, stratum):
 
     workers_text = os.environ.get(WORKERS_ENV, "1")
     try:
-        workers = int(workers_text)
+        workers = _parse_int(workers_text)
         if workers < 1:
             raise ValueError
     except ValueError:

@@ -260,6 +260,8 @@ def _cleared_integer_rows(m: RationalMatrix) -> list[list[int]]:
     """Scale each row to integers (by the lcm of denominators, then the gcd).
 
     Row scaling by nonzero rationals changes neither the rank nor the kernel.
+    Each entry is scaled in integers, as ``numerator * (lcm // denominator)``,
+    which is the numerator of ``x * lcm`` without a ``Fraction`` product.
     """
     rows = []
     for row in m.rows:
@@ -267,7 +269,7 @@ def _cleared_integer_rows(m: RationalMatrix) -> list[list[int]]:
         for x in row:
             d = x.denominator
             denlcm = denlcm * d // math.gcd(denlcm, d)
-        ints = [(x * denlcm).numerator for x in row]
+        ints = [x.numerator * (denlcm // x.denominator) for x in row]
         g = 0
         for v in ints:
             g = math.gcd(g, v)

@@ -90,6 +90,20 @@ class TestManifoldCheck:
         assert "label: cp2" in result.output
         assert "valid: True" in result.output
 
+    def test_text_format_label_cannot_forge_a_line(self, runner, tmp_path):
+        # A label with a newline is written as its JSON literal, so it is
+        # one label line and no false verdict line follows it.
+        data = lattice_to_dict(STANDARD_BUILDERS["cp2"]())
+        data["label"] = "a\nvalid: False"
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps(data))
+        result = check(runner, ["manifold-check", str(path), "--format", "text"])
+        lines = result.output.splitlines()
+        assert [ln for ln in lines if ln.startswith("label:")] == [
+            'label: "a\\nvalid: False"']
+        assert "valid: False" not in lines
+        assert "valid: True" in lines
+
 
 class TestGromovAndDuality:
     def canonical_args(self, name):
@@ -130,6 +144,12 @@ class TestGromovAndDuality:
 
 
 class TestPencilAndCount:
+    def test_class_parts_may_have_ascii_spaces(self, runner, manifold_file):
+        s2xs2 = manifold_file("s2xs2")
+        spaced = check(runner, ["count", s2xs2, "--class", " 1, 0 "])
+        plain = check(runner, ["count", s2xs2, "--class", "1,0"])
+        assert spaced.output == plain.output
+
     def test_pencil_cubic(self, runner, manifold_file):
         result = check(runner, ["pencil", manifold_file("cp2"), "--k", "3"])
         payload = parsed(result)
@@ -298,6 +318,10 @@ BAD_INPUTS = {
     "bad_json": lambda write, m: ["classify", write('{"label": "cp2", "Q": [[1]')],
     "not_utf8": lambda write, m: ["manifold-check", write(b'\xff{"label": "cp2"}')],
     "class_width": lambda write, m: ["count", m("e3"), "--class", "1,2"],
+    "class_arabic_indic_digit": lambda write, m: ["count", m("cp2"), "--class", "\u0661"],
+    "class_plus_sign": lambda write, m: ["count", m("cp2"), "--class", "+1"],
+    "class_underscore": lambda write, m: ["count", m("cp2"), "--class", "1_0"],
+    "class_tab": lambda write, m: ["count", m("cp2"), "--class", "\t1"],
     "flag_value": lambda write, m: ["bn", "--g", "five", "--r", "2", "--s", "1"],
     "flag_choice": lambda write, m: ["manifold-check", m("cp2"), "--format", "xml"],
     "zero_denominator": lambda write, m: [
@@ -317,6 +341,13 @@ BAD_INPUTS = {
     "unknown_option": lambda write, m: ["--bogus"],
     "unknown_command": lambda write, m: ["transmogrify"],
     "missing_command": lambda write, m: [],
+    # (arguments, environment) pairs
+    "workers_underscore": lambda write, m: (
+        ["hilb", "--r", "1", "--samples", "2"], {"SYMPENCIL_WORKERS": "1_0"}),
+    "workers_plus_sign": lambda write, m: (
+        ["hilb", "--r", "1", "--samples", "2"], {"SYMPENCIL_WORKERS": "+1"}),
+    "workers_non_ascii_digit": lambda write, m: (
+        ["hilb", "--r", "1", "--samples", "2"], {"SYMPENCIL_WORKERS": "\u0661"}),
 }
 
 
@@ -327,7 +358,9 @@ def test_usage_error_is_one_line_on_stderr(runner, manifold_file, tmp_path, case
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
         return str(path)
 
-    result = runner.invoke(main, BAD_INPUTS[case](write, manifold_file))
+    args = BAD_INPUTS[case](write, manifold_file)
+    args, env = args if isinstance(args, tuple) else (args, None)
+    result = runner.invoke(main, args, env=env)
     assert result.exit_code == 2, result.output
     assert result.stdout == ""
     lines = result.stderr.splitlines()

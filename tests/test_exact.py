@@ -3,7 +3,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sympencil import exact, hilb
@@ -292,6 +292,64 @@ class TestKernelVerifierChecksTheInput:
         monkeypatch.setattr(exact, "_integer_echelon", faulty)
         with pytest.raises(RuntimeError, match="re-substitution"):
             rank_and_kernel(_WIDE)
+
+
+def _cleared_by_fraction_products(m):
+    """The clearing oracle: each row times the lcm of its denominators,
+    taken as Fraction products, then divided by the gcd of its entries."""
+    rows = []
+    for row in m.rows:
+        denlcm = math.lcm(*(x.denominator for x in row))
+        ints = [(x * denlcm).numerator for x in row]
+        g = math.gcd(*ints)
+        rows.append([v // g for v in ints] if g > 1 else ints)
+    return rows
+
+
+@st.composite
+def _clearing_matrices(draw):
+    """Rational matrices with zero rows, signed entries and denominators
+    from 1 up to 2**70, so some exceed 2**61."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.integers(-(2**70), 2**70),
+        st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**70)),
+    )
+    row = st.one_of(st.just([0] * ncols),
+                    st.lists(entry, min_size=ncols, max_size=ncols))
+    return draw(st.lists(row, min_size=1, max_size=6))
+
+
+class TestClearedIntegerRows:
+    """Clearing in integer arithmetic gives the integers the Fraction
+    products gave, so the echelon's input is unchanged."""
+
+    @given(_clearing_matrices())
+    @settings(max_examples=200)
+    @example([[0, 0, 0]])
+    @example([[Fraction(-3, 2**61 + 1)], [Fraction(5, 2**62)], [0]])
+    @example([[Fraction(-2, 3), Fraction(4, 9), 0], [0, 0, 0],
+              [Fraction(1, 2**64 - 1), -7, Fraction(-6, 2**63)]])
+    def test_matches_fraction_products(self, rows):
+        m = RationalMatrix(rows)
+        cleared = exact._cleared_integer_rows(m)
+        assert cleared == _cleared_by_fraction_products(m)
+        assert all(type(v) is int for row in cleared for v in row)
+
+    def test_no_fraction_products(self, monkeypatch):
+        m = RationalMatrix([[Fraction(1, 6), Fraction(-3, 4), 0],
+                            [Fraction(5, 2**61 + 3), 2, Fraction(-1, 3)]])
+        expected = _cleared_by_fraction_products(m)
+
+        def refuse(*args):
+            raise AssertionError("Fraction product while clearing rows")
+
+        monkeypatch.setattr(Fraction, "__mul__", refuse)
+        monkeypatch.setattr(Fraction, "__rmul__", refuse)
+        cleared = exact._cleared_integer_rows(m)
+        monkeypatch.undo()
+        assert cleared == expected
 
 
 class _Half(Fraction):

@@ -24,6 +24,8 @@ class BNQuery(Record):
     s: int
 
     def __post_init__(self):
+        if not all(type(v) is int for v in (self.g, self.r, self.s)):
+            raise TypeError("g, r and s must be integers")
         if self.g < 2:
             raise ValueError("genus must be at least 2")
         if self.s < 0:

@@ -3,10 +3,12 @@ rational matrices with certified rank/kernel computation and their
 characteristic polynomials.
 
 Everything in this module is exact. Scalars are ``int`` or
-``fractions.Fraction``; floats never enter. The rank routine runs a
-fraction-free integer elimination and returns the kernel as primitive
-integer vectors. Its result is certified from both sides, each from the
-input matrix's own entries: every kernel vector is re-substituted into them
+``fractions.Fraction``; floats never enter. One clearing rule
+(``_primitive``) and one fraction-free reducer (``_insert``) build every
+integer echelon, the rank routine's and ``hilb.is_stable``'s. The rank
+routine returns the kernel as primitive integer vectors. Its result is
+certified from both sides by code that uses neither, each from the input
+matrix's own entries: every kernel vector is re-substituted into them
 exactly, in integers (the upper bound), and an independent elimination of
 them over a large prime field must reach the same rank (the lower bound).
 It raises if either check fails.
@@ -15,6 +17,7 @@ It raises if either check fails.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -256,71 +259,55 @@ def char_poly(m: RationalMatrix) -> list[Fraction]:
     return coeffs
 
 
+def _primitive(values: Sequence[Rational]) -> list[int]:
+    """The primitive integer vector on the ray of a rational vector (zero
+    stays zero): each entry becomes ``numerator * (lcm // denominator)``,
+    with no ``Fraction`` product, and the result is divided by its gcd."""
+    denlcm = math.lcm(*(x.denominator for x in values))
+    ints = [x.numerator * (denlcm // x.denominator) for x in values]
+    g = math.gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
 def _cleared_integer_rows(m: RationalMatrix) -> list[list[int]]:
-    """Scale each row to integers (by the lcm of denominators, then the gcd).
+    """Each row of m on its primitive integer ray; row scaling by nonzero
+    rationals changes neither the rank nor the kernel."""
+    return [_primitive(row) for row in m.rows]
 
-    Row scaling by nonzero rationals changes neither the rank nor the kernel.
-    Each entry is scaled in integers, as ``numerator * (lcm // denominator)``,
-    which is the numerator of ``x * lcm`` without a ``Fraction`` product.
+
+def _insert(row: list[int], echelon: list[tuple[int, list[int]]]
+            ) -> Optional[list[int]]:
+    """Reduce row against the echelon, divide it by its gcd and insert it;
+    return it, or None (echelon unchanged) when it reduces to zero.
+
+    The echelon lists ``(pivot column, row)`` by increasing pivot, each row
+    zero left of its pivot. Clearing a pivot column in that order touches
+    only later columns, so the result is zero at every pivot column and its
+    first nonzero column is a new pivot. The gcd division keeps entry
+    growth under control.
     """
-    rows = []
-    for row in m.rows:
-        denlcm = 1
-        for x in row:
-            d = x.denominator
-            denlcm = denlcm * d // math.gcd(denlcm, d)
-        ints = [x.numerator * (denlcm // x.denominator) for x in row]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        rows.append(ints)
-    return rows
+    for pc, e in echelon:
+        f = row[pc]
+        if f:
+            p = e[pc]
+            g = math.gcd(p, f)
+            p, f = p // g, f // g
+            row = [p * a - f * b for a, b in zip(row, e)]
+    g = math.gcd(*row)
+    if not g:
+        return None
+    if g > 1:
+        row = [a // g for a in row]
+    insort(echelon, (next(c for c, a in enumerate(row) if a), row))
+    return row
 
 
-def _integer_echelon(
-    rows: list[list[int]], ncols: int
-) -> tuple[int, list[int], list[list[int]]]:
-    """Fraction-free row echelon form of integer rows.
-
-    Returns ``(rank, pivot_columns, echelon_rows)``. Cross-multiplication
-    keeps everything integral; each updated row is divided by its gcd, which
-    is what keeps entry growth under control.
-    """
-    work = [r[:] for r in rows if any(r)]
-    pivots: list[int] = []
-    ech: list[list[int]] = []
-    col = 0
-    while work and col < ncols:
-        best = -1
-        for i, r in enumerate(work):
-            if r[col] and (best < 0 or abs(r[col]) < abs(work[best][col])):
-                best = i
-        if best < 0:
-            col += 1
-            continue
-        pivot_row = work.pop(best)
-        p = pivot_row[col]
-        nxt = []
-        for r in work:
-            f = r[col]
-            if f:
-                r = [p * a - f * b for a, b in zip(r, pivot_row)]
-                g = 0
-                for v in r:
-                    g = math.gcd(g, v)
-                if g > 1:
-                    r = [v // g for v in r]
-                if any(r):
-                    nxt.append(r)
-            else:
-                nxt.append(r)
-        work = nxt
-        ech.append(pivot_row)
-        pivots.append(col)
-        col += 1
-    return len(pivots), pivots, ech
+def _integer_echelon(rows: list[list[int]]) -> list[tuple[int, list[int]]]:
+    """Fraction-free echelon of integer rows, as :func:`_insert` keeps it."""
+    echelon: list[tuple[int, list[int]]] = []
+    for row in rows:
+        _insert(row, echelon)
+    return echelon
 
 
 def _rows_mod_prime(
@@ -455,11 +442,12 @@ def rank_and_kernel(
     so persistent disagreement means a real inconsistency).
     """
     ncols = m.ncols
-    rank, pivots, ech = _integer_echelon(_cleared_integer_rows(m), ncols)
+    ech = _integer_echelon(_cleared_integer_rows(m))
+    rank = len(ech)
     bottom_up = [(pc, row[pc], [(c, row[c]) for c in range(pc + 1, ncols)
                                 if row[c]])
-                 for pc, row in zip(reversed(pivots), reversed(ech))]
-    pivset = set(pivots)
+                 for pc, row in reversed(ech)]
+    pivset = {pc for pc, _ in ech}
     basis = [_back_substituted(fc, bottom_up, ncols)
              for fc in range(ncols) if fc not in pivset]
     # Both bounds read m's own nonzero entries, not the cleared rows.

@@ -41,8 +41,10 @@ class CohomologyProfile(Record):
     def __post_init__(self):
         for name in ("h0", "h1", "h2"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
-                raise ValueError(f"{name} must be a nonnegative integer")
+            if type(v) is not int:
+                raise TypeError(f"{name} must be an integer")
+            if v < 0:
+                raise ValueError(f"{name} must be nonnegative")
         expected = riemann_roch_chi(self.divisor.lattice, self.divisor.coords)
         if self.chi != expected:
             raise ValueError(
@@ -78,6 +80,8 @@ def vanishing_profile(
     middle dimension is instead pinned by chi. Implied negative h1 means the
     supplied dimensions were inconsistent.
     """
+    if type(h0_d) is not int or type(h0_k_minus_d) is not int:
+        raise TypeError("section dimensions must be integers")
     if x.b1 != 0:
         raise ValueError("vanishing closure needs b1 = 0")
     if h0_d < 0 or h0_k_minus_d < 0:

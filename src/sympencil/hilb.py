@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import os
 import random
-from bisect import insort
 from collections import deque
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence, Union
 
 # rank_and_kernel is looked up on its module at each call, so a wrapper set
@@ -78,44 +77,22 @@ def _is_scalar_matrix(m: RationalMatrix, scalar: Fraction) -> bool:
     return True
 
 
-def _reduced(row: list[int], echelon: list[tuple[int, list[int]]]
-             ) -> Optional[list[int]]:
-    """row reduced against the echelon rows and divided by its gcd, or None
-    when it reduces to zero.
-
-    The echelon lists ``(pivot column, row)`` by increasing pivot, each row
-    zero left of its pivot. Clearing a pivot column in that order touches
-    only later columns, so every pivot column of the result is zero.
-    """
-    for pc, e in echelon:
-        f = row[pc]
-        if f:
-            p = e[pc]
-            g = gcd(p, f)
-            p, f = p // g, f // g
-            row = [p * a - f * b for a, b in zip(row, e)]
-    g = gcd(*row)
-    if not g:
-        return None
-    return row if g == 1 else [a // g for a in row]
-
-
 def is_stable(b1: RationalMatrix, b2: RationalMatrix,
               v: Sequence[Rational]) -> bool:
     """Whether the smallest subspace containing v and preserved by both
     matrices is the whole space.
 
-    The span grows in one integer echelon. Each queued vector is cleared by
-    the lcm of its denominators, reduced against the echelon and
-    gcd-normalised. A vector that survives is accepted, its primitive row
+    The span grows in one integer echelon, by ``exact``'s clearing rule and
+    reducer. A queued vector that survives is accepted, its primitive row
     joins the echelon and its nonzero images are queued; one that reduces
     to zero is spent. Growth stops when r vectors are accepted or the queue
     runs empty.
 
     The verdict is then certified by a single ``exact.rank_and_kernel``
     call on the accepted vectors together with the spent ones, which must
-    have rank exactly the number accepted, or ``RuntimeError`` is raised.
-    With r accepted, that rank proves stability. With fewer, every nonzero
+    have rank exactly the number accepted, or ``RuntimeError`` is raised;
+    its two bounds use neither the clearing rule nor the reducer. With r
+    accepted, that rank proves stability. With fewer, every nonzero
     image of an accepted vector was accepted or spent, and the rank proves
     their span invariant: a proper subspace containing v.
     """
@@ -127,14 +104,9 @@ def is_stable(b1: RationalMatrix, b2: RationalMatrix,
     queue = deque([_as_vector(v)])
     while queue and len(accepted) < r:
         w = queue.popleft()
-        denlcm = lcm(*(x.denominator for x in w))
-        row = _reduced([x.numerator * (denlcm // x.denominator) for x in w],
-                       echelon)
-        if row is None:
+        if exact._insert(exact._primitive(w), echelon) is None:
             spent.append(w)
             continue
-        pivot = next(c for c, a in enumerate(row) if a)
-        insort(echelon, (pivot, row))
         accepted.append(w)
         for image in (b1.apply(w), b2.apply(w)):
             if any(image):
@@ -369,8 +341,7 @@ def _positive_divisors(n: int) -> list[int]:
 
 def _one_rational_root(coeffs: list[Fraction]) -> Optional[Fraction]:
     """A rational root of the monic polynomial, or None."""
-    denom_lcm = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom_lcm) for c in coeffs]
+    ints = exact._primitive(coeffs)
     const, lead = ints[0], ints[-1]
     for p in _positive_divisors(const):
         for q in _positive_divisors(lead):
@@ -462,10 +433,13 @@ def certify_stratum(stratum: str, r: int, samples: int, seed: int = 1729,
     samples)`` worker processes run, and none when that is 1.  The
     singular stratum cycles through all chain splits (n, m) as the index
     advances.  ``r`` may be at most ``MAX_R`` and ``samples`` at most
-    ``MAX_SAMPLES``; both are checked before anything is sampled.
+    ``MAX_SAMPLES``; both are checked before anything is sampled, and
+    all four integer arguments must be exactly ``int`` (``TypeError``).
     """
     if stratum not in STRATA:
         raise ValueError(f"unknown stratum {stratum!r}; choose from {STRATA}")
+    if not all(type(v) is int for v in (r, samples, seed, workers)):
+        raise TypeError("r, samples, seed and workers must be integers")
     if not 1 <= r <= MAX_R:
         raise ValueError(f"matrix size r must be between 1 and {MAX_R}")
     if not 1 <= samples <= MAX_SAMPLES:

@@ -394,6 +394,8 @@ class BlownUpLattice(FourManifoldLattice):
     __slots__ = ("base", "n_exceptional")
 
     def __init__(self, base: FourManifoldLattice, n_exceptional: int):
+        if type(n_exceptional) is not int:
+            raise TypeError("the number of blown-up points must be an integer")
         if n_exceptional < 1:
             raise ValueError("need at least one exceptional class")
         nb = base.b2

@@ -11,11 +11,11 @@ members, e(X) + N = 2(2 - 2g) + delta.
 
 from __future__ import annotations
 
-import math
 import warnings
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .exact import _primitive
 from .gromov import CohomologyProfile, gromov_invariant
 from .lattice import FourManifoldLattice, HomologyClass, blow_up, twist
 from .record import Record
@@ -37,16 +37,10 @@ class PencilData(Record):
 
 def primitive_symplectic_class(x: FourManifoldLattice) -> tuple[int, ...]:
     """The primitive integral class on the ray of omega."""
-    denlcm = 1
-    for q in x.omega:
-        denlcm = denlcm * q.denominator // math.gcd(denlcm, q.denominator)
-    ints = [(q * denlcm).numerator for q in x.omega]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if g == 0:
+    ints = _primitive(x.omega)
+    if not any(ints):
         raise ValueError("omega is zero")
-    return tuple(v // g for v in ints)
+    return tuple(ints)
 
 
 def build_pencil(x: FourManifoldLattice, k: int) -> PencilData:
@@ -56,6 +50,8 @@ def build_pencil(x: FourManifoldLattice, k: int) -> PencilData:
     Warns when the fibre genus comes out below 2, where the high-degree
     asymptotics the construction is meant for do not yet apply.
     """
+    if type(k) is not int:
+        raise TypeError("pencil degree k must be an integer")
     if k < 1:
         raise ValueError("pencil degree k must be positive")
     w0 = primitive_symplectic_class(x)

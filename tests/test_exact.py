@@ -284,10 +284,10 @@ class TestKernelVerifierChecksTheInput:
     def test_faulty_echelon_is_caught(self, monkeypatch, row):
         echelon = exact._integer_echelon
 
-        def faulty(rows, ncols):
-            rank, pivots, ech = echelon(rows, ncols)
-            ech[row][3] += 1  # column 3 is the free column
-            return rank, pivots, ech
+        def faulty(rows):
+            ech = echelon(rows)
+            ech[row][1][3] += 1  # column 3 is the free column
+            return ech
 
         monkeypatch.setattr(exact, "_integer_echelon", faulty)
         with pytest.raises(RuntimeError, match="re-substitution"):

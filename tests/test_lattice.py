@@ -18,7 +18,10 @@ from sympencil.catalog import (
     parse_rational,
     spin_model,
 )
+from sympencil.brill_noether import BNQuery
 from sympencil.exact import RationalMatrix, char_poly
+from sympencil.gromov import CohomologyProfile, vanishing_profile
+from sympencil.hilb import certify_stratum
 from sympencil.lattice import (
     BlownUpLattice,
     FourManifoldLattice,
@@ -31,6 +34,7 @@ from sympencil.lattice import (
     signature_of_symmetric,
     twist,
 )
+from sympencil.pencil import build_pencil
 
 
 def _catalog():
@@ -482,3 +486,36 @@ class TestManifoldFiles:
         bad = dict(lattice_to_dict(STANDARD_BUILDERS["cp2"]()), Q=[[entry]])
         with pytest.raises(ValueError, match="intersection form entries"):
             lattice_from_dict(bad)
+
+
+def _e3_canonical_profile(h0, h2):
+    e3 = STANDARD_BUILDERS["e3"]()
+    return vanishing_profile(e3, e3.canonical, h0, h2)
+
+
+def _e3_structure_profile(h0):
+    e3 = STANDARD_BUILDERS["e3"]()
+    return CohomologyProfile(h0, 0, 2, HomologyClass(e3, (0,) * e3.b2))
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 5.5])
+@pytest.mark.parametrize("call", [
+    lambda v: BNQuery(v, 2, 1),
+    lambda v: BNQuery(5, v, 1),
+    lambda v: BNQuery(5, 2, v),
+    lambda v: blow_up(STANDARD_BUILDERS["cp2"](), v),
+    lambda v: certify_stratum("smooth", v, 1),
+    lambda v: certify_stratum("smooth", 1, v),
+    lambda v: certify_stratum("smooth", 1, 1, seed=v),
+    lambda v: certify_stratum("smooth", 1, 1, workers=v),
+    lambda v: _e3_canonical_profile(v, 1),
+    lambda v: _e3_canonical_profile(2, v),
+    lambda v: _e3_structure_profile(v),
+    lambda v: build_pencil(STANDARD_BUILDERS["cp2"](), v),
+], ids=["bn_g", "bn_r", "bn_s", "blow_up", "certify_r", "certify_samples",
+        "certify_seed", "certify_workers", "vanishing_h0", "vanishing_h2",
+        "profile_h0", "build_pencil"])
+def test_integer_parameters_are_exact_ints(call, value):
+    # A bool or a float is neither coerced nor carried into a result.
+    with pytest.raises(TypeError, match="integer"):
+        call(value)

@@ -216,6 +216,8 @@ def elliptic_like(n: int) -> FourManifoldLattice:
 
     Form diag(+1 x (2n-1), -1 x (10n-1)); K has n threes, then ones.
     """
+    if type(n) is not int:
+        raise TypeError("n must be an integer")
     if n < 1:
         raise ValueError("n must be at least 1")
     pos, neg = 2 * n - 1, 10 * n - 1
@@ -240,6 +242,8 @@ def spin_model(n: int) -> FourManifoldLattice:
     """Even-form model with b+ = 4n - 1, K.K = 0, chi_h = 2n: the
     numerology of a spin elliptic surface with canonical class twice a
     primitive square-zero vector."""
+    if type(n) is not int:
+        raise TypeError("n must be an integer")
     if n < 1:
         raise ValueError("n must be at least 1")
     blocks = [HYPERBOLIC] * (4 * n - 1) + [negated(E8_GRAM)] * (2 * n)

@@ -25,6 +25,7 @@ import warnings
 
 import click
 
+from . import __version__
 from .catalog import format_rational, lattice_from_dict, manifold_fields
 from .gromov import duality_check, gromov_invariant, serre_dual, vanishing_profile
 from .lattice import FourManifoldLattice, is_even_form
@@ -107,6 +108,12 @@ def _load_lattice(path: str) -> FourManifoldLattice:
         raise click.UsageError(f"{path}: {exc}")
 
 
+def _record_payload(record) -> dict:
+    """A record's fields by name, with tuples written as lists."""
+    return {name: list(value) if isinstance(value, tuple) else value
+            for name, value in zip(record._fields, record._values())}
+
+
 def _parse_class(text: str, width: int) -> tuple[int, ...]:
     try:
         coords = tuple(_parse_int(part) for part in text.split(","))
@@ -168,14 +175,28 @@ class _Group(click.Group):
 
 
 @click.group(cls=_Group, no_args_is_help=False)
-@click.version_option(package_name="sympencil")
+@click.version_option(version=__version__)
 def main():
     """Exact invariants of symplectic surface counting: lattices, section
     profiles, pencils, linear systems, and matrix-model certification."""
 
 
+# Shared by the commands that read a manifold file or decide a class.
+_MANIFOLD = click.argument("manifold", type=click.Path(exists=True, dir_okay=False))
+_CLASS = click.option("--class", "class_", required=True,
+                      help="Divisor class, comma-separated integers.")
+
+
+def _profile_options(command):
+    """``--h0`` and ``--h2``: the section dimensions of D and of K - D."""
+    command = click.option("--h2", required=True, type=int,
+                           help="Sections of the residual class K - D.")(command)
+    return click.option("--h0", required=True, type=int,
+                        help="Sections of the class.")(command)
+
+
 @main.command("manifold-check")
-@click.argument("manifold", type=click.Path(exists=True, dir_okay=False))
+@_MANIFOLD
 def manifold_check(manifold):
     """Validate a manifold file and report its characteristic numbers."""
     data = _load_json(manifold)
@@ -211,13 +232,9 @@ def manifold_check(manifold):
     }
 
 @main.command("gromov")
-@click.argument("manifold", type=click.Path(exists=True, dir_okay=False))
-@click.option("--class", "class_", required=True,
-              help="Divisor class, comma-separated integers.")
-@click.option("--h0", required=True, type=int,
-              help="Sections of the class.")
-@click.option("--h2", required=True, type=int,
-              help="Sections of the residual class K - D.")
+@_MANIFOLD
+@_CLASS
+@_profile_options
 def gromov_cmd(manifold, class_, h0, h2):
     """Surface count of a class from its two section dimensions."""
     x = _load_lattice(manifold)
@@ -242,13 +259,9 @@ def gromov_cmd(manifold, class_, h0, h2):
 
 
 @main.command("duality")
-@click.argument("manifold", type=click.Path(exists=True, dir_okay=False))
-@click.option("--class", "class_", required=True,
-              help="Divisor class, comma-separated integers.")
-@click.option("--h0", required=True, type=int,
-              help="Sections of the class.")
-@click.option("--h2", required=True, type=int,
-              help="Sections of the residual class K - D.")
+@_MANIFOLD
+@_CLASS
+@_profile_options
 def duality_cmd(manifold, class_, h0, h2):
     """Check |count(D)| = |count(K - D)| for a section profile."""
     x = _load_lattice(manifold)
@@ -278,7 +291,7 @@ def duality_cmd(manifold, class_, h0, h2):
 
 
 @main.command("pencil")
-@click.argument("manifold", type=click.Path(exists=True, dir_okay=False))
+@_MANIFOLD
 @click.option("--k", required=True, type=int,
               help="Multiple of the primitive symplectic class to use as fibre.")
 @click.option("--class", "class_", default=None,
@@ -314,23 +327,15 @@ def pencil_cmd(manifold, k, class_):
 
 
 @main.command("count")
-@click.argument("manifold", type=click.Path(exists=True, dir_okay=False))
-@click.option("--class", "class_", required=True,
-              help="Class to decide, comma-separated integers.")
+@_MANIFOLD
+@_CLASS
 def count_cmd(manifold, class_):
     """Decide a standard surface count from quoted hypotheses."""
     x = _load_lattice(manifold)
     coords = _parse_class(class_, x.b2)
     verdict = count_decision(x, coords)
-    return {
-        "label": x.label,
-        "class": list(coords),
-        "kind": verdict.kind,
-        "reason": verdict.reason,
-        "value": verdict.value,
-        "context": verdict.context,
-        "citations": [verdict.reason],
-    }
+    return {"label": x.label, "class": list(coords), **_record_payload(verdict),
+            "citations": [verdict.reason]}
 
 
 @main.command("bn")
@@ -366,10 +371,7 @@ def aj_fibres_cmd(g, r):
     return {
         "g": g,
         "r": r,
-        "generic_dim": prof.generic_dim,
-        "jump_dim": prof.jump_dim,
-        "jump_locus_degree": prof.jump_locus_degree,
-        "descriptor": prof.descriptor,
+        **_record_payload(prof),
         "citations": [
             "generic fibre dimension r - g",
             "jump by one over the degree 2g - 2 - r symmetric product",
@@ -407,14 +409,8 @@ def hilb_cmd(r, samples, seed, stratum):
     report = hilb.certify_stratum(stratum, r, samples, seed=seed,
                                   workers=workers)
     return {
-        "stratum": report.stratum,
-        "r": report.r,
-        "samples": report.samples,
+        **_record_payload(report),
         "seed": seed,
-        "failures": report.failures,
-        "kernel_dims_observed": list(report.kernel_dims_observed),
-        "expected_kernel_dim": report.expected_kernel_dim,
-        "passed": report.passed,
         "citations": [
             "kernel of (C1, C2, mu) -> (C1 B2 + B1 C2 - mu I, B2 C1 + C2 B1 - mu I) "
             "has dimension r^2 + 1 at every point",
@@ -423,7 +419,7 @@ def hilb_cmd(r, samples, seed, stratum):
 
 
 @main.command("classify")
-@click.argument("manifold", type=click.Path(exists=True, dir_okay=False))
+@_MANIFOLD
 @click.option("--classes", "classes_path", default=None,
               type=click.Path(exists=True, dir_okay=False),
               help="JSON file with an array of class vectors to decide.")
@@ -450,15 +446,8 @@ def classify_cmd(manifold, classes_path):
                 )
         classes = [tuple(row) for row in data]
     reports = applications.run_all(x, classes)
-    return [
-        {
-            "check_name": rep.check_name,
-            "verdict": rep.verdict,
-            "cited_hypotheses": list(rep.cited_hypotheses),
-            "numbers": rep.numbers,
-        }
-        for rep in reports
-    ], all(rep.verdict != "fail" for rep in reports)
+    return ([_record_payload(rep) for rep in reports],
+            all(rep.verdict != "fail" for rep in reports))
 
 
 if __name__ == "__main__":

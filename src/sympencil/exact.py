@@ -6,12 +6,12 @@ Everything in this module is exact. Scalars are ``int`` or
 ``fractions.Fraction``; floats never enter. One clearing rule
 (``_primitive``) and one fraction-free reducer (``_insert``) build every
 integer echelon, the rank routine's and ``hilb.is_stable``'s. The rank
-routine returns the kernel as primitive integer vectors. Its result is
-certified from both sides by code that uses neither, each from the input
-matrix's own entries: every kernel vector is re-substituted into them
-exactly, in integers (the upper bound), and an independent elimination of
-them over a large prime field must reach the same rank (the lower bound).
-It raises if either check fails.
+routine returns the kernel as primitive integer vectors, and one verifier
+(``_certify``) checks its result from the input matrix's own rows, scaled
+to integers row by row, using none of that code: the kernel vectors must
+be independent and each re-substituted exactly to zero (the upper bound),
+and an elimination of the same rows over a large prime field must reach
+the same rank (the lower bound). It raises if any check fails.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from typing import Iterable, Optional, Sequence, Union
 Rational = Union[int, Fraction]
 
 # Mersenne primes used for the independent rank check. The second is only
-# consulted if the first disagrees with the rational elimination or divides
-# a denominator (a prime can be unlucky when it divides every maximal minor,
+# consulted if the first disagrees with the rational elimination (a prime
+# can be unlucky when it divides every maximal minor of the integer rows,
 # so one retry is allowed before declaring the pipeline inconsistent).
 _CHECK_PRIMES = (2**61 - 1, 2**31 - 1)
 
@@ -92,12 +92,6 @@ class TruncatedSeries:
         if self.cap != other.cap:
             raise ValueError(f"truncation caps differ: {self.cap} vs {other.cap}")
         return self.cap
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        cap = self._common_cap(other)
-        return TruncatedSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], cap
-        )
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         cap = self._common_cap(other)
@@ -310,31 +304,6 @@ def _integer_echelon(rows: list[list[int]]) -> list[tuple[int, list[int]]]:
     return echelon
 
 
-def _rows_mod_prime(
-    entries: list[list[tuple[int, Fraction]]], ncols: int, p: int
-) -> Optional[list[list[int]]]:
-    """Dense rows of a matrix's own nonzero entries reduced mod p, or None
-    when p divides a denominator.
-
-    Reads nothing that the integer elimination produced, so a fault in
-    clearing the rows to integers cannot reach the GF(p) rank.
-    """
-    inverses = {1: 1}
-    rows = []
-    for row in entries:
-        rr = [0] * ncols
-        for c, x in row:
-            d = x.denominator
-            inv = inverses.get(d)
-            if inv is None:
-                if d % p == 0:
-                    return None
-                inv = inverses[d] = pow(d, -1, p)
-            rr[c] = x.numerator * inv % p
-        rows.append(rr)
-    return rows
-
-
 def _rank_mod_prime(rows: list[list[int]], ncols: int, p: int) -> int:
     """Rank over GF(p), by ordinary Gaussian elimination, of integer rows
     already reduced mod p."""
@@ -400,26 +369,56 @@ def _back_substituted(
     return tuple(x)
 
 
-def _annihilates(
-    entries: list[list[tuple[int, Fraction]]], basis: list[tuple[int, ...]]
-) -> bool:
-    """Whether every vector of basis is mapped to zero exactly by the
-    matrix with these nonzero entries.
+def _certify(m: RationalMatrix, rank: int,
+             basis: Sequence[Sequence[int]], free: Sequence[int]) -> None:
+    """Check that ``m`` has rank ``rank`` and that ``basis``, the vector of
+    each free column in ``free`` in order, spans its kernel; raise
+    ``RuntimeError`` otherwise.
 
-    Works from the matrix's own entries, each row scaled by the lcm of its
-    denominators, so it shares nothing with the elimination it checks.
+    Trusts nothing from the elimination that made the claim. The rows of
+    ``m`` are read once, each scaled to integers by the lcm of its
+    denominators, which changes neither rank nor kernel. Then:
+
+    - independence: there are ``ncols - rank`` vectors on distinct free
+      columns, each nonzero at its own free column and zero at the others;
+    - annihilation: every vector maps to zero exactly on the integer rows,
+      which with independence bounds the rank from above;
+    - lower bound: the rank of the integer rows over GF(p), which never
+      exceeds the rational rank, equals ``rank`` for one of
+      ``_CHECK_PRIMES``.
     """
-    for row in entries:
+    ncols = m.ncols
+    k = len(basis)
+    if k != ncols - rank or len(free) != k:
+        raise RuntimeError(f"{k} kernel vectors for nullity {ncols - rank}")
+    if len(set(free)) != k or not all(0 <= c < ncols for c in free) or any(
+        len(v) != ncols or not v[fc] or [v[c] for c in free].count(0) != k - 1
+        for v, fc in zip(basis, free)
+    ):
+        raise RuntimeError("kernel vectors are not independent")
+    rows = []
+    for row in m.rows:
+        nonzero = [(c, x) for c, x in enumerate(row) if x]
         denlcm = 1
-        for _, x in row:
+        for _, x in nonzero:
             d = x.denominator
             denlcm = denlcm * d // math.gcd(denlcm, d)
-        scaled = [(c, x.numerator * (denlcm // x.denominator))
-                  for c, x in row]
+        rows.append([(c, x.numerator * (denlcm // x.denominator))
+                     for c, x in nonzero])
+    for row in rows:
         for v in basis:
-            if sum(a * v[c] for c, a in scaled):
-                return False
-    return True
+            if sum(a * v[c] for c, a in row):
+                raise RuntimeError("kernel vector failed exact re-substitution")
+    for p in _CHECK_PRIMES:
+        dense = [[0] * ncols for _ in rows]
+        for mod_p, row in zip(dense, rows):
+            for c, a in row:
+                mod_p[c] = a % p
+        if _rank_mod_prime(dense, ncols, p) == rank:
+            return
+    raise RuntimeError(
+        "rank mismatch between rational and finite-field elimination"
+    )
 
 
 def rank_and_kernel(
@@ -432,14 +431,14 @@ def rank_and_kernel(
     integer back-substitution, one per non-pivot column (where it is
     positive).
 
-    Both bounds are then certified from ``m``'s own entries. Every vector
-    is re-substituted exactly into them, which gives the upper bound, and a
-    ``RuntimeError`` if any vector fails. Then an independent elimination
-    of the entries reduced mod 2**61 - 1 must report the same rank, which
-    gives the lower bound. On disagreement, or when the prime divides a
-    denominator, a second prime is tried, and if that also fails a
-    ``RuntimeError`` is raised (the finite-field rank can only undercount,
-    so persistent disagreement means a real inconsistency).
+    The result is then certified by :func:`_certify`, which reads ``m``'s
+    own rows and none of the elimination: the vectors must be independent
+    and annihilated exactly (the upper bound), and an elimination of the
+    row-scaled integer rows mod 2**61 - 1 must reach the same rank (the
+    lower bound). On disagreement a second prime is tried, and if that
+    also disagrees a ``RuntimeError`` is raised (the finite-field rank can
+    only undercount, so persistent disagreement means a real
+    inconsistency).
     """
     ncols = m.ncols
     ech = _integer_echelon(_cleared_integer_rows(m))
@@ -448,18 +447,7 @@ def rank_and_kernel(
                                 if row[c]])
                  for pc, row in reversed(ech)]
     pivset = {pc for pc, _ in ech}
-    basis = [_back_substituted(fc, bottom_up, ncols)
-             for fc in range(ncols) if fc not in pivset]
-    # Both bounds read m's own nonzero entries, not the cleared rows.
-    entries = [[(c, x) for c, x in enumerate(row) if x] for row in m.rows]
-    if not _annihilates(entries, basis):
-        raise RuntimeError("kernel vector failed exact re-substitution")
-    for p in _CHECK_PRIMES:
-        rows = _rows_mod_prime(entries, ncols, p)
-        if rows is not None and _rank_mod_prime(rows, ncols, p) == rank:
-            break
-    else:
-        raise RuntimeError(
-            "rank mismatch between rational and finite-field elimination"
-        )
+    free = [fc for fc in range(ncols) if fc not in pivset]
+    basis = [_back_substituted(fc, bottom_up, ncols) for fc in free]
+    _certify(m, rank, basis, free)
     return rank, basis

@@ -26,7 +26,7 @@ import random
 from collections import deque
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 # rank_and_kernel is looked up on its module at each call, so a wrapper set
 # there later (such as the benchmark's tracer) is seen from this module too.
@@ -166,6 +166,8 @@ class RelADHMQuad(Record):
 def sample_smooth_stratum(r: int, lam: Rational, seed: int) -> RelADHMQuad:
     """Generic point over lambda != 0: B1 a distinct-diagonal matrix,
     B2 = lambda * B1^{-1}, all-ones cyclic vector."""
+    if not all(type(v) is int for v in (r, seed)):
+        raise TypeError("r and seed must be integers")
     lam = exact._fraction(lam)
     if lam == 0:
         raise ValueError("smooth-stratum samples need lambda != 0")
@@ -191,6 +193,8 @@ def sample_singular_stratum(r: int, n: int, m: int, seed: int) -> RelADHMQuad:
     zero, for any draw of the remaining coefficients.  n = 0 or m = 0
     degenerates to one matrix vanishing identically.
     """
+    if not all(type(v) is int for v in (r, n, m, seed)):
+        raise TypeError("r, n, m and seed must be integers")
     if n < 0 or m < 0:
         raise ValueError("chain lengths must be nonnegative")
     if n + m + 1 != r:
@@ -218,6 +222,8 @@ def sample_singular_stratum(r: int, n: int, m: int, seed: int) -> RelADHMQuad:
 def sample_b1zero_stratum(r: int, seed: int) -> RelADHMQuad:
     """Point with B1 identically zero and B2 an invertible cyclic
     operator (companion matrix with nonzero constant coefficient)."""
+    if not all(type(v) is int for v in (r, seed)):
+        raise TypeError("r and seed must be integers")
     if r < 1:
         raise ValueError("matrix size r must be positive")
     rng = random.Random(seed)
@@ -295,6 +301,8 @@ def verify_absolute_cokernel(t: ADHMTriple) -> bool:
 def sample_commuting_diagonal(r: int, seed: int) -> ADHMTriple:
     """Commuting stable pair: B1 with distinct diagonal entries, B2 an
     arbitrary diagonal, all-ones cyclic vector."""
+    if not all(type(v) is int for v in (r, seed)):
+        raise TypeError("r and seed must be integers")
     if r < 1:
         raise ValueError("matrix size r must be positive")
     if r > len(_NONZERO_POOL):
@@ -326,25 +334,28 @@ def _deflate(coeffs: list[Fraction], z: Fraction) -> list[Fraction]:
     return out
 
 
-def _positive_divisors(n: int) -> list[int]:
+def _positive_divisors(n: int) -> Iterator[int]:
+    """The positive divisors of n in increasing order, lazily: those up to
+    sqrt(|n|) as the trial division finds them, then their cofactors."""
     n = abs(n)
-    out = []
+    cofactors = []
     d = 1
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
+            yield d
             if d != n // d:
-                out.append(n // d)
+                cofactors.append(n // d)
         d += 1
-    return sorted(out)
+    yield from reversed(cofactors)
 
 
 def _one_rational_root(coeffs: list[Fraction]) -> Optional[Fraction]:
     """A rational root of the monic polynomial, or None."""
     ints = exact._primitive(coeffs)
     const, lead = ints[0], ints[-1]
+    lead_divisors = list(_positive_divisors(lead))
     for p in _positive_divisors(const):
-        for q in _positive_divisors(lead):
+        for q in lead_divisors:
             if gcd(p, q) != 1:
                 continue
             for cand in (Fraction(p, q), Fraction(-p, q)):

@@ -423,13 +423,6 @@ class BlownUpLattice(FourManifoldLattice):
         self.base = base
         self.n_exceptional = n_exceptional
 
-    def exceptional_class(self, i: int) -> IntVector:
-        if not 0 <= i < self.n_exceptional:
-            raise ValueError(f"no exceptional class with index {i}")
-        coords = [0] * self.b2
-        coords[self.base.b2 + i] = 1
-        return tuple(coords)
-
 
 def blow_up(x: FourManifoldLattice, n_points: int) -> BlownUpLattice:
     """Blow up ``n_points`` times: form gains ``n`` <-1> summands, K gains

@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
+from sympencil import __version__
 from sympencil.catalog import STANDARD_BUILDERS, lattice_to_dict
 from sympencil.cli import _ReportCommand, main
 from sympencil.strata import MAX_R, MAX_SAMPLES
@@ -375,19 +376,33 @@ def test_every_command_takes_the_report_path():
         assert isinstance(command, _ReportCommand), name
 
 
+def _source_env():
+    """The environment with this checkout's `src` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_cli_import_does_not_load_process_pool():
     """A fresh `import sympencil.cli` loads neither the process-pool modules
     (only `hilb` with several workers does), nor the modules that only some
     commands use, nor `dataclasses`."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = (
         "import sys, sympencil.cli; "
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', "
         "'sympencil.hilb', 'sympencil.brill_noether', 'sympencil.applications', "
         "'dataclasses') if m in sys.modules))"
     )
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
+    out = subprocess.run([sys.executable, "-c", probe], env=_source_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_version_in_a_source_checkout():
+    """`--version` prints the package's own version string, so it needs no
+    installed package metadata and works with only `src` on the path."""
+    out = subprocess.run([sys.executable, "-m", "sympencil.cli", "--version"],
+                         env=_source_env(), capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.endswith(f", version {__version__}\n")

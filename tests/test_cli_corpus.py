@@ -1,0 +1,34 @@
+"""The CLI output contract: every recorded invocation of cli_corpus.json
+gives the same exit code, stdout and stderr bytes. ``cli_corpus.py``
+records the corpus and describes what it covers."""
+
+import json
+
+from cli_corpus import CORPUS, replay, write_files
+from sympencil.catalog import STANDARD_BUILDERS
+from sympencil.cli import main
+
+RECORDED = json.loads(CORPUS.read_text("utf-8"))
+
+
+def test_every_invocation_is_byte_identical(tmp_path):
+    write_files(RECORDED["files"], tmp_path)
+    differing = []
+    for entry in RECORDED["invocations"]:
+        expected = {k: entry[k] for k in ("exit_code", "stdout", "stderr")}
+        got = replay(entry, tmp_path)
+        if got != expected:
+            differing.append((entry["args"], expected, got))
+    assert not differing, (
+        f"{len(differing)} invocations differ; first: {differing[0]}")
+
+
+def test_corpus_covers_every_command_and_builder():
+    invocations = RECORDED["invocations"]
+    commands = {inv["args"][0] for inv in invocations
+                if inv["args"] and inv["exit_code"] == 0}
+    assert set(main.commands) <= commands
+    read = {arg for inv in invocations if inv["exit_code"] != 2
+            for arg in inv["args"]}
+    assert {f"{name}.json" for name in STANDARD_BUILDERS} <= read
+    assert {inv["exit_code"] for inv in invocations} == {0, 1, 2}

@@ -274,8 +274,8 @@ class TestKernelVerifierChecksTheInput:
             rank_and_kernel(RationalMatrix([[1, 2], [2, 4]]))
 
     def test_denominator_divisible_by_check_prime(self):
-        # The first check prime divides a denominator, so the second one
-        # confirms the rank.
+        # The first check prime divides a denominator. Row scaling clears
+        # it before reducing mod p, so the first prime confirms the rank.
         p = 2**61 - 1
         rank, kernel = rank_and_kernel(RationalMatrix([[Fraction(1, p), 1], [1, p]]))
         assert (rank, kernel) == (1, [(-p, 1)])
@@ -292,6 +292,76 @@ class TestKernelVerifierChecksTheInput:
         monkeypatch.setattr(exact, "_integer_echelon", faulty)
         with pytest.raises(RuntimeError, match="re-substitution"):
             rank_and_kernel(_WIDE)
+
+
+# Rank 2 with free columns 2, 3 and 4, and each free column's kernel
+# vector written out by hand.
+_CLAIM_MATRIX = RationalMatrix(
+    [[1, 0, 2, 0, 3], [0, 1, -1, 0, 4], [2, 1, 3, 0, 10]]
+)
+_CLAIM_FREE = [2, 3, 4]
+_CLAIM_BASIS = [(-2, 1, 1, 0, 0), (0, 0, 0, 1, 0), (-3, -4, 0, 0, 1)]
+_PRODUCER = ("_primitive", "_insert", "_back_substituted",
+             "_cleared_integer_rows", "_integer_echelon")
+
+
+class TestCertify:
+    """``_certify`` checks a claimed rank and kernel from the matrix alone,
+    so every test here runs with the producer patched to raise."""
+
+    @pytest.fixture(autouse=True)
+    def _no_producer(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the verifier called the producer")
+
+        for name in _PRODUCER:
+            monkeypatch.setattr(exact, name, forbidden)
+
+    def test_true_claim_passes(self):
+        exact._certify(_CLAIM_MATRIX, 2, _CLAIM_BASIS, _CLAIM_FREE)
+
+    @pytest.mark.parametrize("basis, free", [
+        # duplicate vectors, on their own free columns or on one
+        ([_CLAIM_BASIS[0]] * 3, _CLAIM_FREE),
+        ([_CLAIM_BASIS[0]] * 3, [2, 2, 2]),
+        # the third vector replaced by the sum of the first two
+        (_CLAIM_BASIS[:2] + [tuple(map(sum, zip(*_CLAIM_BASIS[:2])))],
+         _CLAIM_FREE),
+        # one vector too few
+        (_CLAIM_BASIS[:2], _CLAIM_FREE[:2]),
+        # a free column outside the matrix
+        (_CLAIM_BASIS, [2, 3, 5]),
+    ])
+    def test_dependent_or_missing_vectors_raise(self, basis, free):
+        with pytest.raises(RuntimeError, match="kernel vectors"):
+            exact._certify(_CLAIM_MATRIX, 2, basis, free)
+
+    def test_vector_outside_the_kernel_raises(self):
+        basis = [_CLAIM_BASIS[0], (1, 0, 0, 1, 0), _CLAIM_BASIS[2]]
+        with pytest.raises(RuntimeError, match="re-substitution"):
+            exact._certify(_CLAIM_MATRIX, 2, basis, _CLAIM_FREE)
+
+    def test_overclaimed_rank_raises(self):
+        # Rank 3 with the two vectors left: each is independent and
+        # annihilated, so only the GF(p) rank can refute the claim.
+        with pytest.raises(RuntimeError, match="rank mismatch"):
+            exact._certify(_CLAIM_MATRIX, 3, _CLAIM_BASIS[1:], _CLAIM_FREE[1:])
+
+
+def test_duplicate_back_substitution_is_caught_through_hilb(monkeypatch):
+    """A producer that returns the first free column's vector for every free
+    column gives r^2 + 1 annihilated vectors; the verifier refutes them."""
+    back_substituted = exact._back_substituted
+    first = []
+
+    def duplicating(fc, bottom_up, ncols):
+        if not first:
+            first.append(back_substituted(fc, bottom_up, ncols))
+        return first[0]
+
+    monkeypatch.setattr(exact, "_back_substituted", duplicating)
+    with pytest.raises(RuntimeError, match="not independent"):
+        hilb.kernel_dimension(hilb.sample_smooth_stratum(3, 2, 1))
 
 
 def _cleared_by_fraction_products(m):

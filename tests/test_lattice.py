@@ -21,7 +21,13 @@ from sympencil.catalog import (
 from sympencil.brill_noether import BNQuery
 from sympencil.exact import RationalMatrix, char_poly
 from sympencil.gromov import CohomologyProfile, vanishing_profile
-from sympencil.hilb import certify_stratum
+from sympencil.hilb import (
+    certify_stratum,
+    sample_b1zero_stratum,
+    sample_commuting_diagonal,
+    sample_singular_stratum,
+    sample_smooth_stratum,
+)
 from sympencil.lattice import (
     BlownUpLattice,
     FourManifoldLattice,
@@ -328,7 +334,7 @@ class TestAdjunction:
 
     def test_exceptional_sphere(self):
         xp = blow_up(STANDARD_BUILDERS["cp2"](), 1)
-        e = xp.exceptional_class(0)
+        e = (0, 1)  # the exceptional class follows the base lattice's b2 = 1
         assert xp.square(e) == -1
         assert xp.k_dot(e) == -1
         assert xp.adjunction_genus(e) == 0
@@ -512,10 +518,28 @@ def _e3_structure_profile(h0):
     lambda v: _e3_canonical_profile(2, v),
     lambda v: _e3_structure_profile(v),
     lambda v: build_pencil(STANDARD_BUILDERS["cp2"](), v),
+    lambda v: elliptic_like(v),
+    lambda v: spin_model(v),
+    lambda v: sample_smooth_stratum(v, 2, 1),
+    lambda v: sample_smooth_stratum(2, 2, v),
+    lambda v: sample_singular_stratum(v, 1, 0, 1),
+    lambda v: sample_singular_stratum(2, v, 0, 1),
+    lambda v: sample_singular_stratum(2, 1, v, 1),
+    lambda v: sample_singular_stratum(2, 1, 0, v),
+    lambda v: sample_b1zero_stratum(v, 1),
+    lambda v: sample_b1zero_stratum(2, v),
+    lambda v: sample_commuting_diagonal(v, 1),
+    lambda v: sample_commuting_diagonal(2, v),
 ], ids=["bn_g", "bn_r", "bn_s", "blow_up", "certify_r", "certify_samples",
         "certify_seed", "certify_workers", "vanishing_h0", "vanishing_h2",
-        "profile_h0", "build_pencil"])
+        "profile_h0", "build_pencil", "elliptic_like", "spin_model",
+        "smooth_r", "smooth_seed", "singular_r", "singular_n", "singular_m",
+        "singular_seed", "b1zero_r", "b1zero_seed", "diagonal_r",
+        "diagonal_seed"])
 def test_integer_parameters_are_exact_ints(call, value):
-    # A bool or a float is neither coerced nor carried into a result.
+    # A bool or a float is neither coerced nor carried into a result: True
+    # would label a lattice "elliptic_like_True" or give a sample r=True,
+    # and 2.0 would leak a float error from range().
     with pytest.raises(TypeError, match="integer"):
         call(value)
+

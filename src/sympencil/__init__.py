@@ -26,8 +26,7 @@ _EXPORTS = {
             "lattice_to_dict", "spin_model",
         ),
         "exact": (
-            "RationalMatrix", "TruncatedSeries", "binom", "rank_and_kernel",
-            "series_geom_pow",
+            "RationalMatrix", "binom", "rank_and_kernel", "series_geom_pow",
         ),
         "gromov": (
             "CohomologyProfile", "duality_check", "gr_parity",

@@ -98,6 +98,10 @@ def _load_json(path: str):
         raise click.UsageError(f"cannot read {path}: {exc}")
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise click.UsageError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise click.UsageError(f"{path} is nested too deeply to read")
+    except ValueError:  # an integer past sys.get_int_max_str_digits()
+        raise click.UsageError(f"{path} holds an integer with too many digits")
 
 
 def _load_lattice(path: str) -> FourManifoldLattice:

@@ -1,6 +1,6 @@
-"""Exact arithmetic kernels: integer binomials, truncated power series, and
-rational matrices with certified rank/kernel computation and their
-characteristic polynomials.
+"""Exact arithmetic kernels: integer binomials with an independent
+integer-series oracle, and rational matrices with certified rank/kernel
+computation and their characteristic polynomials.
 
 Everything in this module is exact. Scalars are ``int`` or
 ``fractions.Fraction``; floats never enter. One clearing rule
@@ -54,102 +54,38 @@ def binom(n: int, k: int) -> int:
     return sign * math.comb(k - n - 1, k)
 
 
-class TruncatedSeries:
-    """Formal power series in one variable, truncated below degree ``cap``.
-
-    ``cap`` is the number of retained coefficients, i.e. degrees
-    ``0 .. cap - 1``. Coefficients are stored as ``Fraction``.
-    """
-
-    __slots__ = ("cap", "coeffs")
-
-    def __init__(self, coeffs: Iterable[Rational], cap: int):
-        if cap < 1:
-            raise ValueError("cap must be at least 1")
-        cs = [_fraction(c) for c in coeffs][:cap]
-        cs.extend([Fraction(0)] * (cap - len(cs)))
-        self.cap = cap
-        self.coeffs = cs
-
-    @classmethod
-    def one(cls, cap: int) -> "TruncatedSeries":
-        return cls([1], cap)
-
-    def coefficient(self, k: int) -> Fraction:
-        if not 0 <= k < self.cap:
-            raise IndexError(f"degree {k} outside truncation 0..{self.cap - 1}")
-        return self.coeffs[k]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.cap == other.cap and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({[str(c) for c in self.coeffs]}, cap={self.cap})"
-
-    def _common_cap(self, other: "TruncatedSeries") -> int:
-        if self.cap != other.cap:
-            raise ValueError(f"truncation caps differ: {self.cap} vs {other.cap}")
-        return self.cap
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        cap = self._common_cap(other)
-        out = [Fraction(0)] * cap
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(cap - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(out, cap)
-
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse, defined when the constant term is nonzero."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ZeroDivisionError("series with zero constant term has no inverse")
-        inv = [Fraction(0)] * self.cap
-        inv[0] = Fraction(1) / c0
-        for n in range(1, self.cap):
-            acc = Fraction(0)
-            for j in range(1, n + 1):
-                if self.coeffs[j]:
-                    acc += self.coeffs[j] * inv[n - j]
-            inv[n] = -acc / c0
-        return TruncatedSeries(inv, self.cap)
-
-    def pow(self, exponent: int) -> "TruncatedSeries":
-        """Integer power; negative exponents go through :meth:`inverse`."""
-        if exponent < 0:
-            return self.pow(-exponent).inverse()
-        result = TruncatedSeries.one(self.cap)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+def _truncated_product(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer series of one length, truncated to it."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[:len(a) - i]):
+            out[i + j] += x * y
+    return out
 
 
 def series_geom_pow(exponent: int, cap: int) -> list[int]:
     """Coefficients of ``(1 + H)**exponent`` truncated to ``cap`` terms.
 
-    Computed by truncated multiplication and exact series inversion,
-    deliberately not through :func:`binom`, so the two routes stay
+    Binary powering of ``1 + H``, or of its inverse ``1 - H + H^2 - ...``
+    for a negative exponent, by truncated integer products; deliberately
+    not through :func:`binom` or ``math.comb``, so the two routes stay
     independent and can cross-check each other.
     """
-    series = TruncatedSeries([1, 1], cap).pow(exponent)
-    out = []
-    for c in series.coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError("integer series produced a non-integer coefficient")
-        out.append(c.numerator)
-    return out
+    if type(exponent) is not int or type(cap) is not int:
+        raise TypeError("exponent and cap must be integers")
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    base = ([-1 if k % 2 else 1 for k in range(cap)] if exponent < 0
+            else [1, 1][:cap] + [0] * (cap - 2))
+    result = [1] + [0] * (cap - 1)
+    e = abs(exponent)
+    while e:
+        if e & 1:
+            result = _truncated_product(result, base)
+        e >>= 1
+        if e:
+            base = _truncated_product(base, base)
+    return result
 
 
 class RationalMatrix:

@@ -398,15 +398,11 @@ class BlownUpLattice(FourManifoldLattice):
             raise TypeError("the number of blown-up points must be an integer")
         if n_exceptional < 1:
             raise ValueError("need at least one exceptional class")
-        nb = base.b2
-        n = nb + n_exceptional
-        form = [[0] * n for _ in range(n)]
-        for i in range(nb):
-            row = base.form[i]
-            for j in range(nb):
-                form[i][j] = row[j]
-        for t in range(nb, n):
-            form[t][t] = -1
+        # Tuple rows, which the constructor keeps without a copy.
+        n = base.b2 + n_exceptional
+        form = [row + (0,) * n_exceptional for row in base.form]
+        form += [(0,) * t + (-1,) + (0,) * (n - t - 1)
+                 for t in range(base.b2, n)]
         canonical = tuple(base.canonical) + (1,) * n_exceptional
         omega = tuple(base.omega) + (Fraction(0),) * n_exceptional
         # The signature of a direct sum is additive, so the exceptional

@@ -124,6 +124,11 @@ def corpus_inputs() -> tuple[dict[str, str], list[dict]]:
         "omega_pattern.json": manifold(dict(cp2, omega=["1/-2"])),
         "float_entry.json": manifold(dict(cp2, Q=[[1.0]])),
         "string_entry.json": manifold(dict(cp2, K=["-3"])),
+        # Rejected by the JSON reader itself: nesting past the recursion
+        # limit, and integers past sys.get_int_max_str_digits().
+        "deep_nesting.json": "[" * 100_000,
+        "long_integer.json": '{"label": "cp2", "Q": [[' + "1" * 5000 + "]]}",
+        "classes_long_integer.json": "[[" + "1" * 5000 + "]]",
     })
 
     add(["manifold-check", "rational_omega.json"])
@@ -159,6 +164,10 @@ def corpus_inputs() -> tuple[dict[str, str], list[dict]]:
     add(["hilb", "--r", "1", "--samples", "2"], env={"SYMPENCIL_WORKERS": "zero"})
     add(["classify", "cp2.json", "--classes", "classes_not_int.json"])
     add(["classify", "cp2.json", "--classes", "classes_width.json"])
+    add(["manifold-check", "deep_nesting.json"])
+    add(["manifold-check", "long_integer.json"])
+    add(["classify", "cp2.json", "--classes", "deep_nesting.json"])
+    add(["classify", "cp2.json", "--classes", "classes_long_integer.json"])
 
     # Group-level errors: no command, an unknown command, an unknown option;
     # then the version, which needs no installed package metadata.

@@ -368,6 +368,31 @@ def test_usage_error_is_one_line_on_stderr(runner, manifold_file, tmp_path, case
     assert len(lines) == 1 and lines[0].startswith("Error: "), result.stderr
 
 
+LONG_INTEGER = "1" * 5000
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,
+    '{"label": "cp2", "Q": [[' + LONG_INTEGER + "]]}",
+    "[[" + LONG_INTEGER + "]]",
+], ids=["deep_nesting", "long_integer_in_q", "long_integer_in_list"])
+@pytest.mark.parametrize("reads", ["manifold", "classes"])
+def test_json_the_reader_rejects_names_the_file(runner, manifold_file, tmp_path,
+                                                reads, text):
+    """Nesting past the recursion limit and an integer past the interpreter's
+    digit limit give one `Error:` line that names the file, no traceback
+    and no interpreter setting."""
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    args = (["manifold-check", str(path)] if reads == "manifold"
+            else ["classify", manifold_file("cp2"), "--classes", str(path)])
+    result = runner.invoke(main, args)
+    assert (result.exit_code, result.stdout) == (2, ""), result.output
+    assert result.stderr.startswith(f"Error: {path} ")
+    assert result.stderr.count("\n") == 1
+    assert "set_int_max_str_digits" not in result.stderr
+
+
 def test_every_command_takes_the_report_path():
     """Every command is a `_ReportCommand`, so none renders its own report,
     sets its own exit code or maps its own input errors."""

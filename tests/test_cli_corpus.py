@@ -4,7 +4,7 @@ records the corpus and describes what it covers."""
 
 import json
 
-from cli_corpus import CORPUS, replay, write_files
+from cli_corpus import CORPUS, corpus_inputs, replay, write_files
 from sympencil.catalog import STANDARD_BUILDERS
 from sympencil.cli import main
 
@@ -32,3 +32,12 @@ def test_corpus_covers_every_command_and_builder():
             for arg in inv["args"]}
     assert {f"{name}.json" for name in STANDARD_BUILDERS} <= read
     assert {inv["exit_code"] for inv in invocations} == {0, 1, 2}
+
+
+def test_generator_matches_the_recording():
+    """The generator yields exactly the recorded files and invocations, so
+    an edit to it without a re-recording fails here; nothing is run."""
+    files, invocations = corpus_inputs()
+    assert files == RECORDED["files"]
+    assert invocations == [{k: v for k, v in entry.items() if k in ("args", "env")}
+                           for entry in RECORDED["invocations"]]

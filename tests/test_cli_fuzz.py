@@ -85,6 +85,13 @@ def mostly(valid, other):
     return st.integers(0, 3).flatmap(lambda k: other if k == 3 else valid)
 
 
+# Files the JSON reader itself rejects: nesting past the recursion limit,
+# and integers past the interpreter's digit limit, in Q and in a list.
+unreadable = st.sampled_from([
+    b"[" * 100_000,
+    b'{"label": "cp2", "Q": [[' + b"1" * 5000 + b"]]}",
+    b"[[" + b"1" * 5000 + b"]]",
+])
 classes_docs = mostly(st.lists(st.lists(small, min_size=1, max_size=3), max_size=3),
                       json_values)
 numbers = (st.integers(-1, 12) | st.integers(-10**12, 10**12)).map(str)
@@ -113,10 +120,12 @@ def class_flags(doc):
 @st.composite
 def invocations(draw):
     """(args, files, env, fmt): ``args`` name files by their keys in
-    ``files``; a manifold file is JSON or, one time in ten, raw bytes."""
+    ``files``; a manifold file is JSON or, one time in ten, raw bytes, and a
+    classes file is JSON or, one time in ten, a file the reader rejects."""
     command = draw(st.sampled_from(sorted(main.commands)))
     doc = draw(manifold_docs())
-    raw = draw(st.binary(max_size=20)) if draw(st.integers(0, 9)) == 9 else None
+    raw = (draw(st.binary(max_size=20) | unreadable)
+           if draw(st.integers(0, 9)) == 9 else None)
     files_ = {"@manifold": raw or json.dumps(doc).encode()}
     env = {"SYMPENCIL_WORKERS": draw(mostly(st.sampled_from([None, "1"]),
                                             st.sampled_from(["0", "x"])))}
@@ -141,7 +150,8 @@ def invocations(draw):
             ["--stratum", draw(mostly(st.sampled_from(STRATA), st.text(max_size=6)))],
         ]
     if command == "classify":
-        files_["@classes"] = json.dumps(draw(classes_docs)).encode()
+        files_["@classes"] = (draw(unreadable) if draw(st.integers(0, 9)) == 9
+                              else json.dumps(draw(classes_docs)).encode())
         options.append(["--classes", "@classes"])
     if options and draw(st.integers(0, 9)) == 9:
         del options[draw(st.integers(0, len(options) - 1))]

@@ -19,7 +19,7 @@ from sympencil.catalog import (
     spin_model,
 )
 from sympencil.brill_noether import BNQuery
-from sympencil.exact import RationalMatrix, char_poly
+from sympencil.exact import RationalMatrix, char_poly, series_geom_pow
 from sympencil.gromov import CohomologyProfile, vanishing_profile
 from sympencil.hilb import (
     certify_stratum,
@@ -530,12 +530,14 @@ def _e3_structure_profile(h0):
     lambda v: sample_b1zero_stratum(2, v),
     lambda v: sample_commuting_diagonal(v, 1),
     lambda v: sample_commuting_diagonal(2, v),
+    lambda v: series_geom_pow(v, 3),
+    lambda v: series_geom_pow(3, v),
 ], ids=["bn_g", "bn_r", "bn_s", "blow_up", "certify_r", "certify_samples",
         "certify_seed", "certify_workers", "vanishing_h0", "vanishing_h2",
         "profile_h0", "build_pencil", "elliptic_like", "spin_model",
         "smooth_r", "smooth_seed", "singular_r", "singular_n", "singular_m",
         "singular_seed", "b1zero_r", "b1zero_seed", "diagonal_r",
-        "diagonal_seed"])
+        "diagonal_seed", "series_exponent", "series_cap"])
 def test_integer_parameters_are_exact_ints(call, value):
     # A bool or a float is neither coerced nor carried into a result: True
     # would label a lattice "elliptic_like_True" or give a sample r=True,

@@ -16,10 +16,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "applications": ("CheckReport", "general_type_classes", "run_all"),
+        "applications": ("CheckReport", "run_all"),
         "brill_noether": (
             "AbelJacobiFibres", "BNQuery", "abel_jacobi_fibre_dims",
-            "eh_predicate", "rho", "singular_fibre_h0",
+            "eh_predicate", "rho",
         ),
         "catalog": (
             "STANDARD_BUILDERS", "elliptic_like", "lattice_from_dict",
@@ -36,7 +36,7 @@ _EXPORTS = {
         "hilb": (
             "ADHMTriple", "CertificationReport", "RelADHMQuad",
             "certify_stratum", "differential_matrix", "is_stable",
-            "support_points", "verify_absolute_cokernel",
+            "verify_absolute_cokernel",
         ),
         "lattice": (
             "BlownUpLattice", "BPlusOneClassification", "FourManifoldLattice",

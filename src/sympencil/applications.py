@@ -18,7 +18,6 @@ from .catalog import format_rational
 from .gromov import gr_parity
 from .lattice import (
     FourManifoldLattice,
-    HomologyClass,
     classify_b_plus_one,
     is_even_form,
     minimality_inequality,
@@ -117,8 +116,6 @@ def _count_report(x: FourManifoldLattice, coords: tuple[int, ...]) -> CheckRepor
     name = "surface_count[" + ",".join(str(c) for c in coords) + "]"
     numbers = dict(verdict.context)
     numbers["decision"] = verdict.kind
-    if verdict.value is not None:
-        numbers["value"] = verdict.value
     status = "not-applicable" if verdict.kind == "Unknown" else "pass"
     return CheckReport(name, status, (verdict.reason,), numbers)
 
@@ -140,41 +137,3 @@ def run_all(
         reports.append(_count_report(x, tuple(cand)))
     reports.sort(key=lambda rep: rep.check_name)
     return reports
-
-
-def general_type_classes(
-    x: FourManifoldLattice,
-    candidates: Iterable[Sequence[int]],
-) -> list[tuple[int, ...]]:
-    """Filter candidate classes by the numeric constraints a nonzero
-    count imposes on a minimal general-type lattice.
-
-    Keeps a class only if 0 <= a.omega <= K.omega, a.a = K.a, and the
-    two-class restriction (a.a)(K.K) <= (K.a)^2 from the signature of
-    the form on span(a, K) all hold.  These are necessary conditions:
-    anything eliminated is certainly count-zero aside from 0 and K,
-    while survivors are merely not excluded by arithmetic. Raises
-    ``TypeError`` when a coordinate is not an ``int``.
-    """
-    if not x.minimal:
-        raise ValueError("filter needs a declared-minimal lattice")
-    k_omega = x.omega_dot(x.canonical)
-    if not (x.k_squared > 0 and k_omega > 0 and x.b_plus > 1 + x.b1):
-        raise ValueError(
-            "lattice does not satisfy the declared general-type flags "
-            "(K.K > 0, K.omega > 0, b_plus > 1 + b1)"
-        )
-    survivors = []
-    for cand in candidates:
-        coords = HomologyClass(x, cand).coords
-        a_omega = x.omega_dot(coords)
-        if a_omega < 0 or a_omega > k_omega:
-            continue
-        a_sq = x.square(coords)
-        ka = x.k_dot(coords)
-        if a_sq != ka:
-            continue
-        if a_sq * x.k_squared > ka * ka:
-            continue
-        survivors.append(coords)
-    return survivors

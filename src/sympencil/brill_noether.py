@@ -2,8 +2,8 @@
 
 Virtual dimensions of the loci of degree-r, dimension-s linear systems on a
 genus-g curve, the codimension predicate used to rule residual systems out
-generically, the Abel-Jacobi fibre-dimension profiles in the high-degree
-range, and the section count on an irreducible one-node fibre.
+generically, and the Abel-Jacobi fibre-dimension profiles in the high-degree
+range.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ def abel_jacobi_fibre_dims(g: int, r: int) -> AbelJacobiFibres:
     jumps by exactly one over a locus identified with the symmetric product
     of degree 2g - 2 - r, which is a point at r = 2g - 2 and empty beyond.
     """
+    if not all(type(v) is int for v in (g, r)):
+        raise TypeError("g and r must be integers")
     if g < 2:
         raise ValueError("genus must be at least 2")
     if r <= g - 1:
@@ -87,15 +89,3 @@ def abel_jacobi_fibre_dims(g: int, r: int) -> AbelJacobiFibres:
         jump_locus_degree=jump_degree,
         descriptor=descriptor,
     )
-
-
-def singular_fibre_h0(d: int, g: int) -> int:
-    """Sections of a generic degree-d line bundle on an irreducible
-    one-node curve of arithmetic genus g: d - g + 1.
-
-    One less than the normalization's count; the node imposes a single
-    generic gluing condition s(p) = lambda * s(q).
-    """
-    if g < 1:
-        raise ValueError("arithmetic genus must be at least 1 for a node")
-    return d - g + 1

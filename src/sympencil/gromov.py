@@ -129,6 +129,8 @@ def duality_check(p: CohomologyProfile, r: int) -> bool:
 
 def gr_parity(n: int) -> int:
     """Parity (0 or 1) of binom(2n - 2, n - 1). Odd only at n = 1."""
+    if type(n) is not int:
+        raise TypeError("n must be an integer")
     if n < 1:
         raise ValueError("n must be at least 1")
     return binom(2 * n - 2, n - 1) % 2

@@ -25,13 +25,12 @@ import os
 import random
 from collections import deque
 from fractions import Fraction
-from math import gcd
-from typing import Iterator, Optional, Sequence, Union
+from typing import Sequence, Union
 
 # rank_and_kernel is looked up on its module at each call, so a wrapper set
 # there later (such as the benchmark's tracer) is seen from this module too.
 from . import exact
-from .exact import RationalMatrix, char_poly
+from .exact import RationalMatrix
 from .record import Record
 from .strata import MAX_R, MAX_SAMPLES, STRATA
 
@@ -312,92 +311,6 @@ def sample_commuting_diagonal(r: int, seed: int) -> ADHMTriple:
     b2 = _diagonal([rng.randint(-9, 9) for _ in range(r)])
     v = tuple(Fraction(1) for _ in range(r))
     return ADHMTriple(b1, b2, v, r)
-
-
-def _eval_poly(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _deflate(coeffs: list[Fraction], z: Fraction) -> list[Fraction]:
-    """Divide by (x - z); the remainder must vanish."""
-    n = len(coeffs) - 1
-    out = [Fraction(0)] * n
-    acc = coeffs[n]
-    for k in range(n - 1, -1, -1):
-        out[k] = acc
-        acc = coeffs[k] + z * acc
-    if acc != 0:
-        raise ValueError("deflation by a non-root")
-    return out
-
-
-def _positive_divisors(n: int) -> Iterator[int]:
-    """The positive divisors of n in increasing order, lazily: those up to
-    sqrt(|n|) as the trial division finds them, then their cofactors."""
-    n = abs(n)
-    cofactors = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            yield d
-            if d != n // d:
-                cofactors.append(n // d)
-        d += 1
-    yield from reversed(cofactors)
-
-
-def _one_rational_root(coeffs: list[Fraction]) -> Optional[Fraction]:
-    """A rational root of the monic polynomial, or None."""
-    ints = exact._primitive(coeffs)
-    const, lead = ints[0], ints[-1]
-    lead_divisors = list(_positive_divisors(lead))
-    for p in _positive_divisors(const):
-        for q in lead_divisors:
-            if gcd(p, q) != 1:
-                continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if _eval_poly(coeffs, cand) == 0:
-                    return cand
-    return None
-
-
-def support_points(q: RelADHMQuad) -> tuple[tuple[Fraction, Fraction], ...]:
-    """The r point locations (z_i, w_i) cut out by a lambda != 0 quad,
-    as a sorted multiset of eigenvalue pairs with z_i * w_i = lambda.
-
-    Requires B1 diagonalizable over the rationals (the samplers
-    guarantee it); anything else is rejected as unsupported.
-    """
-    if q.lam == 0:
-        raise ValueError("support points are defined for lambda != 0 only")
-    coeffs = char_poly(q.b1)
-    multiplicities: dict[Fraction, int] = {}
-    remaining = list(coeffs)
-    while len(remaining) > 1:
-        z = _one_rational_root(remaining)
-        if z is None:
-            raise ValueError(
-                "unsupported: B1 has eigenvalues outside the rationals"
-            )
-        multiplicities[z] = multiplicities.get(z, 0) + 1
-        remaining = _deflate(remaining, z)
-    for z, mult in multiplicities.items():
-        shifted = RationalMatrix(
-            [[q.b1.rows[i][j] - (z if i == j else 0) for j in range(q.r)]
-             for i in range(q.r)]
-        )
-        rank, _ = exact.rank_and_kernel(shifted)
-        if q.r - rank != mult:
-            raise ValueError(
-                "unsupported: B1 is not diagonalizable over the rationals"
-            )
-    pairs = []
-    for z, mult in multiplicities.items():
-        pairs.extend([(z, q.lam / z)] * mult)
-    return tuple(sorted(pairs))
 
 
 class CertificationReport(Record):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Iterator, Optional, Sequence, Union
 
-from .exact import Rational
+from .exact import Rational, _fraction
 from .record import Record
 
 IntVector = tuple[int, ...]
@@ -219,8 +219,9 @@ class FourManifoldLattice:
         k = tuple(canonical)
         if not _INT.issuperset(map(type, k)):
             raise TypeError("canonical vector entries must be integers")
-        # Entries parsed from a manifold file are Fractions already.
-        w = tuple(x if type(x) is Fraction else Fraction(x) for x in omega)
+        # Entries parsed from a manifold file are Fractions already; any
+        # other entry follows exact's rule, so a float or string raises.
+        w = tuple(x if type(x) is Fraction else _fraction(x) for x in omega)
         if len(k) != n or len(w) != n:
             raise ValueError("canonical and omega must match the form's rank")
 

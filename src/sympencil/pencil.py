@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .exact import _primitive
-from .gromov import CohomologyProfile, gromov_invariant
 from .lattice import FourManifoldLattice, HomologyClass, blow_up, twist
 from .record import Record
 
@@ -147,13 +146,14 @@ def virtual_dim(x: FourManifoldLattice, a: Sequence[int]) -> int:
 class SurfaceCountVerdict(Record):
     """Outcome of the conservative count decision, with its justification.
 
-    ``value`` defaults to None and ``context`` to a new empty dict.
+    ``value`` defaults to None, which no rule changes (the ``count`` report
+    prints it as null), and ``context`` to a new empty dict.
     """
 
     __slots__ = ("kind", "reason", "value", "context")
     _defaults = {"value": None, "context": None}
 
-    kind: str  # Zero | PlusMinusOne | BinomialValue | Unknown
+    kind: str  # Zero | PlusMinusOne | Unknown
     reason: str
     value: Optional[int]
     context: dict
@@ -163,11 +163,7 @@ class SurfaceCountVerdict(Record):
             object.__setattr__(self, "context", {})
 
 
-def count_decision(
-    x: FourManifoldLattice,
-    a: Sequence[int],
-    profile: Optional[CohomologyProfile] = None,
-) -> SurfaceCountVerdict:
+def count_decision(x: FourManifoldLattice, a: Sequence[int]) -> SurfaceCountVerdict:
     """Decide the standard surface count of a class from quoted hypotheses.
 
     Rules are applied in a fixed order and the first match wins; a
@@ -177,8 +173,6 @@ def count_decision(
     """
     divisor = HomologyClass(x, a)
     coords = divisor.coords
-    if profile is not None and profile.divisor.coords != coords:
-        raise ValueError("supplied profile is for a different class")
     d = divisor.virtual_dim()
     a_omega = x.omega_dot(coords)
     k_omega = x.omega_dot(x.canonical)
@@ -231,18 +225,6 @@ def count_decision(
             kind="PlusMinusOne",
             reason="the zero and canonical classes on a lattice with "
             "b+ > 1 + b1 count +/-1",
-            context=context,
-        )
-    if profile is not None:
-        value = gromov_invariant(profile, d)
-        context["h0"] = profile.h0
-        context["h1"] = profile.h1
-        context["h2"] = profile.h2
-        return SurfaceCountVerdict(
-            kind="BinomialValue",
-            reason="binomial obstruction formula evaluated on the supplied "
-            "section dimensions",
-            value=value,
             context=context,
         )
     return SurfaceCountVerdict(

@@ -1,34 +1,17 @@
-"""Named consequence checks: report structure, verdicts on the catalog,
-and the general-type class filter."""
+"""Named consequence checks: report structure and verdicts on the
+catalog."""
 
 from fractions import Fraction
 
 import pytest
 
-from sympencil.applications import CheckReport, general_type_classes, run_all
+from sympencil.applications import CheckReport, run_all
 from sympencil.catalog import STANDARD_BUILDERS
 from sympencil.lattice import FourManifoldLattice
 
 
 def by_name(reports):
     return {rep.check_name: rep for rep in reports}
-
-
-def general_type_lattice():
-    # diag(1,1,1,-1^10) with K = (3,3,1,1^10): K.K = 9, K.omega = 3,
-    # b+ = 3 > 1, chi_h = 2; minimality is a declared flag.
-    n_minus = 10
-    q = [[0] * 13 for _ in range(13)]
-    for i in range(13):
-        q[i][i] = 1 if i < 3 else -1
-    return FourManifoldLattice(
-        label="gt-model",
-        b1=0,
-        form=q,
-        canonical=[3, 3, 1] + [1] * n_minus,
-        omega=[1] + [0] * 12,
-        minimal=True,
-    )
 
 
 def small_one_lattice():
@@ -177,65 +160,3 @@ class TestSelfCertification:
     def test_deterministic(self):
         x = STANDARD_BUILDERS["k3"]()
         assert run_all(x, [(0,) * 22]) == run_all(x, [(0,) * 22])
-
-
-class TestGeneralTypeFilter:
-    def test_zero_and_canonical_survive(self):
-        x = general_type_lattice()
-        zero = (0,) * 13
-        k = tuple(x.canonical)
-        assert general_type_classes(x, [zero, k]) == [zero, k]
-
-    def test_bound_violation_eliminated(self):
-        x = general_type_lattice()
-        big = (5,) + (0,) * 12  # a.omega = 5 > K.omega = 3
-        assert general_type_classes(x, [big]) == []
-
-    def test_negative_area_eliminated(self):
-        x = general_type_lattice()
-        neg = (-1,) + (0,) * 12
-        assert general_type_classes(x, [neg]) == []
-
-    def test_adjoint_equality_eliminated(self):
-        x = general_type_lattice()
-        h = (1,) + (0,) * 12  # a.a = 1 but K.a = 3
-        assert general_type_classes(x, [h]) == []
-
-    def test_signature_constraint_eliminated(self):
-        x = general_type_lattice()
-        e3 = (0, 0, 1) + (0,) * 10  # a.a = K.a = 1 but 1 * 9 > 1
-        assert general_type_classes(x, [e3]) == []
-
-    def test_filter_is_conservative_on_negative_squares(self):
-        # a.a = K.a = -1 passes every numeric constraint; the filter only
-        # applies necessary conditions, so it must keep such a class.
-        x = general_type_lattice()
-        e4 = (0, 0, 0, 1) + (0,) * 9
-        assert general_type_classes(x, [e4]) == [e4]
-
-    @pytest.mark.parametrize("entry", [0.5, False, Fraction(0)])
-    def test_non_integer_class_not_truncated(self, entry):
-        # Truncated, each of these would be the zero class, which survives.
-        x = general_type_lattice()
-        with pytest.raises(TypeError, match="class coordinates"):
-            general_type_classes(x, [(entry,) + (0,) * 12])
-
-    def test_forced_survivor_set(self):
-        x = general_type_lattice()
-        zero = (0,) * 13
-        k = tuple(x.canonical)
-        candidates = [
-            zero,
-            k,
-            (1,) + (0,) * 12,
-            (5,) + (0,) * 12,
-            (0, 0, 1) + (0,) * 10,
-            (-1,) + (0,) * 12,
-        ]
-        assert general_type_classes(x, candidates) == [zero, k]
-
-    def test_rejects_undeclared_flags(self):
-        with pytest.raises(ValueError, match="minimal"):
-            general_type_classes(STANDARD_BUILDERS["e1"](), [])
-        with pytest.raises(ValueError, match="general-type"):
-            general_type_classes(STANDARD_BUILDERS["k3"](), [])

@@ -1,5 +1,5 @@
-"""Brill-Noether numbers, the codimension predicate, Abel-Jacobi fibre
-profiles, and nodal-fibre section counts."""
+"""Brill-Noether numbers, the codimension predicate and Abel-Jacobi fibre
+profiles."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +10,6 @@ from sympencil.brill_noether import (
     abel_jacobi_fibre_dims,
     eh_predicate,
     rho,
-    singular_fibre_h0,
 )
 
 # Grid of rho values recomputed by hand from g - (s+1)(g-r+s).
@@ -145,38 +144,3 @@ class TestAbelJacobiFibres:
     def test_low_genus_rejected(self):
         with pytest.raises(ValueError):
             abel_jacobi_fibre_dims(1, 5)
-
-
-class TestSingularFibreH0:
-    @pytest.mark.parametrize(
-        "d,g,expected",
-        [
-            (6, 4, 3),
-            (4, 4, 1),
-            (8, 5, 4),
-            (3, 3, 1),
-        ],
-    )
-    def test_values(self, d, g, expected):
-        assert singular_fibre_h0(d, g) == expected
-
-    def test_matches_generic_abel_jacobi_dim_at_top_degree(self):
-        # The nodal count at d = 2g-2 is g-1 sections, one more than the
-        # generic smooth-fibre dimension g-2 of the projectivized system.
-        for g in range(2, 10):
-            d = 2 * g - 2
-            prof = abel_jacobi_fibre_dims(g, d)
-            assert singular_fibre_h0(d, g) - 1 == prof.generic_dim
-
-    def test_degree_g_gives_one_section(self):
-        for g in range(1, 8):
-            assert singular_fibre_h0(g, g) == 1
-
-    def test_one_less_than_normalization(self):
-        # Normalization has genus g-1, so h0 there is d - (g-1) + 1.
-        for d, g in [(7, 3), (9, 5), (12, 6)]:
-            assert singular_fibre_h0(d, g) == (d - (g - 1) + 1) - 1
-
-    def test_genus_zero_rejected(self):
-        with pytest.raises(ValueError):
-            singular_fibre_h0(5, 0)

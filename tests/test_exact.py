@@ -15,6 +15,7 @@ from sympencil.exact import (
     rank_and_kernel,
     series_geom_pow,
 )
+from sympencil.lattice import FourManifoldLattice
 
 
 class TestBinom:
@@ -445,7 +446,8 @@ class TestRationalMatrixEntries:
         lambda x: RationalMatrix([[x]]),
         lambda x: RationalMatrix([[1]]).apply([x]),
         lambda x: hilb._as_vector([x]),
-    ], ids=["constructor", "apply", "as_vector"])
+        lambda x: FourManifoldLattice("x", 0, [[1]], [-3], [x], True),
+    ], ids=["constructor", "apply", "as_vector", "lattice_omega"])
     def test_inexact_entries_raise(self, build, entry):
         with pytest.raises(TypeError):
             build(entry)

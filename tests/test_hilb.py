@@ -26,7 +26,6 @@ from sympencil.hilb import (
     sample_commuting_diagonal,
     sample_singular_stratum,
     sample_smooth_stratum,
-    support_points,
     verify_absolute_cokernel,
 )
 from sympencil.strata import MAX_R, MAX_SAMPLES
@@ -378,60 +377,6 @@ class TestAbsoluteCokernel:
         b = RationalMatrix([[0, 0, 2], [1, 0, 1], [0, 1, 0]])
         t = ADHMTriple(b, b, (1, 0, 0), 3)
         assert verify_absolute_cokernel(t)
-
-
-class TestSupportPoints:
-    def test_two_point_example(self):
-        q = RelADHMQuad(diag(1, 2), diag(2, 1), Fraction(2), (1, 1), 2)
-        assert support_points(q) == (
-            (Fraction(1), Fraction(2)),
-            (Fraction(2), Fraction(1)),
-        )
-
-    def test_rank_one(self):
-        q = sample_smooth_stratum(1, Fraction(7, 2), seed=6)
-        ((z, w),) = support_points(q)
-        assert z == q.b1.rows[0][0]
-        assert w == Fraction(7, 2) / z
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_pairs_multiply_to_lambda(self, seed):
-        q = sample_smooth_stratum(4, Fraction(3, 2), seed=seed)
-        pts = support_points(q)
-        assert len(pts) == 4
-        assert all(z * w == Fraction(3, 2) for z, w in pts)
-
-    def test_zero_lambda_rejected(self):
-        q = sample_singular_stratum(2, 1, 0, seed=1)
-        with pytest.raises(ValueError, match="lambda"):
-            support_points(q)
-
-    def test_irrational_eigenvalues_unsupported(self):
-        b1 = RationalMatrix([[0, -1], [1, 0]])
-        b2 = RationalMatrix([[0, 1], [-1, 0]])
-        q = RelADHMQuad(b1, b2, Fraction(1), (1, 0), 2)
-        with pytest.raises(ValueError, match="unsupported"):
-            support_points(q)
-
-    def test_jordan_block_unsupported(self):
-        b1 = RationalMatrix([[1, 1], [0, 1]])
-        b2 = RationalMatrix([[1, -1], [0, 1]])
-        q = RelADHMQuad(b1, b2, Fraction(1), (0, 1), 2)
-        with pytest.raises(ValueError, match="diagonalizable"):
-            support_points(q)
-
-    def test_scaled_diagonal_multiset(self):
-        q = RelADHMQuad(
-            diag(Fraction(1, 2), 4),
-            diag(6, Fraction(3, 4)),
-            Fraction(3),
-            (1, 1),
-            2,
-        )
-        assert support_points(q) == (
-            (Fraction(1, 2), Fraction(6)),
-            (Fraction(4), Fraction(3, 4)),
-        )
 
 
 class TestCertifyStratum:

@@ -18,9 +18,9 @@ from sympencil.catalog import (
     parse_rational,
     spin_model,
 )
-from sympencil.brill_noether import BNQuery
+from sympencil.brill_noether import BNQuery, abel_jacobi_fibre_dims
 from sympencil.exact import RationalMatrix, char_poly, series_geom_pow
-from sympencil.gromov import CohomologyProfile, vanishing_profile
+from sympencil.gromov import CohomologyProfile, gr_parity, vanishing_profile
 from sympencil.hilb import (
     certify_stratum,
     sample_b1zero_stratum,
@@ -532,12 +532,16 @@ def _e3_structure_profile(h0):
     lambda v: sample_commuting_diagonal(2, v),
     lambda v: series_geom_pow(v, 3),
     lambda v: series_geom_pow(3, v),
+    lambda v: abel_jacobi_fibre_dims(v, 9),
+    lambda v: abel_jacobi_fibre_dims(3, v),
+    lambda v: gr_parity(v),
 ], ids=["bn_g", "bn_r", "bn_s", "blow_up", "certify_r", "certify_samples",
         "certify_seed", "certify_workers", "vanishing_h0", "vanishing_h2",
         "profile_h0", "build_pencil", "elliptic_like", "spin_model",
         "smooth_r", "smooth_seed", "singular_r", "singular_n", "singular_m",
         "singular_seed", "b1zero_r", "b1zero_seed", "diagonal_r",
-        "diagonal_seed", "series_exponent", "series_cap"])
+        "diagonal_seed", "series_exponent", "series_cap", "aj_g", "aj_r",
+        "gr_parity_n"])
 def test_integer_parameters_are_exact_ints(call, value):
     # A bool or a float is neither coerced nor carried into a result: True
     # would label a lattice "elliptic_like_True" or give a sample r=True,

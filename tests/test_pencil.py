@@ -5,7 +5,6 @@ import pytest
 
 from conftest import class_of_virtual_dim, elliptic
 from sympencil.catalog import STANDARD_BUILDERS
-from sympencil.gromov import vanishing_profile
 from sympencil.lattice import FourManifoldLattice
 from sympencil.pencil import (
     build_pencil,
@@ -202,33 +201,16 @@ class TestCountDecision:
         cp2 = STANDARD_BUILDERS["cp2"]()
         with pytest.raises(TypeError, match="class coordinates"):
             count_decision(cp2, [entry])
-        with pytest.raises(TypeError, match="class coordinates"):
-            count_decision(cp2, [entry], vanishing_profile(cp2, [1], 3, 0))
 
     def test_canonical_and_zero_class(self):
         e3 = STANDARD_BUILDERS["e3"]()
         assert count_decision(e3, e3.canonical).kind == "PlusMinusOne"
         assert count_decision(e3, [0] * e3.b2).kind == "PlusMinusOne"
 
-    def test_binomial_value_with_profile(self):
-        x = elliptic(4)
-        d = class_of_virtual_dim(x, 4, 0)
-        p = vanishing_profile(x, d.coords, 3, 1)
-        v = count_decision(x, d.coords, p)
-        assert v.kind == "BinomialValue"
-        assert v.value == 1
-
     def test_unknown_without_profile(self):
         x = elliptic(4)
         d = class_of_virtual_dim(x, 4, 0)
         assert count_decision(x, d.coords).kind == "Unknown"
-
-    def test_profile_for_wrong_class_rejected(self):
-        x = elliptic(4)
-        d = class_of_virtual_dim(x, 4, 0)
-        p = vanishing_profile(x, d.coords, 3, 1)
-        with pytest.raises(ValueError, match="different class"):
-            count_decision(x, [0] * x.b2, p)
 
     def test_rule_exclusivity_sweep(self):
         # Whenever the +/-1 rule for {0, kappa} fires, the Zero-rule

@@ -1,6 +1,7 @@
 """Source-level checks on the package."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -54,3 +55,27 @@ def test_data_holds_only_the_schemas():
     it ships as package data."""
     names = sorted(path.name for path in (PACKAGE / "data").iterdir())
     assert names == ["manifold.schema.json", "report.schema.json"]
+
+
+# Public functions kept as test oracles for the acceptance criteria: the
+# integer-series binomial oracle (criterion 02) and the pencil ratio table
+# (criterion 09).
+_ORACLE_EXPORTS = {"series_geom_pow", "ratio_convergence"}
+
+
+def test_every_exported_function_has_a_caller():
+    """No public function that no command, report or benchmark uses: each
+    exported function is referenced from the package or from ``bench/``
+    by name, unless it is a named test oracle."""
+    functions = {name for name in sympencil._EXPORTS
+                 if inspect.isfunction(getattr(sympencil, name))}
+    # A ``def`` is neither a Name nor an Attribute, so it never counts.
+    referenced = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for root in (PACKAGE, PACKAGE.parent.parent / "bench")
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert "rank_and_kernel" in referenced
+    assert sorted(functions - _ORACLE_EXPORTS - referenced) == []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .exact import _require_ints
 from .record import Record
 
 
@@ -24,8 +25,7 @@ class BNQuery(Record):
     s: int
 
     def __post_init__(self):
-        if not all(type(v) is int for v in (self.g, self.r, self.s)):
-            raise TypeError("g, r and s must be integers")
+        _require_ints((self.g, self.r, self.s), "g, r and s must be integers")
         if self.g < 2:
             raise ValueError("genus must be at least 2")
         if self.s < 0:
@@ -61,8 +61,7 @@ def abel_jacobi_fibre_dims(g: int, r: int) -> AbelJacobiFibres:
     jumps by exactly one over a locus identified with the symmetric product
     of degree 2g - 2 - r, which is a point at r = 2g - 2 and empty beyond.
     """
-    if not all(type(v) is int for v in (g, r)):
-        raise TypeError("g and r must be integers")
+    _require_ints((g, r), "g and r must be integers")
     if g < 2:
         raise ValueError("genus must be at least 2")
     if r <= g - 1:

@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from typing import Union
 
-from .exact import Rational
+from .exact import Rational, _require_ints
 from .lattice import FourManifoldLattice
 
 HYPERBOLIC = ((0, 1), (1, 0))
@@ -216,8 +216,7 @@ def elliptic_like(n: int) -> FourManifoldLattice:
 
     Form diag(+1 x (2n-1), -1 x (10n-1)); K has n threes, then ones.
     """
-    if type(n) is not int:
-        raise TypeError("n must be an integer")
+    _require_ints((n,), "n must be an integer")
     if n < 1:
         raise ValueError("n must be at least 1")
     pos, neg = 2 * n - 1, 10 * n - 1
@@ -242,8 +241,7 @@ def spin_model(n: int) -> FourManifoldLattice:
     """Even-form model with b+ = 4n - 1, K.K = 0, chi_h = 2n: the
     numerology of a spin elliptic surface with canonical class twice a
     primitive square-zero vector."""
-    if type(n) is not int:
-        raise TypeError("n must be an integer")
+    _require_ints((n,), "n must be an integer")
     if n < 1:
         raise ValueError("n must be at least 1")
     blocks = [HYPERBOLIC] * (4 * n - 1) + [negated(E8_GRAM)] * (2 * n)

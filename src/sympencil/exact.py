@@ -3,9 +3,14 @@ integer-series oracle, and rational matrices with certified rank/kernel
 computation and their characteristic polynomials.
 
 Everything in this module is exact. Scalars are ``int`` or
-``fractions.Fraction``; floats never enter. One clearing rule
-(``_primitive``) and one fraction-free reducer (``_insert``) build every
-integer echelon, the rank routine's and ``hilb.is_stable``'s. The rank
+``fractions.Fraction``; floats never enter. The package's two input rules
+live here, and every module calls them: the entry rule ``_fraction`` (an
+exact ``Fraction`` kept, an ``int`` or ``bool`` converted, anything else a
+``TypeError``) and the exact-``int`` rule ``_require_ints`` (a ``bool``,
+float, string or ``Fraction`` is a ``TypeError``, never truncated).
+
+One clearing rule (``_primitive``) and one fraction-free reducer
+(``_insert``) build every integer echelon, the rank routine's and ``hilb.is_stable``'s. The rank
 routine returns the kernel as primitive integer vectors, and one verifier
 (``_certify``) checks its result from the input matrix's own rows, scaled
 to integers row by row, using none of that code: the kernel vectors must
@@ -29,13 +34,27 @@ Rational = Union[int, Fraction]
 # so one retry is allowed before declaring the pipeline inconsistent).
 _CHECK_PRIMES = (2**61 - 1, 2**31 - 1)
 
+# Exactly ``int``: ``bool`` is a subclass of it, and is not an integer here.
+_INT = frozenset((int,))
+
 
 def _fraction(x: Rational) -> Fraction:
-    """An ``int``, ``bool`` or ``Fraction`` entry as a ``Fraction``; any
-    other entry (a float, a string) raises ``TypeError``."""
+    """The entry rule: an exact ``Fraction`` is returned as the same object,
+    an ``int``, a ``bool`` or a ``Fraction`` subclass becomes a plain
+    ``Fraction``, and any other entry (a float, a string) raises
+    ``TypeError``. ``Fraction`` is immutable, so sharing is safe."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     raise TypeError(f"exact entries are int or Fraction, not {type(x).__name__}")
+
+
+def _require_ints(values: Iterable[object], message: str) -> None:
+    """The exact-``int`` rule: raise ``TypeError(message)`` unless the type
+    of every value is exactly ``int``."""
+    if not _INT.issuperset(map(type, values)):
+        raise TypeError(message)
 
 
 def binom(n: int, k: int) -> int:
@@ -71,8 +90,7 @@ def series_geom_pow(exponent: int, cap: int) -> list[int]:
     not through :func:`binom` or ``math.comb``, so the two routes stay
     independent and can cross-check each other.
     """
-    if type(exponent) is not int or type(cap) is not int:
-        raise TypeError("exponent and cap must be integers")
+    _require_ints((exponent, cap), "exponent and cap must be integers")
     if cap < 1:
         raise ValueError("cap must be at least 1")
     base = ([-1 if k % 2 else 1 for k in range(cap)] if exponent < 0
@@ -91,18 +109,14 @@ def series_geom_pow(exponent: int, cap: int) -> list[int]:
 class RationalMatrix:
     """Dense matrix over the rationals, stored as tuples of ``Fraction`` rows.
 
-    An entry whose type is exactly ``Fraction`` is kept as the same object;
-    an ``int``, a ``bool`` or a ``Fraction`` subclass is converted with
-    ``Fraction(x)``, and any other entry (a float, a string) raises
-    ``TypeError``. ``Fraction`` is immutable, so sharing entries between
-    matrices is safe, and products of matrices copy none.
+    Entries follow :func:`_fraction`, so an exact ``Fraction`` is kept as
+    the same object and products of matrices copy no entry.
     """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[Rational]]):
-        rs = tuple(tuple(x if type(x) is Fraction else _fraction(x) for x in row)
-                   for row in rows)
+        rs = tuple(tuple(map(_fraction, row)) for row in rows)
         if not rs:
             raise ValueError("matrix needs at least one row")
         width = len(rs[0])
@@ -124,7 +138,7 @@ class RationalMatrix:
         """Matrix-vector product ``M v``."""
         if len(vector) != self.ncols:
             raise ValueError(f"vector length {len(vector)} != ncols {self.ncols}")
-        vec = [x if type(x) is Fraction else _fraction(x) for x in vector]
+        vec = list(map(_fraction, vector))
         out = []
         for row in self.rows:
             acc = Fraction(0)

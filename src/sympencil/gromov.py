@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .exact import binom
+from .exact import _require_ints, binom
 from .lattice import FourManifoldLattice, HomologyClass
 from .record import Record
 
@@ -41,8 +41,7 @@ class CohomologyProfile(Record):
     def __post_init__(self):
         for name in ("h0", "h1", "h2"):
             v = getattr(self, name)
-            if type(v) is not int:
-                raise TypeError(f"{name} must be an integer")
+            _require_ints((v,), f"{name} must be an integer")
             if v < 0:
                 raise ValueError(f"{name} must be nonnegative")
         expected = riemann_roch_chi(self.divisor.lattice, self.divisor.coords)
@@ -80,8 +79,7 @@ def vanishing_profile(
     middle dimension is instead pinned by chi. Implied negative h1 means the
     supplied dimensions were inconsistent.
     """
-    if type(h0_d) is not int or type(h0_k_minus_d) is not int:
-        raise TypeError("section dimensions must be integers")
+    _require_ints((h0_d, h0_k_minus_d), "section dimensions must be integers")
     if x.b1 != 0:
         raise ValueError("vanishing closure needs b1 = 0")
     if h0_d < 0 or h0_k_minus_d < 0:
@@ -129,8 +127,7 @@ def duality_check(p: CohomologyProfile, r: int) -> bool:
 
 def gr_parity(n: int) -> int:
     """Parity (0 or 1) of binom(2n - 2, n - 1). Odd only at n = 1."""
-    if type(n) is not int:
-        raise TypeError("n must be an integer")
+    _require_ints((n,), "n must be an integer")
     if n < 1:
         raise ValueError("n must be at least 1")
     return binom(2 * n - 2, n - 1) % 2

@@ -25,27 +25,21 @@ import os
 import random
 from collections import deque
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 # rank_and_kernel is looked up on its module at each call, so a wrapper set
 # there later (such as the benchmark's tracer) is seen from this module too.
 from . import exact
-from .exact import RationalMatrix
+from .exact import Rational, RationalMatrix
 from .record import Record
 from .strata import MAX_R, MAX_SAMPLES, STRATA
 
-Rational = Union[int, Fraction]
 Vector = tuple[Fraction, ...]
 
 # Sampler draws live in [-9, 9]: small enough that exact elimination on
 # the assembled differentials stays cheap, generic enough to exercise
 # each stratum.
 _NONZERO_POOL = tuple(x for x in range(-9, 10) if x != 0)
-
-
-def _as_vector(v: Sequence[Rational]) -> Vector:
-    """v as a tuple of ``Fraction``, by the entry rule of ``RationalMatrix``."""
-    return tuple(x if type(x) is Fraction else exact._fraction(x) for x in v)
 
 
 def _check_model_shapes(b1: RationalMatrix, b2: RationalMatrix, v: Sequence,
@@ -66,14 +60,6 @@ def _diagonal(entries: Sequence[Rational]) -> RationalMatrix:
         [[entries[i] if i == j else zero for j in range(n)]
          for i in range(n)]
     )
-
-
-def _is_scalar_matrix(m: RationalMatrix, scalar: Fraction) -> bool:
-    for i, row in enumerate(m.rows):
-        for j, entry in enumerate(row):
-            if entry != (scalar if i == j else 0):
-                return False
-    return True
 
 
 def is_stable(b1: RationalMatrix, b2: RationalMatrix,
@@ -100,7 +86,7 @@ def is_stable(b1: RationalMatrix, b2: RationalMatrix,
     echelon: list[tuple[int, list[int]]] = []
     accepted: list[Vector] = []
     spent: list[Vector] = []
-    queue = deque([_as_vector(v)])
+    queue = deque([tuple(map(exact._fraction, v))])
     while queue and len(accepted) < r:
         w = queue.popleft()
         if exact._insert(exact._primitive(w), echelon) is None:
@@ -130,7 +116,7 @@ class ADHMTriple(Record):
     r: int
 
     def __post_init__(self):
-        object.__setattr__(self, "v", _as_vector(self.v))
+        object.__setattr__(self, "v", tuple(map(exact._fraction, self.v)))
         _check_model_shapes(self.b1, self.b2, self.v, self.r)
         if self.b1.matmul(self.b2) != self.b2.matmul(self.b1):
             raise ValueError("B1 and B2 do not commute")
@@ -152,11 +138,12 @@ class RelADHMQuad(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "lam", exact._fraction(self.lam))
-        object.__setattr__(self, "v", _as_vector(self.v))
+        object.__setattr__(self, "v", tuple(map(exact._fraction, self.v)))
         _check_model_shapes(self.b1, self.b2, self.v, self.r)
-        if not _is_scalar_matrix(self.b1.matmul(self.b2), self.lam):
+        scalar = _diagonal([self.lam] * self.r)
+        if self.b1.matmul(self.b2) != scalar:
             raise ValueError("B1 B2 is not lambda times the identity")
-        if not _is_scalar_matrix(self.b2.matmul(self.b1), self.lam):
+        if self.b2.matmul(self.b1) != scalar:
             raise ValueError("B2 B1 is not lambda times the identity")
         if not is_stable(self.b1, self.b2, self.v):
             raise ValueError("cyclic vector generates a proper invariant subspace")
@@ -165,8 +152,7 @@ class RelADHMQuad(Record):
 def sample_smooth_stratum(r: int, lam: Rational, seed: int) -> RelADHMQuad:
     """Generic point over lambda != 0: B1 a distinct-diagonal matrix,
     B2 = lambda * B1^{-1}, all-ones cyclic vector."""
-    if not all(type(v) is int for v in (r, seed)):
-        raise TypeError("r and seed must be integers")
+    exact._require_ints((r, seed), "r and seed must be integers")
     lam = exact._fraction(lam)
     if lam == 0:
         raise ValueError("smooth-stratum samples need lambda != 0")
@@ -192,8 +178,7 @@ def sample_singular_stratum(r: int, n: int, m: int, seed: int) -> RelADHMQuad:
     zero, for any draw of the remaining coefficients.  n = 0 or m = 0
     degenerates to one matrix vanishing identically.
     """
-    if not all(type(v) is int for v in (r, n, m, seed)):
-        raise TypeError("r, n, m and seed must be integers")
+    exact._require_ints((r, n, m, seed), "r, n, m and seed must be integers")
     if n < 0 or m < 0:
         raise ValueError("chain lengths must be nonnegative")
     if n + m + 1 != r:
@@ -221,8 +206,7 @@ def sample_singular_stratum(r: int, n: int, m: int, seed: int) -> RelADHMQuad:
 def sample_b1zero_stratum(r: int, seed: int) -> RelADHMQuad:
     """Point with B1 identically zero and B2 an invertible cyclic
     operator (companion matrix with nonzero constant coefficient)."""
-    if not all(type(v) is int for v in (r, seed)):
-        raise TypeError("r and seed must be integers")
+    exact._require_ints((r, seed), "r and seed must be integers")
     if r < 1:
         raise ValueError("matrix size r must be positive")
     rng = random.Random(seed)
@@ -240,30 +224,45 @@ def sample_b1zero_stratum(r: int, seed: int) -> RelADHMQuad:
     return RelADHMQuad(b1, RationalMatrix(b2_rows), Fraction(0), v, r)
 
 
+def _product_rows(b1: Sequence[Vector], b2: Sequence[Vector]
+                  ) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """Rows of (C1, C2) -> C1 B2 + B1 C2 and of (C1, C2) -> B2 C1 + C2 B1,
+    for the rows b1 and b2 of r x r matrices, in the entry basis: r^2 rows
+    each, 2 r^2 columns.
+
+    Row i r + j is the (i, j) entry of the image; columns order the entries
+    of C1 row-major, then C2 row-major.
+    """
+    r = len(b1)
+    rr = r * r
+    zero = Fraction(0)
+    first = [[zero] * (2 * rr) for _ in range(rr)]
+    second = [[zero] * (2 * rr) for _ in range(rr)]
+    for i in range(r):
+        for j in range(r):
+            f = first[i * r + j]
+            s = second[i * r + j]
+            for k in range(r):
+                f[i * r + k] += b2[k][j]
+                f[rr + k * r + j] += b1[i][k]
+                s[k * r + j] += b2[i][k]
+                s[rr + i * r + k] += b1[k][j]
+    return first, second
+
+
 def differential_matrix(q: RelADHMQuad) -> RationalMatrix:
     """Matrix of (C1, C2, mu) -> (C1 B2 + B1 C2 - mu I, B2 C1 + C2 B1 - mu I)
     in the entry basis: 2 r^2 rows, 2 r^2 + 1 columns.
 
     Columns order the entries of C1 row-major, then C2 row-major, then mu.
     """
-    r = q.r
-    rr = r * r
-    b1 = q.b1.rows
-    b2 = q.b2.rows
-    rows = [[Fraction(0)] * (2 * rr + 1) for _ in range(2 * rr)]
-    for i in range(r):
-        for j in range(r):
-            first = rows[i * r + j]
-            second = rows[rr + i * r + j]
-            for k in range(r):
-                first[i * r + k] += b2[k][j]
-                first[rr + k * r + j] += b1[i][k]
-                second[k * r + j] += b2[i][k]
-                second[rr + i * r + k] += b1[k][j]
-            if i == j:
-                first[2 * rr] = Fraction(-1)
-                second[2 * rr] = Fraction(-1)
-    return RationalMatrix(rows)
+    first, second = _product_rows(q.b1.rows, q.b2.rows)
+    diagonal = range(0, q.r * q.r, q.r + 1)
+    minus_one, zero = Fraction(-1), Fraction(0)
+    for rows in (first, second):
+        for n, row in enumerate(rows):
+            row.append(minus_one if n in diagonal else zero)
+    return RationalMatrix(first + second)
 
 
 def kernel_dimension(q: RelADHMQuad) -> int:
@@ -273,21 +272,11 @@ def kernel_dimension(q: RelADHMQuad) -> int:
 
 
 def absolute_commutator_differential(t: ADHMTriple) -> RationalMatrix:
-    """Matrix of (C1, C2) -> [C1, B2] + [B1, C2]: r^2 rows, 2 r^2 columns."""
-    r = t.r
-    rr = r * r
-    b1 = t.b1.rows
-    b2 = t.b2.rows
-    rows = [[Fraction(0)] * (2 * rr) for _ in range(rr)]
-    for i in range(r):
-        for j in range(r):
-            row = rows[i * r + j]
-            for k in range(r):
-                row[i * r + k] += b2[k][j]
-                row[k * r + j] -= b2[i][k]
-                row[rr + k * r + j] += b1[i][k]
-                row[rr + i * r + k] -= b1[k][j]
-    return RationalMatrix(rows)
+    """Matrix of (C1, C2) -> [C1, B2] + [B1, C2]: r^2 rows, 2 r^2 columns,
+    the difference of the two maps of :func:`_product_rows`."""
+    first, second = _product_rows(t.b1.rows, t.b2.rows)
+    return RationalMatrix([[a - b if b else a for a, b in zip(f, s)]
+                           for f, s in zip(first, second)])
 
 
 def verify_absolute_cokernel(t: ADHMTriple) -> bool:
@@ -300,8 +289,7 @@ def verify_absolute_cokernel(t: ADHMTriple) -> bool:
 def sample_commuting_diagonal(r: int, seed: int) -> ADHMTriple:
     """Commuting stable pair: B1 with distinct diagonal entries, B2 an
     arbitrary diagonal, all-ones cyclic vector."""
-    if not all(type(v) is int for v in (r, seed)):
-        raise TypeError("r and seed must be integers")
+    exact._require_ints((r, seed), "r and seed must be integers")
     if r < 1:
         raise ValueError("matrix size r must be positive")
     if r > len(_NONZERO_POOL):
@@ -362,8 +350,8 @@ def certify_stratum(stratum: str, r: int, samples: int, seed: int = 1729,
     """
     if stratum not in STRATA:
         raise ValueError(f"unknown stratum {stratum!r}; choose from {STRATA}")
-    if not all(type(v) is int for v in (r, samples, seed, workers)):
-        raise TypeError("r, samples, seed and workers must be integers")
+    exact._require_ints((r, samples, seed, workers),
+                        "r, samples, seed and workers must be integers")
     if not 1 <= r <= MAX_R:
         raise ValueError(f"matrix size r must be between 1 and {MAX_R}")
     if not 1 <= samples <= MAX_SAMPLES:

@@ -15,14 +15,11 @@ from fractions import Fraction
 from itertools import compress
 from typing import Iterator, Optional, Sequence, Union
 
-from .exact import Rational, _fraction
+from .exact import Rational, _fraction, _require_ints
 from .record import Record
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
-
-# Exactly ``int``: ``bool`` is a subclass of it, and is not an entry.
-_INT = frozenset((int,))
 
 
 class _Support(tuple):
@@ -198,8 +195,7 @@ class FourManifoldLattice:
         minimal: bool,
         _signature: Optional[tuple[int, int]] = None,
     ):
-        if type(b1) is not int:
-            raise TypeError("b1 must be an integer")
+        _require_ints((b1,), "b1 must be an integer")
         if type(minimal) is not bool:
             raise TypeError("minimal must be a boolean")
         if not isinstance(label, str):
@@ -213,15 +209,13 @@ class FourManifoldLattice:
         if n == 0:
             raise ValueError("intersection form must be nonempty")
         for row in q:
-            if not _INT.issuperset(map(type, row)):
-                raise TypeError("intersection form entries must be integers")
+            _require_ints(row, "intersection form entries must be integers")
         support = _symmetric_support(q, "intersection form")
         k = tuple(canonical)
-        if not _INT.issuperset(map(type, k)):
-            raise TypeError("canonical vector entries must be integers")
+        _require_ints(k, "canonical vector entries must be integers")
         # Entries parsed from a manifold file are Fractions already; any
         # other entry follows exact's rule, so a float or string raises.
-        w = tuple(x if type(x) is Fraction else _fraction(x) for x in omega)
+        w = tuple(map(_fraction, omega))
         if len(k) != n or len(w) != n:
             raise ValueError("canonical and omega must match the form's rank")
 
@@ -365,8 +359,7 @@ class HomologyClass(Record):
 
     def __post_init__(self):
         coords = tuple(self.coords)
-        if not _INT.issuperset(map(type, coords)):
-            raise TypeError("class coordinates must be integers")
+        _require_ints(coords, "class coordinates must be integers")
         if len(coords) != self.lattice.b2:
             raise ValueError("class length does not match the lattice rank")
         object.__setattr__(self, "coords", coords)
@@ -395,8 +388,8 @@ class BlownUpLattice(FourManifoldLattice):
     __slots__ = ("base", "n_exceptional")
 
     def __init__(self, base: FourManifoldLattice, n_exceptional: int):
-        if type(n_exceptional) is not int:
-            raise TypeError("the number of blown-up points must be an integer")
+        _require_ints((n_exceptional,),
+                      "the number of blown-up points must be an integer")
         if n_exceptional < 1:
             raise ValueError("need at least one exceptional class")
         # Tuple rows, which the constructor keeps without a copy.
@@ -436,8 +429,7 @@ def twist(xp: BlownUpLattice, a: Sequence[int]) -> IntVector:
     if not isinstance(xp, BlownUpLattice):
         raise TypeError("twist needs a blown-up lattice")
     a = tuple(a)
-    if not _INT.issuperset(map(type, a)):
-        raise TypeError("class coordinates must be integers")
+    _require_ints(a, "class coordinates must be integers")
     if len(a) != xp.base.b2:
         raise ValueError("class does not live on the base lattice")
     return a + (1,) * xp.n_exceptional

@@ -15,7 +15,7 @@ import warnings
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .exact import _primitive
+from .exact import _primitive, _require_ints
 from .lattice import FourManifoldLattice, HomologyClass, blow_up, twist
 from .record import Record
 
@@ -49,8 +49,7 @@ def build_pencil(x: FourManifoldLattice, k: int) -> PencilData:
     Warns when the fibre genus comes out below 2, where the high-degree
     asymptotics the construction is meant for do not yet apply.
     """
-    if type(k) is not int:
-        raise TypeError("pencil degree k must be an integer")
+    _require_ints((k,), "pencil degree k must be an integer")
     if k < 1:
         raise ValueError("pencil degree k must be positive")
     w0 = primitive_symplectic_class(x)

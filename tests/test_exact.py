@@ -445,9 +445,10 @@ class TestRationalMatrixEntries:
     @pytest.mark.parametrize("build", [
         lambda x: RationalMatrix([[x]]),
         lambda x: RationalMatrix([[1]]).apply([x]),
-        lambda x: hilb._as_vector([x]),
+        lambda x: hilb.is_stable(RationalMatrix([[1]]), RationalMatrix([[1]]),
+                                 [x]),
         lambda x: FourManifoldLattice("x", 0, [[1]], [-3], [x], True),
-    ], ids=["constructor", "apply", "as_vector", "lattice_omega"])
+    ], ids=["constructor", "apply", "is_stable_v", "lattice_omega"])
     def test_inexact_entries_raise(self, build, entry):
         with pytest.raises(TypeError):
             build(entry)

@@ -79,3 +79,50 @@ def test_every_exported_function_has_a_caller():
     }
     assert "rank_and_kernel" in referenced
     assert sorted(functions - _ORACLE_EXPORTS - referenced) == []
+
+
+# The two input rules of ``exact`` and the set behind the exact-``int``
+# rule: the only code that may test a value's type against ``int`` or
+# ``Fraction``.
+_INPUT_RULES = {"_fraction", "_require_ints", "_INT"}
+
+
+def _is_exact_type_test(node):
+    """``type(...) is int`` or ``type(...) is not Fraction``, either way
+    round, or any reference to ``_INT``."""
+    if isinstance(node, ast.Compare):
+        sides = [node.left, *node.comparators]
+        return (all(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                and any(isinstance(s, ast.Call) and isinstance(s.func, ast.Name)
+                        and s.func.id == "type" for s in sides)
+                and any(isinstance(s, ast.Name) and s.id in {"int", "Fraction"}
+                        for s in sides))
+    if isinstance(node, ast.alias):
+        return "_INT" in {node.name, node.asname}
+    return "_INT" in {getattr(node, "id", None), getattr(node, "attr", None)}
+
+
+def _restated_input_rules(path):
+    """``file:line`` of each exact-type test in path outside ``exact``'s
+    input rules."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    owned = set()
+    if path.name == "exact.py":
+        for node in tree.body:
+            defined = {getattr(node, "name", None)} | {
+                getattr(t, "id", None) for t in getattr(node, "targets", ())}
+            if defined & _INPUT_RULES:
+                owned.update(map(id, ast.walk(node)))
+    lines = {node.lineno for node in ast.walk(tree)
+             if _is_exact_type_test(node) and id(node) not in owned}
+    return [f"{path.name}:{line}" for line in sorted(lines)]
+
+
+def test_input_rules_are_stated_once():
+    """Every module checks its inputs through ``exact._fraction`` (the entry
+    rule) and ``exact._require_ints`` (the exact-``int`` rule) instead of
+    restating them. The ``isinstance`` checks of file and CLI input, which
+    raise ``ValueError`` or a usage error, are not these rules."""
+    found = [site for path in sorted(PACKAGE.glob("*.py"))
+             for site in _restated_input_rules(path)]
+    assert found == []

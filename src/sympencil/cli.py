@@ -7,11 +7,11 @@ is JSON by default (canonical form: sorted keys, compact separators, one
 trailing newline), so identical invocations are byte-identical;
 ``--format text`` renders the same structure as key: value lines.  Exit
 codes: 0 success, 1 a computed check failed, 2 input or usage error (a
-library ``ValueError`` included), reported as one ``Error: ...`` line on
-stderr.  Seeded commands default to seed 1729.  The ``hilb`` command
-reads the worker count from the SYMPENCIL_WORKERS environment variable,
-capped at the CPU count and at ``--samples``; its output does not depend
-on it.
+library ``ValueError`` and a result too long to print included), reported
+as one ``Error: ...`` line on stderr.  Integer options take the grammar of
+``--class``.  Seeded commands default to seed 1729.  ``hilb`` reads the
+worker count from the SYMPENCIL_WORKERS environment variable, capped at
+the CPU count and at ``--samples``; its output does not depend on it.
 
 A process imports only what its command uses: ``hilb``, ``brill_noether``
 and ``applications`` load inside the commands that need them.
@@ -42,12 +42,15 @@ DEFAULT_SEED = 1729
 WORKERS_ENV = "SYMPENCIL_WORKERS"
 
 
-def _emit(payload, fmt: str) -> None:
-    if fmt == "json":
-        click.echo(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-        return
-    for line in _text_lines(payload):
-        click.echo(line)
+def _render(payload, fmt: str) -> str:
+    """The whole report as one string, without its trailing newline."""
+    try:
+        if fmt == "json":
+            return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return "\n".join(_text_lines(payload))
+    except ValueError:  # an integer past sys.get_int_max_str_digits()
+        raise click.UsageError(
+            "the result holds an integer with too many digits to print")
 
 
 def _text_lines(payload, prefix: str = ""):
@@ -88,6 +91,21 @@ def _parse_int(text: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
+
+
+class _Integer(click.ParamType):
+    """:func:`_parse_int` with click's message; ``int`` defaults pass."""
+
+    name = "integer"
+
+    def convert(self, value, param, ctx):
+        try:
+            return value if isinstance(value, int) else _parse_int(value)
+        except ValueError:
+            self.fail(f"{value!r} is not a valid integer.", param, ctx)
+
+
+_INTEGER = _Integer()
 
 
 def _load_json(path: str):
@@ -134,7 +152,8 @@ class _ReportCommand(click.Command):
     """A command whose callback returns its report, the payload or
     ``(payload, passed)``. Adds ``--format``, writes the command's name
     into a dict payload, renders it, and exits 1 when ``passed`` is false;
-    a ``ValueError`` raised while computing it is a usage error."""
+    a ``ValueError`` raised while computing it, or a report rendered whole
+    that cannot be printed, is a usage error."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -152,7 +171,7 @@ class _ReportCommand(click.Command):
         payload, passed = report if isinstance(report, tuple) else (report, True)
         if isinstance(payload, dict):
             payload = {"command": self.name, **payload}
-        _emit(payload, fmt)
+        click.echo(_render(payload, fmt))
         if not passed:
             ctx.exit(1)
 
@@ -193,9 +212,9 @@ _CLASS = click.option("--class", "class_", required=True,
 
 def _profile_options(command):
     """``--h0`` and ``--h2``: the section dimensions of D and of K - D."""
-    command = click.option("--h2", required=True, type=int,
+    command = click.option("--h2", required=True, type=_INTEGER,
                            help="Sections of the residual class K - D.")(command)
-    return click.option("--h0", required=True, type=int,
+    return click.option("--h0", required=True, type=_INTEGER,
                         help="Sections of the class.")(command)
 
 
@@ -296,7 +315,7 @@ def duality_cmd(manifold, class_, h0, h2):
 
 @main.command("pencil")
 @_MANIFOLD
-@click.option("--k", required=True, type=int,
+@click.option("--k", required=True, type=_INTEGER,
               help="Multiple of the primitive symplectic class to use as fibre.")
 @click.option("--class", "class_", default=None,
               help="Optional class whose fibre degrees to report.")
@@ -343,9 +362,9 @@ def count_cmd(manifold, class_):
 
 
 @main.command("bn")
-@click.option("--g", "g", required=True, type=int, help="Curve genus.")
-@click.option("--r", "r", required=True, type=int, help="System degree.")
-@click.option("--s", "s", required=True, type=int, help="System dimension.")
+@click.option("--g", "g", required=True, type=_INTEGER, help="Curve genus.")
+@click.option("--r", "r", required=True, type=_INTEGER, help="System degree.")
+@click.option("--s", "s", required=True, type=_INTEGER, help="System dimension.")
 def bn_cmd(g, r, s):
     """Virtual dimension of degree-r, dimension-s systems on genus g."""
     from . import brill_noether
@@ -365,8 +384,8 @@ def bn_cmd(g, r, s):
 
 
 @main.command("aj-fibres")
-@click.option("--g", "g", required=True, type=int, help="Curve genus.")
-@click.option("--r", "r", required=True, type=int, help="Divisor degree.")
+@click.option("--g", "g", required=True, type=_INTEGER, help="Curve genus.")
+@click.option("--r", "r", required=True, type=_INTEGER, help="Divisor degree.")
 def aj_fibres_cmd(g, r):
     """Fibre dimensions of the degree-r divisor-to-line-bundle map."""
     from . import brill_noether
@@ -384,11 +403,11 @@ def aj_fibres_cmd(g, r):
 
 
 @main.command("hilb")
-@click.option("--r", "r", required=True, type=int,
+@click.option("--r", "r", required=True, type=_INTEGER,
               help=f"Matrix size, 1 to {MAX_R}.")
-@click.option("--samples", required=True, type=int,
+@click.option("--samples", required=True, type=_INTEGER,
               help=f"Samples to certify, 1 to {MAX_SAMPLES}.")
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True,
+@click.option("--seed", type=_INTEGER, default=DEFAULT_SEED, show_default=True,
               help="Base seed; sample i uses seed + i.")
 @click.option("--stratum", type=click.Choice(STRATA), default="smooth",
               show_default=True, help="Stratum to sample.")

@@ -10,13 +10,13 @@ exact ``Fraction`` kept, an ``int`` or ``bool`` converted, anything else a
 float, string or ``Fraction`` is a ``TypeError``, never truncated).
 
 One clearing rule (``_primitive``) and one fraction-free reducer
-(``_insert``) build every integer echelon, the rank routine's and ``hilb.is_stable``'s. The rank
-routine returns the kernel as primitive integer vectors, and one verifier
-(``_certify``) checks its result from the input matrix's own rows, scaled
-to integers row by row, using none of that code: the kernel vectors must
-be independent and each re-substituted exactly to zero (the upper bound),
-and an elimination of the same rows over a large prime field must reach
-the same rank (the lower bound). It raises if any check fails.
+(``_insert``) build every integer echelon, the rank routine's and
+``hilb.is_stable``'s, and ``_echelon_kernel`` reads the kernel off it as
+primitive integer vectors. One verifier (``_certify``) checks the claim
+from the input matrix's own rows, scaled to integers row by row, using
+none of that code: the vectors must be independent and each annihilated
+exactly (the upper bound), and the same rows must reach the same rank over
+a large prime field (the lower bound). It raises if any check fails.
 """
 
 from __future__ import annotations
@@ -168,13 +168,11 @@ class RationalMatrix:
         return RationalMatrix(out)
 
     @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        if n < 1:
-            raise ValueError("identity needs positive size")
-        one, zero = Fraction(1), Fraction(0)
-        return cls(
-            [[one if i == j else zero for j in range(n)] for i in range(n)]
-        )
+    def diagonal(cls, entries: Sequence[Rational]) -> "RationalMatrix":
+        """The square matrix with ``entries`` on its diagonal."""
+        zero = Fraction(0)
+        return cls([[x if i == j else zero for j in range(len(entries))]
+                    for i, x in enumerate(entries)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -190,7 +188,7 @@ def char_poly(m: RationalMatrix) -> list[Fraction]:
     r = m.nrows
     coeffs = [Fraction(0)] * (r + 1)
     coeffs[r] = Fraction(1)
-    work = RationalMatrix.identity(r)
+    work = RationalMatrix.diagonal([1] * r)
     for k in range(1, r + 1):
         prod = m.matmul(work)
         c = Fraction(-sum(prod.rows[i][i] for i in range(r)), k)
@@ -211,12 +209,6 @@ def _primitive(values: Sequence[Rational]) -> list[int]:
     ints = [x.numerator * (denlcm // x.denominator) for x in values]
     g = math.gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
-
-
-def _cleared_integer_rows(m: RationalMatrix) -> list[list[int]]:
-    """Each row of m on its primitive integer ray; row scaling by nonzero
-    rationals changes neither the rank nor the kernel."""
-    return [_primitive(row) for row in m.rows]
 
 
 def _insert(row: list[int], echelon: list[tuple[int, list[int]]]
@@ -244,14 +236,6 @@ def _insert(row: list[int], echelon: list[tuple[int, list[int]]]
         row = [a // g for a in row]
     insort(echelon, (next(c for c, a in enumerate(row) if a), row))
     return row
-
-
-def _integer_echelon(rows: list[list[int]]) -> list[tuple[int, list[int]]]:
-    """Fraction-free echelon of integer rows, as :func:`_insert` keeps it."""
-    echelon: list[tuple[int, list[int]]] = []
-    for row in rows:
-        _insert(row, echelon)
-    return echelon
 
 
 def _rank_mod_prime(rows: list[list[int]], ncols: int, p: int) -> int:
@@ -317,6 +301,18 @@ def _back_substituted(
             q = acc * s // p
         x[pc] = -q
     return tuple(x)
+
+
+def _echelon_kernel(echelon: list[tuple[int, list[int]]], ncols: int
+                    ) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The free columns of an echelon, as :func:`_insert` keeps it, and the
+    primitive integer kernel vector of each, by :func:`_back_substituted`."""
+    bottom_up = [(pc, row[pc], [(c, row[c]) for c in range(pc + 1, ncols)
+                                if row[c]])
+                 for pc, row in reversed(echelon)]
+    pivots = {pc for pc, _ in echelon}
+    free = [fc for fc in range(ncols) if fc not in pivots]
+    return free, [_back_substituted(fc, bottom_up, ncols) for fc in free]
 
 
 def _certify(m: RationalMatrix, rank: int,
@@ -390,14 +386,9 @@ def rank_and_kernel(
     only undercount, so persistent disagreement means a real
     inconsistency).
     """
-    ncols = m.ncols
-    ech = _integer_echelon(_cleared_integer_rows(m))
-    rank = len(ech)
-    bottom_up = [(pc, row[pc], [(c, row[c]) for c in range(pc + 1, ncols)
-                                if row[c]])
-                 for pc, row in reversed(ech)]
-    pivset = {pc for pc, _ in ech}
-    free = [fc for fc in range(ncols) if fc not in pivset]
-    basis = [_back_substituted(fc, bottom_up, ncols) for fc in free]
-    _certify(m, rank, basis, free)
-    return rank, basis
+    echelon: list[tuple[int, list[int]]] = []
+    for row in m.rows:
+        _insert(_primitive(row), echelon)
+    free, basis = _echelon_kernel(echelon, m.ncols)
+    _certify(m, len(echelon), basis, free)
+    return len(echelon), basis

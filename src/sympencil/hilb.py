@@ -15,8 +15,8 @@ stratum deterministically, assembles that differential as an exact
 rational matrix, and certifies the kernel dimension by integer
 elimination with a finite-field cross-check.  The cyclicity of v is
 decided by growing its span under B1 and B2 in one integer echelon, and
-that verdict too is certified, by a single rank call on the vectors the
-echelon accepted and those it reduced to zero.
+that same echelon's kernel certifies the verdict, through ``exact``'s
+verifier, on the vectors it accepted and those it reduced to zero.
 """
 
 from __future__ import annotations
@@ -53,15 +53,6 @@ def _check_model_shapes(b1: RationalMatrix, b2: RationalMatrix, v: Sequence,
         raise ValueError(f"cyclic vector has length {len(v)}, expected {r}")
 
 
-def _diagonal(entries: Sequence[Rational]) -> RationalMatrix:
-    n = len(entries)
-    zero = Fraction(0)
-    return RationalMatrix(
-        [[entries[i] if i == j else zero for j in range(n)]
-         for i in range(n)]
-    )
-
-
 def is_stable(b1: RationalMatrix, b2: RationalMatrix,
               v: Sequence[Rational]) -> bool:
     """Whether the smallest subspace containing v and preserved by both
@@ -73,13 +64,12 @@ def is_stable(b1: RationalMatrix, b2: RationalMatrix,
     to zero is spent. Growth stops when r vectors are accepted or the queue
     runs empty.
 
-    The verdict is then certified by a single ``exact.rank_and_kernel``
-    call on the accepted vectors together with the spent ones, which must
-    have rank exactly the number accepted, or ``RuntimeError`` is raised;
-    its two bounds use neither the clearing rule nor the reducer. With r
-    accepted, that rank proves stability. With fewer, every nonzero
-    image of an accepted vector was accepted or spent, and the rank proves
-    their span invariant: a proper subspace containing v.
+    That echelon is the one certified: ``exact._certify`` checks its kernel
+    on the accepted and spent vectors, claiming as rank the number
+    accepted, which the verdict uses, or raises ``RuntimeError``. With r
+    accepted, that rank proves stability. With fewer, every nonzero image
+    of an accepted vector was accepted or spent, and the rank proves their
+    span invariant: a proper subspace containing v.
     """
     r = b1.nrows
     _check_model_shapes(b1, b2, v, r)
@@ -96,13 +86,9 @@ def is_stable(b1: RationalMatrix, b2: RationalMatrix,
         for image in (b1.apply(w), b2.apply(w)):
             if any(image):
                 queue.append(image)
-    rank, _ = exact.rank_and_kernel(RationalMatrix(accepted + spent))
-    if rank != len(accepted):
-        raise RuntimeError(
-            f"certified rank {rank} of the span of v disagrees with the "
-            f"{len(accepted)} vectors its integer echelon accepted"
-        )
-    return rank == r
+    free, basis = exact._echelon_kernel(echelon, r)
+    exact._certify(RationalMatrix(accepted + spent), len(accepted), basis, free)
+    return len(accepted) == r
 
 
 class ADHMTriple(Record):
@@ -140,7 +126,7 @@ class RelADHMQuad(Record):
         object.__setattr__(self, "lam", exact._fraction(self.lam))
         object.__setattr__(self, "v", tuple(map(exact._fraction, self.v)))
         _check_model_shapes(self.b1, self.b2, self.v, self.r)
-        scalar = _diagonal([self.lam] * self.r)
+        scalar = RationalMatrix.diagonal([self.lam] * self.r)
         if self.b1.matmul(self.b2) != scalar:
             raise ValueError("B1 B2 is not lambda times the identity")
         if self.b2.matmul(self.b1) != scalar:
@@ -162,8 +148,8 @@ def sample_smooth_stratum(r: int, lam: Rational, seed: int) -> RelADHMQuad:
         raise ValueError(f"sampler supports r up to {len(_NONZERO_POOL)}")
     rng = random.Random(seed)
     zs = rng.sample(_NONZERO_POOL, r)
-    b1 = _diagonal(zs)
-    b2 = _diagonal([lam / z for z in zs])
+    b1 = RationalMatrix.diagonal(zs)
+    b2 = RationalMatrix.diagonal([lam / z for z in zs])
     v = tuple(Fraction(1) for _ in range(r))
     return RelADHMQuad(b1, b2, lam, v, r)
 
@@ -295,8 +281,8 @@ def sample_commuting_diagonal(r: int, seed: int) -> ADHMTriple:
     if r > len(_NONZERO_POOL):
         raise ValueError(f"sampler supports r up to {len(_NONZERO_POOL)}")
     rng = random.Random(seed)
-    b1 = _diagonal(rng.sample(_NONZERO_POOL, r))
-    b2 = _diagonal([rng.randint(-9, 9) for _ in range(r)])
+    b1 = RationalMatrix.diagonal(rng.sample(_NONZERO_POOL, r))
+    b2 = RationalMatrix.diagonal([rng.randint(-9, 9) for _ in range(r)])
     v = tuple(Fraction(1) for _ in range(r))
     return ADHMTriple(b1, b2, v, r)
 

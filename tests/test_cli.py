@@ -393,6 +393,62 @@ def test_json_the_reader_rejects_names_the_file(runner, manifold_file, tmp_path,
     assert "set_int_max_str_digits" not in result.stderr
 
 
+# W.W, a.a and the other squares have about 4,400 digits, past the
+# interpreter's int-to-str limit; the inputs themselves are below it.
+_NINES = "9" * 2200
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("args", [
+    ["pencil", "--k", _NINES],
+    ["count", "--class", _NINES],
+], ids=["pencil_k", "count_class"])
+def test_unprintable_result_exits_two(runner, manifold_file, args, fmt):
+    """A result that cannot be written as text is an input error: one
+    `Error:` line, no traceback, and nothing on stdout, not even the
+    lines sorted before the long value."""
+    command, *options = args
+    result = runner.invoke(main, [command, manifold_file("cp2"), *options,
+                                  "--format", fmt])
+    assert (result.exit_code, result.stdout) == (2, ""), result.output
+    assert result.stderr == ("Error: the result holds an integer with too "
+                             "many digits to print\n")
+
+
+# Each integer option with the other arguments of a valid invocation.
+_INTEGER_OPTIONS = [
+    (["gromov", "<cp2>", "--class", "1", "--h2", "0"], "--h0"),
+    (["gromov", "<cp2>", "--class", "1", "--h0", "3"], "--h2"),
+    (["duality", "<cp2>", "--class", "1", "--h2", "0"], "--h0"),
+    (["duality", "<cp2>", "--class", "1", "--h0", "3"], "--h2"),
+    (["pencil", "<cp2>"], "--k"),
+    (["bn", "--r", "2", "--s", "1"], "--g"),
+    (["bn", "--g", "5", "--s", "1"], "--r"),
+    (["bn", "--g", "5", "--r", "2"], "--s"),
+    (["aj-fibres", "--r", "2"], "--g"),
+    (["aj-fibres", "--g", "5"], "--r"),
+    (["hilb", "--samples", "1"], "--r"),
+    (["hilb", "--r", "1"], "--samples"),
+    (["hilb", "--r", "1", "--samples", "1"], "--seed"),
+]
+
+
+@pytest.mark.parametrize("value", ["1_0", "+2", "\u0662", "\t2"],
+                         ids=["underscore", "plus_sign", "arabic_indic_digit",
+                              "tab"])
+@pytest.mark.parametrize("args, option", _INTEGER_OPTIONS,
+                         ids=[f"{a[0]}{o}" for a, o in _INTEGER_OPTIONS])
+def test_integer_options_take_only_ascii_digits(runner, manifold_file, args,
+                                                option, value):
+    """Every integer option has the grammar of ``--class``: ``-?[0-9]+``,
+    with click's own failure message."""
+    args = [manifold_file("cp2") if a == "<cp2>" else a for a in args]
+    result = runner.invoke(main, [*args, option, value])
+    assert (result.exit_code, result.stdout) == (2, ""), result.output
+    assert result.stderr == (f"Error: Invalid value for '{option}': "
+                             f"{value!r} is not a valid integer.\n")
+
+
 def test_every_command_takes_the_report_path():
     """Every command is a `_ReportCommand`, so none renders its own report,
     sets its own exit code or maps its own input errors."""

@@ -1,3 +1,4 @@
+import itertools
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -233,6 +234,19 @@ _WIDE = RationalMatrix(
 )
 
 
+def _fault_at(monkeypatch, name, index, fault):
+    """Patch ``exact.<name>`` so that the result of its call number
+    ``index`` (from 0) goes through ``fault`` before it is returned."""
+    original = getattr(exact, name)
+    calls = itertools.count()
+
+    def faulty(*args):
+        out = original(*args)
+        return fault(out) if next(calls) == index else out
+
+    monkeypatch.setattr(exact, name, faulty)
+
+
 class TestKernelVerifierChecksTheInput:
     """A fault in denominator clearing or in the echelon must not slip past
     the exact kernel check or the GF(p) rank, because both read the input
@@ -245,31 +259,18 @@ class TestKernelVerifierChecksTheInput:
     @pytest.mark.parametrize("row", range(3))
     @pytest.mark.parametrize("fault", ["zero", "perturb"])
     def test_faulty_clearing_is_caught(self, monkeypatch, row, fault):
-        cleared = exact._cleared_integer_rows
+        def faulty(ints):
+            return [0] * len(ints) if fault == "zero" else [*ints[:3], ints[3] + 1]
 
-        def faulty(m):
-            rows = cleared(m)
-            if fault == "zero":
-                rows[row] = [0] * len(rows[row])
-            else:
-                rows[row][3] += 1
-            return rows
-
-        monkeypatch.setattr(exact, "_cleared_integer_rows", faulty)
+        _fault_at(monkeypatch, "_primitive", row, faulty)
         with pytest.raises(RuntimeError, match="re-substitution"):
             rank_and_kernel(_WIDE)
 
     def test_clearing_fault_that_raises_the_rank_is_caught(self, monkeypatch):
         # Rank 2 leaves an empty kernel, so the exact check has nothing to
         # test; the GF(p) rank, read from the input itself, stays 1.
-        cleared = exact._cleared_integer_rows
-
-        def faulty(m):
-            rows = cleared(m)
-            rows[1][1] += 1
-            return rows
-
-        monkeypatch.setattr(exact, "_cleared_integer_rows", faulty)
+        _fault_at(monkeypatch, "_primitive", 1,
+                  lambda ints: [ints[0], ints[1] + 1])
         with pytest.raises(RuntimeError, match="rank mismatch"):
             rank_and_kernel(RationalMatrix([[1, 2], [2, 4]]))
 
@@ -282,14 +283,11 @@ class TestKernelVerifierChecksTheInput:
 
     @pytest.mark.parametrize("row", range(3))
     def test_faulty_echelon_is_caught(self, monkeypatch, row):
-        echelon = exact._integer_echelon
+        def faulty(inserted):
+            inserted[3] += 1  # the row as the echelon keeps it; 3 is free
+            return inserted
 
-        def faulty(rows):
-            ech = echelon(rows)
-            ech[row][1][3] += 1  # column 3 is the free column
-            return ech
-
-        monkeypatch.setattr(exact, "_integer_echelon", faulty)
+        _fault_at(monkeypatch, "_insert", row, faulty)
         with pytest.raises(RuntimeError, match="re-substitution"):
             rank_and_kernel(_WIDE)
 
@@ -301,8 +299,7 @@ _CLAIM_MATRIX = RationalMatrix(
 )
 _CLAIM_FREE = [2, 3, 4]
 _CLAIM_BASIS = [(-2, 1, 1, 0, 0), (0, 0, 0, 1, 0), (-3, -4, 0, 0, 1)]
-_PRODUCER = ("_primitive", "_insert", "_back_substituted",
-             "_cleared_integer_rows", "_integer_echelon")
+_PRODUCER = ("_primitive", "_insert", "_back_substituted", "_echelon_kernel")
 
 
 class TestCertify:
@@ -392,8 +389,9 @@ def _clearing_matrices(draw):
 
 
 class TestClearedIntegerRows:
-    """Clearing in integer arithmetic gives the integers the Fraction
-    products gave, so the echelon's input is unchanged."""
+    """Clearing each row by ``_primitive``, in integer arithmetic, gives
+    the integers the Fraction products gave, so the echelon's input is
+    unchanged."""
 
     @given(_clearing_matrices())
     @settings(max_examples=200)
@@ -403,7 +401,7 @@ class TestClearedIntegerRows:
               [Fraction(1, 2**64 - 1), -7, Fraction(-6, 2**63)]])
     def test_matches_fraction_products(self, rows):
         m = RationalMatrix(rows)
-        cleared = exact._cleared_integer_rows(m)
+        cleared = [exact._primitive(row) for row in m.rows]
         assert cleared == _cleared_by_fraction_products(m)
         assert all(type(v) is int for row in cleared for v in row)
 
@@ -417,7 +415,7 @@ class TestClearedIntegerRows:
 
         monkeypatch.setattr(Fraction, "__mul__", refuse)
         monkeypatch.setattr(Fraction, "__rmul__", refuse)
-        cleared = exact._cleared_integer_rows(m)
+        cleared = [exact._primitive(row) for row in m.rows]
         monkeypatch.undo()
         assert cleared == expected
 

@@ -32,11 +32,7 @@ from sympencil.strata import MAX_R, MAX_SAMPLES
 
 
 def diag(*entries):
-    n = len(entries)
-    return RationalMatrix(
-        [[Fraction(entries[i]) if i == j else Fraction(0) for j in range(n)]
-         for i in range(n)]
-    )
+    return RationalMatrix.diagonal(entries)
 
 
 def zeros(n):
@@ -147,7 +143,7 @@ def _dense_triples(draw):
             for i in range(k, r):
                 b[i][:k] = [0] * k
         v[k:] = [0] * (r - k)
-        u = RationalMatrix.identity(r)
+        u = RationalMatrix.diagonal([1] * r)
         u_inv = u
         for _ in range(draw(st.integers(0, 2 * r))):
             i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
@@ -183,31 +179,77 @@ class TestIsStableDense:
         with mock.patch.object(exact, "_insert", checked):
             assert is_stable(b1, b2, v) == (rank == r)
 
-    def test_one_certifying_rank_call(self, monkeypatch):
-        calls = []
-        original = exact.rank_and_kernel
+    def test_one_insert_per_queued_vector(self, monkeypatch):
+        # The echelon that decides the verdict is the one certified: each
+        # queued vector is reduced once, every one of them reaches the
+        # verifier, and no second elimination runs.
+        inserts, certified, rank_calls = [], [], []
+        insert, certify = exact._insert, exact._certify
 
-        def counted(m):
-            calls.append(m.nrows)
-            return original(m)
+        def counted_insert(row, echelon):
+            inserts.append(row)
+            return insert(row, echelon)
 
-        monkeypatch.setattr(exact, "rank_and_kernel", counted)
+        def counted_certify(m, *args):
+            certified.append(m.nrows)
+            return certify(m, *args)
+
+        monkeypatch.setattr(exact, "_insert", counted_insert)
+        monkeypatch.setattr(exact, "_certify", counted_certify)
+        monkeypatch.setattr(exact, "rank_and_kernel",
+                            lambda m: rank_calls.append(m))
         b1 = RationalMatrix([[1, 2, 0], [0, 1, 3], [4, 0, 1]])
         assert is_stable(b1, zeros(3), (1, 0, 0))
-        assert len(calls) == 1
         assert not is_stable(diag(1, 2, 3), diag(4, 5, 6), (1, 1, 0))
-        assert len(calls) == 2
+        # Three vectors accepted; then two accepted and three spent.
+        assert certified == [3, 5]
+        assert len(inserts) == sum(certified)
+        assert rank_calls == []
 
-    def test_rank_fault_raises(self, monkeypatch):
-        original = exact.rank_and_kernel
+    @staticmethod
+    def _fault_at(monkeypatch, call, reported):
+        """Patch the reducer so that its call-th call (from 1) reduces the
+        row without inserting it and reports it accepted (its reduced row)
+        or spent (None)."""
+        insert = exact._insert
+        calls = itertools.count(1)
 
-        def undercounting(m):
-            rank, kernel = original(m)
-            return rank - 1, kernel
+        def faulty(row, echelon):
+            if next(calls) != call:
+                return insert(row, echelon)
+            out = insert(row, list(echelon))
+            return out if reported == "accepted" else None
 
-        monkeypatch.setattr(exact, "rank_and_kernel", undercounting)
-        with pytest.raises(RuntimeError, match="certified rank"):
-            is_stable(diag(1, 2), diag(2, 1), (1, 1))
+        monkeypatch.setattr(exact, "_insert", faulty)
+
+    def test_accepted_vector_never_inserted_raises(self, monkeypatch):
+        # v = (1, 1, 0) spans an invariant plane with B1 v = (1, 2, 0), so
+        # the triple is unstable; with v missing from the echelon, B1^2 v
+        # looks new and three vectors are accepted. The echelon has rank
+        # two, so the claimed rank three leaves one kernel vector too many.
+        args = (diag(1, 2, 3), zeros(3), (1, 1, 0))
+        self._fault_at(monkeypatch, 1, "accepted")
+        with pytest.raises(RuntimeError, match="nullity 0"):
+            is_stable(*args)
+        # Without the certificate the verdict would be wrong.
+        monkeypatch.undo()
+        self._fault_at(monkeypatch, 1, "accepted")
+        monkeypatch.setattr(exact, "_certify", lambda *a: None)
+        assert is_stable(*args)
+
+    def test_independent_vector_spent_raises(self, monkeypatch):
+        # The triple is stable, but B1 v is spent, so its images are never
+        # queued and only v is accepted; the kernel of the echelon does not
+        # annihilate the spent vector.
+        args = (diag(1, 2, 3), zeros(3), (1, 1, 1))
+        self._fault_at(monkeypatch, 2, "spent")
+        with pytest.raises(RuntimeError, match="re-substitution"):
+            is_stable(*args)
+        # Without the certificate the verdict would be wrong.
+        monkeypatch.undo()
+        self._fault_at(monkeypatch, 2, "spent")
+        monkeypatch.setattr(exact, "_certify", lambda *a: None)
+        assert not is_stable(*args)
 
 
 class TestModelValidation:

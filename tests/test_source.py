@@ -126,3 +126,14 @@ def test_input_rules_are_stated_once():
     found = [site for path in sorted(PACKAGE.glob("*.py"))
              for site in _restated_input_rules(path)]
     assert found == []
+
+
+def test_cli_options_do_not_use_click_int():
+    """Every integer option of the CLI parses through ``cli._parse_int``;
+    click's ``type=int`` takes ``int()``'s wider grammar (``+2``, ``1_0``,
+    non-ASCII digits)."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.keyword) and node.arg == "type"
+             and isinstance(node.value, ast.Name) and node.value.id == "int"]
+    assert found == []

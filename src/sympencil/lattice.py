@@ -7,6 +7,10 @@ the whole almost-complex bookkeeping: symmetry, nondegeneracy, the
 characteristic congruence, the Noether-style relation between the square of
 the canonical vector and the characteristic numbers, and integrality of the
 holomorphic Euler characteristic when the first Betti number is even.
+
+The form and the canonical vector take exact ``int`` entries only, and so
+does the signature: its elimination runs on integers, one direct-sum block
+at a time. Any other entry raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ class _Support(tuple):
     __slots__ = ()
 
 
-def _symmetric_support(rows: Sequence[Sequence[Rational]],
+def _symmetric_support(rows: Sequence[Sequence[int]],
                        name: str = "matrix") -> _Support:
     """The nonzero entries ``((j, a_ij), ...)`` of each row, from one pass
     over a matrix that must be square and symmetric.
@@ -68,28 +72,25 @@ def _direct_sum_blocks(support: _Support) -> Iterator[list[int]]:
         yield block
 
 
-def signature_of_symmetric(rows: Sequence[Sequence[Rational]]) -> tuple[int, int, int]:
-    """Inertia ``(n_pos, n_neg, n_zero)`` of a symmetric rational matrix.
+def signature_of_symmetric(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """Inertia ``(n_pos, n_neg, n_zero)`` of a symmetric integer matrix.
 
-    Inertia adds over a direct sum, so the matrix is split into the blocks
-    of its nonzero pattern: a 1x1 block contributes the sign of its entry,
-    and a larger one goes through the exact dense elimination of
-    :func:`_dense_signature`. The lattice constructor passes the support it
-    has already checked, so the form is scanned once.
+    Raises ``TypeError`` when an entry is not an ``int`` (a ``bool``,
+    float, string or ``Fraction`` is not truncated), and ``ValueError``
+    when the matrix is not square and symmetric. Inertia adds over a
+    direct sum, so each block of the nonzero pattern goes through the
+    integer elimination of :func:`_dense_signature`. The lattice
+    constructor passes the support it has already checked, so the form is
+    scanned once.
     """
-    support = rows if isinstance(rows, _Support) else _symmetric_support(rows)
+    if isinstance(rows, _Support):
+        support = rows
+    else:
+        for row in rows:
+            _require_ints(row, "matrix entries must be integers")
+        support = _symmetric_support(rows)
     pos = neg = zero = 0
     for block in _direct_sum_blocks(support):
-        if len(block) == 1:
-            entries = support[block[0]]
-            d = entries[0][1] if entries else 0
-            if d > 0:
-                pos += 1
-            elif d < 0:
-                neg += 1
-            else:
-                zero += 1
-            continue
         local = {g: i for i, g in enumerate(block)}
         dense = [[0] * len(block) for _ in block]
         for i, g in enumerate(block):
@@ -102,57 +103,49 @@ def signature_of_symmetric(rows: Sequence[Sequence[Rational]]) -> tuple[int, int
     return pos, neg, zero
 
 
-def _dense_signature(rows: Sequence[Sequence[Rational]]) -> tuple[int, int, int]:
-    """Inertia of a square symmetric matrix by symmetric congruence
-    diagonalization (Sylvester), done exactly over ``Fraction``.
+def _dense_signature(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """Inertia of a square symmetric integer matrix by fraction-free
+    symmetric elimination (Bareiss 1968).
 
-    Zero diagonal entries are repaired by a diagonal swap when one is
-    available, and otherwise by the hyperbolic row/column addition trick.
-    The caller checks that the matrix is square and symmetric.
+    The trailing block is kept as ``prev`` times the Schur complement of the
+    pivots taken so far, where ``prev`` is the last pivot, so each step
+    ``(d*a_ij - a_i0*a_0j) // prev`` divides exactly (Sylvester's identity)
+    and the diagonal of the congruent form has the sign of ``d*prev``. A
+    zero pivot is repaired by a diagonal swap when one is available, and
+    otherwise by the hyperbolic row/column addition; a zero trailing row
+    counts as a zero eigenvalue and leaves ``prev`` as it is. The caller
+    checks that the matrix is square, symmetric and of ``int`` entries.
     """
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
+    a = [list(row) for row in rows]
     pos = neg = zero = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = -1
-            for j in range(k + 1, n):
-                if a[j][j] != 0:
-                    swap = j
-                    break
-            if swap >= 0:
-                a[k], a[swap] = a[swap], a[k]
+    prev = 1
+    while a:
+        if not a[0][0]:
+            swap = next((j for j in range(1, len(a)) if a[j][j]), 0)
+            if swap:
+                a[0], a[swap] = a[swap], a[0]
                 for row in a:
-                    row[k], row[swap] = row[swap], row[k]
+                    row[0], row[swap] = row[swap], row[0]
             else:
-                off = -1
-                for j in range(k + 1, n):
-                    if a[k][j] != 0:
-                        off = j
-                        break
-                if off < 0:
+                off = next((j for j, x in enumerate(a[0]) if x), 0)
+                if not off:
                     zero += 1
+                    a = [row[1:] for row in a[1:]]
                     continue
-                # Both diagonals vanish on the remaining block, so adding
-                # row and column `off` makes the corner 2*a[k][off] != 0.
-                for j in range(n):
-                    a[k][j] += a[off][j]
-                for i in range(n):
-                    a[i][k] += a[i][off]
-        d = a[k][k]
-        if d > 0:
+                # Both diagonals vanish on the trailing block, so adding
+                # row and column `off` makes the corner 2*a[0][off] != 0.
+                a[0] = [x + y for x, y in zip(a[0], a[off])]
+                for row in a:
+                    row[0] += row[off]
+        d = a[0][0]
+        if (d > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        for j in range(k + 1, n):
-            if a[j][k]:
-                f = a[j][k] / d
-                for l in range(k, n):
-                    if a[k][l]:
-                        a[j][l] -= f * a[k][l]
-                for l in range(k, n):
-                    if a[l][k]:
-                        a[l][j] -= f * a[l][k]
+        top = a[0][1:]
+        a = [[(d * x - row[0] * y) // prev for x, y in zip(row[1:], top)]
+             for row in a[1:]]
+        prev = d
     return pos, neg, zero
 
 

@@ -299,6 +299,7 @@ _CLAIM_MATRIX = RationalMatrix(
 )
 _CLAIM_FREE = [2, 3, 4]
 _CLAIM_BASIS = [(-2, 1, 1, 0, 0), (0, 0, 0, 1, 0), (-3, -4, 0, 0, 1)]
+_CLAIM_SUM = tuple(map(sum, zip(*_CLAIM_BASIS[:2])))
 _PRODUCER = ("_primitive", "_insert", "_back_substituted", "_echelon_kernel")
 
 
@@ -322,12 +323,14 @@ class TestCertify:
         ([_CLAIM_BASIS[0]] * 3, _CLAIM_FREE),
         ([_CLAIM_BASIS[0]] * 3, [2, 2, 2]),
         # the third vector replaced by the sum of the first two
-        (_CLAIM_BASIS[:2] + [tuple(map(sum, zip(*_CLAIM_BASIS[:2])))],
-         _CLAIM_FREE),
+        (_CLAIM_BASIS[:2] + [_CLAIM_SUM], _CLAIM_FREE),
         # one vector too few
         (_CLAIM_BASIS[:2], _CLAIM_FREE[:2]),
         # a free column outside the matrix
         (_CLAIM_BASIS, [2, 3, 5]),
+        # the sum of the first two, twice: nonzero at each own free column,
+        # so only the zero-at-the-others clause refutes it
+        ([_CLAIM_SUM, _CLAIM_SUM, _CLAIM_BASIS[2]], _CLAIM_FREE),
     ])
     def test_dependent_or_missing_vectors_raise(self, basis, free):
         with pytest.raises(RuntimeError, match="kernel vectors"):

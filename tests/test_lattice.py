@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,25 @@ class TestSignature:
         with pytest.raises(ValueError, match="symmetric"):
             signature_of_symmetric([[1, 0, 0], [0, 1, 0], [3, 0, 1]])
 
+    @pytest.mark.parametrize("rows", [
+        [[0.5]],
+        [[1, 0.5], [0.5, 1]],
+        [["1"]],
+        [[True]],
+    ])
+    def test_rejects_entries_that_are_not_int(self, rows):
+        with pytest.raises(TypeError, match="matrix entries must be integers"):
+            signature_of_symmetric(rows)
+
+    def test_dense_160_block_within_budget(self):
+        # The integer elimination takes about 0.8 s on a 2-CPU host; the
+        # budget catches rational arithmetic, which takes about 11 s.
+        q = _random_symmetric(random.Random(160), 160)
+        start = time.monotonic()
+        b_plus, b_minus, b_zero = signature_of_symmetric(q)
+        assert time.monotonic() - start < 3.0
+        assert b_plus + b_minus + b_zero == 160
+
 
 def descartes_inertia(rows):
     """``(pos, neg, zero)`` read off the exact characteristic polynomial.
@@ -110,6 +130,15 @@ def descartes_inertia(rows):
 
     neg = sign_changes([-c if k % 2 else c for k, c in enumerate(rest)])
     return sign_changes(rest), neg, zero
+
+
+def _random_symmetric(rng, n, zero_diagonal=False):
+    """A dense symmetric ``n x n`` matrix with entries in [-3, 3]."""
+    q = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + (1 if zero_diagonal else 0), n):
+            q[i][j] = q[j][i] = rng.randint(-3, 3)
+    return q
 
 
 @st.composite
@@ -155,10 +184,18 @@ class TestSignatureOracle:
         assert block == _dense_signature(q) == descartes_inertia(q)
         assert sum(block) == len(q)
 
+    @given(st.integers(5, 12), st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_three_routes_agree_on_dense_blocks(self, n, zero_diagonal, rng):
+        q = _random_symmetric(rng, n, zero_diagonal)
+        assert signature_of_symmetric(q) == _dense_signature(q) == descartes_inertia(q)
+
     def test_three_routes_agree_on_catalog(self):
         small = [x for x in _catalog().values() if x.b2 <= 30]
         assert len(small) >= 4
-        for x in small:
+        # A blow-up's signature is not eliminated but added up by its
+        # constructor, so the three routes check that sum too.
+        for x in small + [blow_up(x, 2) for x in small]:
             expected = (x.b_plus, x.b_minus, 0)
             assert signature_of_symmetric(x.form) == expected, x.label
             assert _dense_signature(x.form) == expected, x.label

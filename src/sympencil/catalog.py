@@ -4,8 +4,9 @@ Manifold files are JSON objects with fields ``label``, ``b1``, ``Q`` (array
 of arrays), ``K``, ``omega``, ``minimal``. Integers parse bit-exactly;
 rational entries are written as ``"p/q"`` strings. ``STANDARD_BUILDERS``
 is the catalog: it builds a handful of standard examples (projective plane,
-quadric, K3, elliptic surfaces, a triple connected sum) from the generator
-functions below, which also give whole families of them.
+quadric, K3, elliptic surfaces, a triple connected sum) from two lattice
+families, odd diagonal forms and even sums of hyperbolic planes and -E8
+blocks, which ``elliptic_like`` and ``spin_model`` also draw on.
 """
 
 from __future__ import annotations
@@ -151,62 +152,35 @@ def lattice_to_dict(x: FourManifoldLattice) -> dict:
 
 # -- generator families -----------------------------------------------------
 
+_NEG_E8 = negated(E8_GRAM)
+_K3_BLOCKS = [HYPERBOLIC] * 3 + [_NEG_E8] * 2
 
-def projective_plane() -> FourManifoldLattice:
+
+def _diagonal(label: str, pos: int, neg: int, canonical,
+              minimal: bool) -> FourManifoldLattice:
+    """The odd form diag(+1 x pos, -1 x neg) with omega = e0."""
+    n = pos + neg
+    form = [[0] * n for _ in range(n)]
+    for i in range(n):
+        form[i][i] = 1 if i < pos else -1
     return FourManifoldLattice(
-        label="cp2", b1=0, form=[[1]], canonical=[-3], omega=[1], minimal=True
+        label=label, b1=0, form=form, canonical=canonical,
+        omega=[1] + [0] * (n - 1), minimal=minimal,
     )
 
 
-def quadric() -> FourManifoldLattice:
-    return FourManifoldLattice(
-        label="s2xs2",
-        b1=0,
-        form=HYPERBOLIC,
-        canonical=[-2, -2],
-        omega=[1, 1],
-        minimal=True,
-    )
-
-
-def k3_surface() -> FourManifoldLattice:
-    form = block_diag(HYPERBOLIC, HYPERBOLIC, HYPERBOLIC, negated(E8_GRAM), negated(E8_GRAM))
+def _even(label: str, blocks, canonical: dict) -> FourManifoldLattice:
+    """The even, minimal direct sum of ``blocks`` (hyperbolic planes and -E8
+    blocks, a hyperbolic plane first) with omega = e0 + e1, and K given by
+    its nonzero entries ``{index: value}``."""
+    form = block_diag(*blocks)
     n = len(form)
-    omega = [0] * n
-    omega[0] = omega[1] = 1
+    k = [0] * n
+    for i, v in canonical.items():
+        k[i] = v
+    omega = [1, 1] + [0] * (n - 2)
     return FourManifoldLattice(
-        label="k3", b1=0, form=form, canonical=[0] * n, omega=omega, minimal=True
-    )
-
-
-def k3_triple_sum() -> FourManifoldLattice:
-    """Connected sum of three K3 lattices, declared minimal.
-
-    K = 0 fails K.K = 2e + 3sigma = -8 here, so the canonical vector is
-    taken to be twice a square -2 vector in the first -E8 summand, which is
-    characteristic in this even lattice and has the right square. The point
-    of the entry is that validation passes while the minimality inequality
-    fails.
-    """
-    one = (HYPERBOLIC, HYPERBOLIC, HYPERBOLIC, negated(E8_GRAM), negated(E8_GRAM))
-    form = block_diag(*(one * 3))
-    n = len(form)
-    canonical = [0] * n
-    canonical[6] = 2  # first basis vector of the first -E8 block
-    omega = [0] * n
-    omega[0] = omega[1] = 1
-    return FourManifoldLattice(
-        label="k3_sum3", b1=0, form=form, canonical=canonical, omega=omega, minimal=True
-    )
-
-
-def rational_elliptic() -> FourManifoldLattice:
-    """The plane blown up nine times, fibred by cubics; b- = 9."""
-    form = block_diag([[1]], *([[-1]] for _ in range(9)))
-    canonical = [-3] + [1] * 9
-    omega = [1] + [0] * 9
-    return FourManifoldLattice(
-        label="e1", b1=0, form=form, canonical=canonical, omega=omega, minimal=False
+        label=label, b1=0, form=form, canonical=k, omega=omega, minimal=True
     )
 
 
@@ -219,22 +193,8 @@ def elliptic_like(n: int) -> FourManifoldLattice:
     _require_ints((n,), "n must be an integer")
     if n < 1:
         raise ValueError("n must be at least 1")
-    pos, neg = 2 * n - 1, 10 * n - 1
-    form = [[0] * (pos + neg) for _ in range(pos + neg)]
-    for i in range(pos):
-        form[i][i] = 1
-    for i in range(pos, pos + neg):
-        form[i][i] = -1
-    canonical = [3] * n + [1] * (n - 1) + [1] * neg
-    omega = [1] + [0] * (pos + neg - 1)
-    return FourManifoldLattice(
-        label=f"elliptic_like_{n}",
-        b1=0,
-        form=form,
-        canonical=canonical,
-        omega=omega,
-        minimal=(n >= 2),
-    )
+    return _diagonal(f"elliptic_like_{n}", 2 * n - 1, 10 * n - 1,
+                     [3] * n + [1] * (11 * n - 2), minimal=(n >= 2))
 
 
 def spin_model(n: int) -> FourManifoldLattice:
@@ -244,41 +204,27 @@ def spin_model(n: int) -> FourManifoldLattice:
     _require_ints((n,), "n must be an integer")
     if n < 1:
         raise ValueError("n must be at least 1")
-    blocks = [HYPERBOLIC] * (4 * n - 1) + [negated(E8_GRAM)] * (2 * n)
-    form = block_diag(*blocks)
-    size = len(form)
-    canonical = [0] * size
-    canonical[0] = 2  # twice the first isotropic basis vector
-    omega = [0] * size
-    omega[0] = omega[1] = 1
-    return FourManifoldLattice(
-        label=f"spin_model_{n}",
-        b1=0,
-        form=form,
-        canonical=canonical,
-        omega=omega,
-        minimal=True,
-    )
-
-
-STANDARD_BUILDERS = {
-    "cp2": projective_plane,
-    "s2xs2": quadric,
-    "k3": k3_surface,
-    "k3_sum3": k3_triple_sum,
-    "e1": rational_elliptic,
-    "e3": lambda: _relabel(elliptic_like(3), "e3"),
-    "e4": lambda: _relabel(spin_model(2), "e4"),
-}
+    # K is twice the first isotropic basis vector.
+    return _even(f"spin_model_{n}",
+                 [HYPERBOLIC] * (4 * n - 1) + [_NEG_E8] * (2 * n), {0: 2})
 
 
 def _relabel(x: FourManifoldLattice, label: str) -> FourManifoldLattice:
-    return FourManifoldLattice(
-        label=label,
-        b1=x.b1,
-        form=x.form,
-        canonical=x.canonical,
-        omega=x.omega,
-        minimal=x.minimal,
-        _signature=(x.b_plus, x.b_minus),
-    )
+    return FourManifoldLattice(label, x.b1, x.form, x.canonical, x.omega,
+                               x.minimal)
+
+
+# e1 is the plane blown up nine times, fibred by cubics. k3_sum3 is the
+# connected sum of three K3 lattices, declared minimal: K = 0 would fail
+# K.K = 2e + 3sigma = -8, so K is twice a -2 vector, the first basis vector
+# of the first -E8 block, which is characteristic in this even form and has
+# the right square. Validation passes while the minimality inequality fails.
+STANDARD_BUILDERS = {
+    "cp2": lambda: _diagonal("cp2", 1, 0, [-3], minimal=True),
+    "s2xs2": lambda: _even("s2xs2", [HYPERBOLIC], {0: -2, 1: -2}),
+    "k3": lambda: _even("k3", _K3_BLOCKS, {}),
+    "k3_sum3": lambda: _even("k3_sum3", _K3_BLOCKS * 3, {6: 2}),
+    "e1": lambda: _diagonal("e1", 1, 9, [-3] + [1] * 9, minimal=False),
+    "e3": lambda: _relabel(elliptic_like(3), "e3"),
+    "e4": lambda: _relabel(spin_model(2), "e4"),
+}

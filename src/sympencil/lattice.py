@@ -186,7 +186,6 @@ class FourManifoldLattice:
         canonical: Sequence[int],
         omega: Sequence[Rational],
         minimal: bool,
-        _signature: Optional[tuple[int, int]] = None,
     ):
         _require_ints((b1,), "b1 must be an integer")
         if type(minimal) is not bool:
@@ -219,12 +218,9 @@ class FourManifoldLattice:
         self.omega = w
         self.minimal = minimal
 
-        if _signature is None:
-            b_plus, b_minus, b_zero = signature_of_symmetric(support)
-            if b_zero:
-                raise ValueError("intersection form is degenerate")
-        else:
-            b_plus, b_minus = _signature
+        b_plus, b_minus, b_zero = self._inertia(support)
+        if b_zero:
+            raise ValueError("intersection form is degenerate")
         self._b_plus = b_plus
         self._b_minus = b_minus
 
@@ -255,6 +251,11 @@ class FourManifoldLattice:
                 "chi_h = (e + sigma)/4 is not an integer; "
                 "inconsistent almost-complex data"
             )
+
+    def _inertia(self, support: _Support) -> tuple[int, int, int]:
+        """``(b+, b-, b0)`` of the form, by elimination; only a blow-up
+        overrides it."""
+        return signature_of_symmetric(support)
 
     # -- basic numerology ---------------------------------------------------
 
@@ -392,8 +393,9 @@ class BlownUpLattice(FourManifoldLattice):
                  for t in range(base.b2, n)]
         canonical = tuple(base.canonical) + (1,) * n_exceptional
         omega = tuple(base.omega) + (Fraction(0),) * n_exceptional
-        # The signature of a direct sum is additive, so the exceptional
-        # block contributes (0, n) exactly; no re-diagonalization needed.
+        # Set first: the constructor reads them through _inertia.
+        self.base = base
+        self.n_exceptional = n_exceptional
         super().__init__(
             label=f"{base.label}#{n_exceptional}",
             b1=base.b1,
@@ -401,10 +403,12 @@ class BlownUpLattice(FourManifoldLattice):
             canonical=canonical,
             omega=omega,
             minimal=False,
-            _signature=(base.b_plus, base.b_minus + n_exceptional),
         )
-        self.base = base
-        self.n_exceptional = n_exceptional
+
+    def _inertia(self, support: _Support) -> tuple[int, int, int]:
+        # The signature of a direct sum is additive, so the exceptional
+        # block contributes (0, n) exactly; no re-diagonalization needed.
+        return self.base.b_plus, self.base.b_minus + self.n_exceptional, 0
 
 
 def blow_up(x: FourManifoldLattice, n_points: int) -> BlownUpLattice:

@@ -145,21 +145,16 @@ def virtual_dim(x: FourManifoldLattice, a: Sequence[int]) -> int:
 class SurfaceCountVerdict(Record):
     """Outcome of the conservative count decision, with its justification.
 
-    ``value`` defaults to None, which no rule changes (the ``count`` report
-    prints it as null), and ``context`` to a new empty dict.
+    No rule sets ``value``, so it is None (the ``count`` report prints it as
+    null).
     """
 
     __slots__ = ("kind", "reason", "value", "context")
-    _defaults = {"value": None, "context": None}
 
     kind: str  # Zero | PlusMinusOne | Unknown
     reason: str
     value: Optional[int]
     context: dict
-
-    def __post_init__(self):
-        if self.context is None:
-            object.__setattr__(self, "context", {})
 
 
 def count_decision(x: FourManifoldLattice, a: Sequence[int]) -> SurfaceCountVerdict:
@@ -189,45 +184,27 @@ def count_decision(x: FourManifoldLattice, a: Sequence[int]) -> SurfaceCountVerd
     }
 
     if d < 0:
-        return SurfaceCountVerdict(
-            kind="Zero",
-            reason="virtual dimension (a.a - K.a)/2 is negative, so the "
-            "moduli space is empty and the count is 0",
-            context=context,
-        )
-    if high_b_plus and a_sq != ka:
-        return SurfaceCountVerdict(
-            kind="Zero",
-            reason="b+ > 1 + b1 and a.a != K.a: counts on lattices of "
-            "simple type vanish away from the diagonal a.a = K.a",
-            context=context,
-        )
-    if high_b_plus and (a_omega < 0 or a_omega > k_omega):
-        return SurfaceCountVerdict(
-            kind="Zero",
-            reason="b+ > 1 + b1 and a.omega outside [0, K.omega]: a nonzero "
-            "count forces 0 <= a.omega <= K.omega",
-            context=context,
-        )
-    if x.b_plus == 1 and x.b1 == 0 and a_omega > 0 and a_sq > ka:
+        kind = "Zero"
+        reason = ("virtual dimension (a.a - K.a)/2 is negative, so the "
+                  "moduli space is empty and the count is 0")
+    elif high_b_plus and a_sq != ka:
+        kind = "Zero"
+        reason = ("b+ > 1 + b1 and a.a != K.a: counts on lattices of "
+                  "simple type vanish away from the diagonal a.a = K.a")
+    elif high_b_plus and (a_omega < 0 or a_omega > k_omega):
+        kind = "Zero"
+        reason = ("b+ > 1 + b1 and a.omega outside [0, K.omega]: a nonzero "
+                  "count forces 0 <= a.omega <= K.omega")
+    elif x.b_plus == 1 and x.b1 == 0 and a_omega > 0 and a_sq > ka:
         context["section_torus_dim"] = x.b1 // 2
-        return SurfaceCountVerdict(
-            kind="PlusMinusOne",
-            reason="b+ = 1, b1 = 0, a.omega > 0 and a.a > K.a: the count "
-            "of such a class is +/-1",
-            context=context,
-        )
-    is_zero = all(v == 0 for v in coords)
-    is_canonical = coords == x.canonical
-    if high_b_plus and (is_zero or is_canonical):
-        return SurfaceCountVerdict(
-            kind="PlusMinusOne",
-            reason="the zero and canonical classes on a lattice with "
-            "b+ > 1 + b1 count +/-1",
-            context=context,
-        )
-    return SurfaceCountVerdict(
-        kind="Unknown",
-        reason="no decisive hypothesis applies to this class",
-        context=context,
-    )
+        kind = "PlusMinusOne"
+        reason = ("b+ = 1, b1 = 0, a.omega > 0 and a.a > K.a: the count "
+                  "of such a class is +/-1")
+    elif high_b_plus and (not any(coords) or coords == x.canonical):
+        kind = "PlusMinusOne"
+        reason = ("the zero and canonical classes on a lattice with "
+                  "b+ > 1 + b1 count +/-1")
+    else:
+        kind = "Unknown"
+        reason = "no decisive hypothesis applies to this class"
+    return SurfaceCountVerdict(kind, reason, None, context)

@@ -14,18 +14,16 @@ from __future__ import annotations
 class Record:
     """Base of the immutable result types.
 
-    A subclass names its fields, in positional order, in ``__slots__``, and
-    may give trailing fields a default in ``_defaults``. The constructor
-    takes each field positionally or by keyword and then calls
-    ``__post_init__``, which may validate the fields and normalise them
-    through ``object.__setattr__``. Assigning or deleting a field afterwards
+    A subclass names its fields, in positional order, in ``__slots__``.
+    The constructor takes every field, positionally or by keyword, and then
+    calls ``__post_init__``, which may validate the fields and normalise
+    them through ``object.__setattr__``. Assigning or deleting a field afterwards
     raises ``AttributeError``. Two records are equal when they are of the
     same class and their fields are equal, and a record hashes its fields.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -42,13 +40,9 @@ class Record:
         for name, value in zip(fields, args):
             object.__setattr__(self, name, value)
         for name in fields[len(args):]:
-            if name in kwargs:
-                value = kwargs.pop(name)
-            elif name in cls._defaults:
-                value = cls._defaults[name]
-            else:
+            if name not in kwargs:
                 raise TypeError(f"{cls.__name__}() missing argument {name!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, kwargs.pop(name))
         if kwargs:
             raise TypeError(
                 f"{cls.__name__}() got unexpected or repeated arguments "

@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 import time
@@ -236,10 +237,19 @@ class TestCatalogEntries:
         assert e1.k_squared == 0
         assert not e1.minimal
 
+    @pytest.mark.parametrize("name, generator, n", [
+        ("e3", elliptic_like, 3), ("e4", spin_model, 2)])
+    def test_relabelled_generators(self, name, generator, n):
+        x, y = STANDARD_BUILDERS[name](), generator(n)
+        assert x.label == name != y.label
+        assert (x.b1, x.form, x.canonical, x.omega, x.minimal) == (
+            y.b1, y.form, y.canonical, y.omega, y.minimal)
+        assert (x.b_plus, x.b_minus) == (y.b_plus, y.b_minus)
+
     @pytest.mark.parametrize("name", sorted(STANDARD_BUILDERS))
     def test_round_trip(self, name):
-        # Parsing recomputes the signature, which e3 and e4 take from their
-        # generators through _relabel.
+        # Parsing recomputes the signature by the same elimination that
+        # built every catalog entry.
         x = STANDARD_BUILDERS[name]()
         y = lattice_from_dict(json.loads(json.dumps(lattice_to_dict(x))))
         assert y.label == x.label == name
@@ -344,6 +354,11 @@ class TestValidation:
         with pytest.raises(TypeError, match="label"):
             FourManifoldLattice(label, 0, [[1]], [-3], [1], True)
 
+    def test_constructor_takes_the_six_fields(self):
+        # No hidden parameter can hand the constructor an unchecked inertia.
+        assert list(inspect.signature(FourManifoldLattice.__init__).parameters) == [
+            "self", "label", "b1", "form", "canonical", "omega", "minimal"]
+
     def test_tuple_rows_kept(self):
         rows = ((0, 1), (1, 0))
         x = FourManifoldLattice("s2xs2", 0, rows, (-2, -2), (1, 1), True)
@@ -388,9 +403,11 @@ class TestBlowUp:
         assert xp.two_e_plus_3sigma == 0
 
     def test_signature_fast_path_matches_diagonalization(self):
-        for name in ("cp2", "s2xs2", "k3"):
-            xp = blow_up(STANDARD_BUILDERS[name](), 4)
-            assert signature_of_symmetric(xp.form) == (xp.b_plus, xp.b_minus, 0)
+        # The second blow-up adds onto a base that is itself blown up.
+        for x in _catalog().values():
+            for xp in (blow_up(x, 4), blow_up(blow_up(x, 2), 3)):
+                assert signature_of_symmetric(xp.form) == (
+                    xp.b_plus, xp.b_minus, 0), xp.label
 
     def test_twist_identity_plane(self):
         cp2 = STANDARD_BUILDERS["cp2"]()

@@ -305,7 +305,10 @@ class CertificationReport(Record):
 def _sample_for(stratum: str, r: int, seed: int, index: int) -> RelADHMQuad:
     s = seed + index
     if stratum == "smooth":
-        lam = Fraction(random.Random(f"lam:{s}").choice(_NONZERO_POOL))
+        # Seeded from the bytes of s: a decimal string of s would raise past
+        # Python's integer-string digit limit.
+        key = b"lam:" + s.to_bytes((s.bit_length() + 8) // 8, "big", signed=True)
+        lam = Fraction(random.Random(key).choice(_NONZERO_POOL))
         return sample_smooth_stratum(r, lam, s)
     if stratum == "singular":
         n = index % r

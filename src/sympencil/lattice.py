@@ -176,7 +176,7 @@ class FourManifoldLattice:
     """
 
     __slots__ = ("label", "b1", "form", "canonical", "omega", "minimal",
-                 "_b_plus", "_b_minus", "_k_squared")
+                 "_support", "_b_plus", "_b_minus", "_k_squared")
 
     def __init__(
         self,
@@ -194,15 +194,13 @@ class FourManifoldLattice:
             raise TypeError("label must be a string")
         if b1 < 0:
             raise ValueError("b1 must be nonnegative")
-        # Entry types are checked once per row; tuple rows are kept as they
-        # are (tuple() of a tuple is the tuple itself), list rows copied once.
+        # Tuple rows are kept as they are (tuple() of a tuple is the tuple
+        # itself), list rows copied once.
         q: IntMatrix = tuple(map(tuple, form))
         n = len(q)
         if n == 0:
             raise ValueError("intersection form must be nonempty")
-        for row in q:
-            _require_ints(row, "intersection form entries must be integers")
-        support = _symmetric_support(q, "intersection form")
+        support, (b_plus, b_minus, b_zero) = self._checked(q)
         k = tuple(canonical)
         _require_ints(k, "canonical vector entries must be integers")
         # Entries parsed from a manifold file are Fractions already; any
@@ -217,8 +215,8 @@ class FourManifoldLattice:
         self.canonical = k
         self.omega = w
         self.minimal = minimal
+        self._support = support
 
-        b_plus, b_minus, b_zero = self._inertia(support)
         if b_zero:
             raise ValueError("intersection form is degenerate")
         self._b_plus = b_plus
@@ -252,10 +250,15 @@ class FourManifoldLattice:
                 "inconsistent almost-complex data"
             )
 
-    def _inertia(self, support: _Support) -> tuple[int, int, int]:
-        """``(b+, b-, b0)`` of the form, by elimination; only a blow-up
-        overrides it."""
-        return signature_of_symmetric(support)
+    def _checked(self, q: IntMatrix) -> tuple[_Support, tuple[int, int, int]]:
+        """The nonzero entries of each row of ``q`` and its inertia
+        ``(b+, b-, b0)``: entry types are checked once per row, symmetry
+        over the nonzeros, and the inertia comes from elimination. Only a
+        blow-up overrides it."""
+        for row in q:
+            _require_ints(row, "intersection form entries must be integers")
+        support = _symmetric_support(q, "intersection form")
+        return support, signature_of_symmetric(support)
 
     # -- basic numerology ---------------------------------------------------
 
@@ -376,7 +379,9 @@ class BlownUpLattice(FourManifoldLattice):
     """A lattice extended by ``n`` exceptional (-1)-classes.
 
     Built by :func:`blow_up`; keeps the base lattice and the size of the
-    exceptional block so classes can be twisted.
+    exceptional block so classes can be twisted. Its checked rows and its
+    inertia extend the base's, so the padded dense ``form`` is not scanned
+    again; every other constructor check still runs.
     """
 
     __slots__ = ("base", "n_exceptional")
@@ -393,7 +398,7 @@ class BlownUpLattice(FourManifoldLattice):
                  for t in range(base.b2, n)]
         canonical = tuple(base.canonical) + (1,) * n_exceptional
         omega = tuple(base.omega) + (Fraction(0),) * n_exceptional
-        # Set first: the constructor reads them through _inertia.
+        # Set first: the constructor reads them through _checked.
         self.base = base
         self.n_exceptional = n_exceptional
         super().__init__(
@@ -405,15 +410,22 @@ class BlownUpLattice(FourManifoldLattice):
             minimal=False,
         )
 
-    def _inertia(self, support: _Support) -> tuple[int, int, int]:
-        # The signature of a direct sum is additive, so the exceptional
-        # block contributes (0, n) exactly; no re-diagonalization needed.
-        return self.base.b_plus, self.base.b_minus + self.n_exceptional, 0
+    def _checked(self, q: IntMatrix) -> tuple[_Support, tuple[int, int, int]]:
+        # The form is the base's, checked when the base was built, plus n
+        # <-1> summands; rows and signature of a direct sum are additive,
+        # so the exceptional block adds one row each and (0, n) exactly.
+        base = self.base
+        support = _Support(base._support + tuple(
+            ((t, -1),) for t in range(base.b2, len(q))))
+        return support, (base.b_plus, base.b_minus + self.n_exceptional, 0)
 
 
 def blow_up(x: FourManifoldLattice, n_points: int) -> BlownUpLattice:
     """Blow up ``n_points`` times: form gains ``n`` <-1> summands, K gains
-    every exceptional class."""
+    every exceptional class.
+
+    Building it costs the dense padding of ``form`` plus O(nonzeros + n):
+    the checked rows and the inertia extend the base's."""
     return BlownUpLattice(x, n_points)
 
 

@@ -223,6 +223,14 @@ class TestHilbCommand:
         result = check(runner, ["hilb", "--r", "1", "--samples", "2"])
         assert parsed(result)["seed"] == 1729
 
+    @pytest.mark.parametrize("stratum", ["smooth", "singular", "b1zero"])
+    def test_seed_past_the_integer_string_limit(self, runner, stratum):
+        # The smooth stratum seeds its lambda from the sample seed, which
+        # here has 4,301 digits.
+        result = check(runner, ["hilb", "--r", "1", "--samples", "2",
+                                "--seed", "9" * 4300, "--stratum", stratum])
+        assert parsed(result)["passed"] is True
+
     def test_worker_env_does_not_change_output(self, runner):
         args = ["hilb", "--r", "2", "--samples", "6", "--stratum", "b1zero"]
         one = check(runner, args, env={"SYMPENCIL_WORKERS": "1"})

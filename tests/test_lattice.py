@@ -20,6 +20,7 @@ from sympencil.catalog import (
     parse_rational,
     spin_model,
 )
+from sympencil import lattice as lattice_module
 from sympencil.brill_noether import BNQuery, abel_jacobi_fibre_dims
 from sympencil.exact import RationalMatrix, char_poly, series_geom_pow
 from sympencil.gromov import CohomologyProfile, gr_parity, vanishing_profile
@@ -35,6 +36,7 @@ from sympencil.lattice import (
     FourManifoldLattice,
     HomologyClass,
     _dense_signature,
+    _symmetric_support,
     blow_up,
     classify_b_plus_one,
     is_even_form,
@@ -403,11 +405,37 @@ class TestBlowUp:
         assert xp.two_e_plus_3sigma == 0
 
     def test_signature_fast_path_matches_diagonalization(self):
-        # The second blow-up adds onto a base that is itself blown up.
+        # The second blow-up adds onto a base that is itself blown up. The
+        # dense form is re-derived here, as the independent route.
         for x in _catalog().values():
             for xp in (blow_up(x, 4), blow_up(blow_up(x, 2), 3)):
                 assert signature_of_symmetric(xp.form) == (
                     xp.b_plus, xp.b_minus, 0), xp.label
+                assert xp._support == _symmetric_support(xp.form), xp.label
+
+    def test_does_not_recheck_the_padded_form(self, monkeypatch):
+        # The base's rows were checked when it was built; a blow-up extends
+        # them and scans none of its padded dense rows again.
+        x = elliptic_like(4)
+        calls = []
+
+        def require_ints(values, message):
+            if message.startswith("intersection form"):
+                calls.append("_require_ints")
+            return real_require_ints(values, message)
+
+        def symmetric_support(rows, name="matrix"):
+            calls.append("_symmetric_support")
+            return real_symmetric_support(rows, name)
+
+        real_require_ints = lattice_module._require_ints
+        real_symmetric_support = lattice_module._symmetric_support
+        monkeypatch.setattr(lattice_module, "_require_ints", require_ints)
+        monkeypatch.setattr(lattice_module, "_symmetric_support",
+                            symmetric_support)
+        xp = blow_up(blow_up(x, 2), 3)
+        assert calls == []
+        assert (xp.b_plus, xp.b_minus) == (x.b_plus, x.b_minus + 5)
 
     def test_twist_identity_plane(self):
         cp2 = STANDARD_BUILDERS["cp2"]()

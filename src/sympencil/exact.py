@@ -13,10 +13,13 @@ One clearing rule (``_primitive``) and one fraction-free reducer
 (``_insert``) build every integer echelon, the rank routine's and
 ``hilb.is_stable``'s, and ``_echelon_kernel`` reads the kernel off it as
 primitive integer vectors. One verifier (``_certify``) checks the claim
-from the input matrix's own rows, scaled to integers row by row, using
-none of that code: the vectors must be independent and each annihilated
-exactly (the upper bound), and the same rows must reach the same rank over
-a large prime field (the lower bound). It raises if any check fails.
+from the input matrix's own rows, scaled to integers row by row and kept
+as their ``(column, int)`` nonzeros, using none of that code: the vectors
+must be independent and each annihilated exactly (the upper bound, checked
+through a column index of the vectors' nonzeros), and the same rows must
+reach the same rank over a large prime field (the lower bound, from the
+sparse elimination ``_rank_mod_prime``, kept apart from ``_insert``). It
+raises if any check fails.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -238,39 +242,6 @@ def _insert(row: list[int], echelon: list[tuple[int, list[int]]]
     return row
 
 
-def _rank_mod_prime(rows: list[list[int]], ncols: int, p: int) -> int:
-    """Rank over GF(p), by ordinary Gaussian elimination, of integer rows
-    already reduced mod p."""
-    work = [r for r in rows if any(r)]
-    rank = 0
-    col = 0
-    while work and col < ncols:
-        pivot_idx = -1
-        for i, r in enumerate(work):
-            if r[col]:
-                pivot_idx = i
-                break
-        if pivot_idx < 0:
-            col += 1
-            continue
-        pr = work.pop(pivot_idx)
-        inv = pow(pr[col], p - 2, p)
-        pr = [(v * inv) % p for v in pr]
-        nxt = []
-        for r in work:
-            f = r[col]
-            if f:
-                r = [(a - f * b) % p for a, b in zip(r, pr)]
-                if any(r):
-                    nxt.append(r)
-            else:
-                nxt.append(r)
-        work = nxt
-        rank += 1
-        col += 1
-    return rank
-
-
 def _back_substituted(
     fc: int, bottom_up: list[tuple[int, int, list[tuple[int, int]]]], ncols: int
 ) -> tuple[int, ...]:
@@ -315,6 +286,36 @@ def _echelon_kernel(echelon: list[tuple[int, list[int]]], ncols: int
     return free, [_back_substituted(fc, bottom_up, ncols) for fc in free]
 
 
+def _rank_mod_prime(rows: Iterable[Sequence[tuple[int, int]]], p: int) -> int:
+    """Rank over GF(p) of integer rows given by their ``(column, entry)``
+    nonzeros, by sparse elimination.
+
+    The pivot rows are keyed by leading column and scaled to lead with 1.
+    Each row is reduced mod p, then, while its leading column has a pivot
+    row, that row's multiple is subtracted. What is left, if anything,
+    becomes the pivot row of its leading column. Rows hold only their
+    nonzeros, so the work is the nonzeros read plus the fill-in.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        work = {c: r for c, a in row if (r := a % p)}
+        while work:
+            lead = min(work)
+            f = work[lead]
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(f, -1, p)
+                pivots[lead] = {c: a * inv % p for c, a in work.items()}
+                break
+            for c, a in pivot.items():
+                r = (work.get(c, 0) - f * a) % p
+                if r:
+                    work[c] = r
+                else:
+                    del work[c]
+    return len(pivots)
+
+
 def _certify(m: RationalMatrix, rank: int,
              basis: Sequence[Sequence[int]], free: Sequence[int]) -> None:
     """Check that ``m`` has rank ``rank`` and that ``basis``, the vector of
@@ -323,15 +324,19 @@ def _certify(m: RationalMatrix, rank: int,
 
     Trusts nothing from the elimination that made the claim. The rows of
     ``m`` are read once, each scaled to integers by the lcm of its
-    denominators, which changes neither rank nor kernel. Then:
+    denominators, which changes neither rank nor kernel, and kept as their
+    ``(column, entry)`` nonzeros. Then:
 
     - independence: there are ``ncols - rank`` vectors on distinct free
       columns, each nonzero at its own free column and zero at the others;
     - annihilation: every vector maps to zero exactly on the integer rows,
-      which with independence bounds the rank from above;
+      which with independence bounds the rank from above. The vectors'
+      nonzeros are indexed by column, so each row adds into one
+      accumulator per vector that shares a column with it;
     - lower bound: the rank of the integer rows over GF(p), which never
       exceeds the rational rank, equals ``rank`` for one of
-      ``_CHECK_PRIMES``.
+      ``_CHECK_PRIMES``. It is a sparse elimination of its own,
+      :func:`_rank_mod_prime`, apart from :func:`_insert`.
     """
     ncols = m.ncols
     k = len(basis)
@@ -351,16 +356,19 @@ def _certify(m: RationalMatrix, rank: int,
             denlcm = denlcm * d // math.gcd(denlcm, d)
         rows.append([(c, x.numerator * (denlcm // x.denominator))
                      for c, x in nonzero])
+    index: dict[int, list[tuple[int, int]]] = {}
+    for i, v in enumerate(basis):
+        for c in compress(range(ncols), v):
+            index.setdefault(c, []).append((i, v[c]))
     for row in rows:
-        for v in basis:
-            if sum(a * v[c] for c, a in row):
-                raise RuntimeError("kernel vector failed exact re-substitution")
+        acc: dict[int, int] = {}
+        for c, a in row:
+            for i, x in index.get(c, ()):
+                acc[i] = acc.get(i, 0) + a * x
+        if any(acc.values()):
+            raise RuntimeError("kernel vector failed exact re-substitution")
     for p in _CHECK_PRIMES:
-        dense = [[0] * ncols for _ in rows]
-        for mod_p, row in zip(dense, rows):
-            for c, a in row:
-                mod_p[c] = a % p
-        if _rank_mod_prime(dense, ncols, p) == rank:
+        if _rank_mod_prime(rows, p) == rank:
             return
     raise RuntimeError(
         "rank mismatch between rational and finite-field elimination"
@@ -379,12 +387,12 @@ def rank_and_kernel(
 
     The result is then certified by :func:`_certify`, which reads ``m``'s
     own rows and none of the elimination: the vectors must be independent
-    and annihilated exactly (the upper bound), and an elimination of the
-    row-scaled integer rows mod 2**61 - 1 must reach the same rank (the
-    lower bound). On disagreement a second prime is tried, and if that
-    also disagrees a ``RuntimeError`` is raised (the finite-field rank can
-    only undercount, so persistent disagreement means a real
-    inconsistency).
+    and annihilated exactly (the upper bound), and a sparse elimination of
+    the row-scaled integer rows mod 2**61 - 1, :func:`_rank_mod_prime`,
+    must reach the same rank (the lower bound). On disagreement a second
+    prime is tried, and if that also disagrees a ``RuntimeError`` is raised
+    (the finite-field rank can only undercount, so persistent disagreement
+    means a real inconsistency).
     """
     echelon: list[tuple[int, list[int]]] = []
     for row in m.rows:

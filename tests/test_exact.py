@@ -151,6 +151,93 @@ def _rank_over_q(vectors):
     return rank
 
 
+def _nonzeros(rows):
+    """Each integer row as its ``(column, entry)`` nonzeros."""
+    return [[(c, a) for c, a in enumerate(row) if a] for row in rows]
+
+
+def _dense_rank_mod_prime(rows, ncols, p):
+    """Rank over GF(p), by ordinary Gaussian elimination on dense rows
+    already reduced mod p: the oracle for the sparse elimination."""
+    work = [r for r in rows if any(r)]
+    rank = 0
+    col = 0
+    while work and col < ncols:
+        pivot_idx = -1
+        for i, r in enumerate(work):
+            if r[col]:
+                pivot_idx = i
+                break
+        if pivot_idx < 0:
+            col += 1
+            continue
+        pr = work.pop(pivot_idx)
+        inv = pow(pr[col], p - 2, p)
+        pr = [(v * inv) % p for v in pr]
+        nxt = []
+        for r in work:
+            f = r[col]
+            if f:
+                r = [(a - f * b) % p for a, b in zip(r, pr)]
+                if any(r):
+                    nxt.append(r)
+            else:
+                nxt.append(r)
+        work = nxt
+        rank += 1
+        col += 1
+    return rank
+
+
+@st.composite
+def _integer_rows(draw):
+    """A prime and a small set of integer rows, wide or tall, with zero
+    rows, duplicate rows, sums of rows, and entries that are nonzero over
+    the integers but zero mod the prime."""
+    p = draw(st.sampled_from([3, 5, 7, 2**61 - 1]))
+    ncols = draw(st.integers(1, 9))
+    entry = st.one_of(
+        st.just(0),
+        st.integers(-9, 9),
+        st.integers(-3, 3).map(lambda k: k * p),
+        st.integers(-(2**70), 2**70),
+    )
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(["zero", "duplicate", "sum", "drawn"]))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "duplicate" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "sum" and rows:
+            a = draw(st.sampled_from(rows))
+            b = draw(st.sampled_from(rows))
+            s = draw(st.integers(-3, 3))
+            rows.append([x + s * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    return p, ncols, rows
+
+
+class TestRankModPrime:
+    """The verifier's sparse GF(p) elimination agrees with dense Gaussian
+    elimination on the same rows."""
+
+    @given(_integer_rows())
+    @settings(max_examples=300)
+    @example((3, 4, [[3, 6, -9, 0], [0, 0, 0, 0], [1, 2, 3, 4], [1, 2, 3, 4]]))
+    @example((5, 2, [[1, 2], [2, 4], [3, 1], [0, 5], [10, 0], [4, 3]]))
+    @example((7, 9, [[0, 0, 0, 0, 0, 0, 0, 0, 1], [0, 7, 0, 0, 0, 0, 0, 0, 2]]))
+    @example((2**61 - 1, 3, [[2**61 - 1, 2**62 - 2, 1], [1, 1, 1]]))
+    @example((3, 1, []))
+    @example((7, 3, [[7, 0, -14], [0, 49, 0]]))
+    def test_matches_dense_oracle(self, case):
+        p, ncols, rows = case
+        dense = [[a % p for a in row] for row in rows]
+        assert (_rank_mod_prime(_nonzeros(rows), p)
+                == _dense_rank_mod_prime(dense, ncols, p))
+
+
 class TestRankAndKernel:
     def test_identity(self):
         m = RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -191,7 +278,7 @@ class TestRankAndKernel:
     def test_finite_field_agrees_directly(self):
         rows = [[6, 10, 4], [3, 5, 2], [1, 1, 1]]
         rank, _ = rank_and_kernel(RationalMatrix(rows))
-        assert _rank_mod_prime(rows, 3, 2**61 - 1) == rank == 2
+        assert _rank_mod_prime(_nonzeros(rows), 2**61 - 1) == rank == 2
 
     @given(_rational_matrices())
     @settings(max_examples=100)
@@ -303,17 +390,22 @@ _CLAIM_SUM = tuple(map(sum, zip(*_CLAIM_BASIS[:2])))
 _PRODUCER = ("_primitive", "_insert", "_back_substituted", "_echelon_kernel")
 
 
+def _refuse_producer(patch):
+    """Patch every function of the producer to raise."""
+    def forbidden(*args):
+        raise AssertionError("the verifier called the producer")
+
+    for name in _PRODUCER:
+        patch.setattr(exact, name, forbidden)
+
+
 class TestCertify:
     """``_certify`` checks a claimed rank and kernel from the matrix alone,
     so every test here runs with the producer patched to raise."""
 
     @pytest.fixture(autouse=True)
     def _no_producer(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("the verifier called the producer")
-
-        for name in _PRODUCER:
-            monkeypatch.setattr(exact, name, forbidden)
+        _refuse_producer(monkeypatch)
 
     def test_true_claim_passes(self):
         exact._certify(_CLAIM_MATRIX, 2, _CLAIM_BASIS, _CLAIM_FREE)
@@ -336,16 +428,131 @@ class TestCertify:
         with pytest.raises(RuntimeError, match="kernel vectors"):
             exact._certify(_CLAIM_MATRIX, 2, basis, free)
 
-    def test_vector_outside_the_kernel_raises(self):
-        basis = [_CLAIM_BASIS[0], (1, 0, 0, 1, 0), _CLAIM_BASIS[2]]
+    @pytest.mark.parametrize("position, bad", [
+        (0, (-1, 1, 1, 0, 0)),
+        (1, (1, 0, 0, 1, 0)),
+        (2, (-3, -3, 0, 0, 1)),
+    ], ids=["first", "middle", "last"])
+    def test_vector_outside_the_kernel_raises(self, position, bad):
+        basis = list(_CLAIM_BASIS)
+        basis[position] = bad
         with pytest.raises(RuntimeError, match="re-substitution"):
             exact._certify(_CLAIM_MATRIX, 2, basis, _CLAIM_FREE)
+
+    def test_only_the_last_row_detects_the_bad_vector(self):
+        # The first two rows annihilate the bad vector; the last row's only
+        # nonzero, at its last column, does not.
+        m = RationalMatrix([[1, 0, 2, 0, 3], [0, 1, -1, 0, 4], [0, 0, 0, 0, 1]])
+        exact._certify(m, 3, [(-2, 1, 1, 0, 0), (0, 0, 0, 1, 0)], [2, 3])
+        with pytest.raises(RuntimeError, match="re-substitution"):
+            exact._certify(m, 3, [(-5, -3, 1, 0, 1), (0, 0, 0, 1, 0)], [2, 3])
 
     def test_overclaimed_rank_raises(self):
         # Rank 3 with the two vectors left: each is independent and
         # annihilated, so only the GF(p) rank can refute the claim.
         with pytest.raises(RuntimeError, match="rank mismatch"):
             exact._certify(_CLAIM_MATRIX, 3, _CLAIM_BASIS[1:], _CLAIM_FREE[1:])
+
+
+def _rref_claim(m):
+    """The true claim for ``m``: its rank, its free columns and the integer
+    kernel vector of each, by reduced row echelon form in ``Fraction``
+    arithmetic, a route of its own."""
+    ncols = m.ncols
+    work = [list(row) for row in m.rows]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        i = next((i for i in range(top, len(work)) if work[i][col]), None)
+        if i is None:
+            continue
+        work[top], work[i] = work[i], work[top]
+        lead = work[top][col]
+        pivot = work[top] = [x / lead for x in work[top]]
+        for r in work:
+            if r is not pivot and r[col]:
+                f = r[col]
+                r[:] = [a - f * b for a, b in zip(r, pivot)]
+        pivots.append(col)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row, pc in zip(work, pivots):
+            v[pc] = -row[fc]
+        denlcm = math.lcm(*(x.denominator for x in v))
+        basis.append(tuple(int(x * denlcm) for x in v))
+    return len(pivots), free, basis
+
+
+def _claim_holds(m, rank, basis, free):
+    """Whether a claim is true, decided in ``Fraction`` arithmetic: ``rank``
+    is the rank of ``m``, and there is one vector per free column, nonzero
+    there and zero at the other free columns, each mapped to zero by ``m``."""
+    ncols = m.ncols
+    k = len(basis)
+    return (rank == _rank_over_q(m.rows) and k == ncols - rank
+            and len(free) == k and len(set(free)) == k
+            and all(0 <= c < ncols for c in free)
+            and all(len(v) == ncols and v[fc]
+                    and not any(v[c] for c in free if c != fc)
+                    for v, fc in zip(basis, free))
+            and not any(x for v in basis for x in m.apply(v)))
+
+
+_ATTACKS = ("none", "perturb", "duplicate", "sum", "drop", "drop_and_raise",
+            "permute", "rank_up", "rank_down")
+
+
+@st.composite
+def _claims(draw):
+    """A small rational matrix and a claim about it: the true claim, or one
+    attacked by a perturbed, duplicated, summed or dropped vector, permuted
+    free columns, or a rank off by one."""
+    m = RationalMatrix(draw(_rational_matrices(max_rows=5, max_cols=6)))
+    rank, free, basis = _rref_claim(m)
+    k = len(basis)
+    attack = draw(st.sampled_from(_ATTACKS))
+    if attack == "perturb" and k:
+        i = draw(st.integers(0, k - 1))
+        c = draw(st.integers(0, m.ncols - 1))
+        v = list(basis[i])
+        v[c] += draw(st.sampled_from([-2, -1, 1, 2]))
+        basis[i] = tuple(v)
+    elif attack in ("duplicate", "sum") and k > 1:
+        i, j = draw(st.permutations(range(k)))[:2]
+        basis[j] = (basis[i] if attack == "duplicate"
+                    else tuple(a + b for a, b in zip(basis[i], basis[j])))
+    elif attack in ("drop", "drop_and_raise") and k:
+        i = draw(st.integers(0, k - 1))
+        del basis[i], free[i]
+        rank += attack == "drop_and_raise"
+    elif attack == "permute" and k > 1:
+        free = draw(st.permutations(free))
+    elif attack == "rank_up":
+        rank += 1
+    elif attack == "rank_down":
+        rank -= 1
+    return m, rank, basis, free
+
+
+class TestCertifySoundness:
+    """``_certify`` accepts a claim exactly when the claim is true, with the
+    producer patched to raise, on true claims and on attacked ones."""
+
+    @given(_claims())
+    @settings(max_examples=300)
+    def test_accepts_exactly_the_true_claims(self, claim):
+        m, rank, basis, free = claim
+        with pytest.MonkeyPatch.context() as patch:
+            _refuse_producer(patch)
+            try:
+                exact._certify(m, rank, basis, free)
+                accepted = True
+            except RuntimeError:
+                accepted = False
+        assert accepted == _claim_holds(m, rank, basis, free)
 
 
 def test_duplicate_back_substitution_is_caught_through_hilb(monkeypatch):

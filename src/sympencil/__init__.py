@@ -2,8 +2,8 @@
 lattices, Lefschetz-pencil numerology, Brill-Noether bookkeeping, and
 certification of commuting-matrix models of points on a surface.
 
-Everything is computed over the rationals (fractions.Fraction); floating
-point never enters. The CLI entry point lives in :mod:`sympencil.cli`.
+Everything is exact (int in the lattice core and eliminations, Fraction for
+rational input; no floats). The CLI entry point is :mod:`sympencil.cli`.
 
 The public names below resolve on first use (PEP 562), so importing the
 package, or one of its modules, loads only the modules that are used.

@@ -12,14 +12,14 @@ float, string or ``Fraction`` is a ``TypeError``, never truncated).
 One clearing rule (``_primitive``) and one fraction-free reducer
 (``_insert``) build every integer echelon, the rank routine's and
 ``hilb.is_stable``'s, and ``_echelon_kernel`` reads the kernel off it as
-primitive integer vectors. One verifier (``_certify``) checks the claim
-from the input matrix's own rows, scaled to integers row by row and kept
-as their ``(column, int)`` nonzeros, using none of that code: the vectors
-must be independent and each annihilated exactly (the upper bound, checked
-through a column index of the vectors' nonzeros), and the same rows must
-reach the same rank over a large prime field (the lower bound, from the
-sparse elimination ``_rank_mod_prime``, kept apart from ``_insert``). It
-raises if any check fails.
+primitive integer vectors. One verifier (``_certify``) checks a claimed
+rank and basis from the input matrix's own rows, scaled to integers row by
+row and kept as their ``(column, int)`` nonzeros, using none of that code:
+the vectors must be independent over a large prime field and annihilated
+exactly (the upper bound, through a column index of their nonzeros), and
+the rows must reach the same rank over that field (the lower bound); both
+ranks come from the sparse ``_rank_mod_prime``, apart from ``_insert``.
+It raises if any check fails.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ from typing import Iterable, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 
-# Mersenne primes used for the independent rank check. The second is only
-# consulted if the first disagrees with the rational elimination (a prime
-# can be unlucky when it divides every maximal minor of the integer rows,
-# so one retry is allowed before declaring the pipeline inconsistent).
+# Mersenne primes for the verifier's GF(p) ranks, of the basis and of the
+# rows. The second is consulted only if the first falls short: a prime can
+# be unlucky and divide every maximal minor of the integer vectors or rows.
 _CHECK_PRIMES = (2**61 - 1, 2**31 - 1)
 
 # Exactly ``int``: ``bool`` is a subclass of it, and is not an integer here.
@@ -275,15 +274,15 @@ def _back_substituted(
 
 
 def _echelon_kernel(echelon: list[tuple[int, list[int]]], ncols: int
-                    ) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The free columns of an echelon, as :func:`_insert` keeps it, and the
-    primitive integer kernel vector of each, by :func:`_back_substituted`."""
+                    ) -> list[tuple[int, ...]]:
+    """The primitive integer kernel vector of each non-pivot column of an
+    echelon, as :func:`_insert` keeps it, by :func:`_back_substituted`."""
     bottom_up = [(pc, row[pc], [(c, row[c]) for c in range(pc + 1, ncols)
                                 if row[c]])
                  for pc, row in reversed(echelon)]
     pivots = {pc for pc, _ in echelon}
-    free = [fc for fc in range(ncols) if fc not in pivots]
-    return free, [_back_substituted(fc, bottom_up, ncols) for fc in free]
+    return [_back_substituted(fc, bottom_up, ncols)
+            for fc in range(ncols) if fc not in pivots]
 
 
 def _rank_mod_prime(rows: Iterable[Sequence[tuple[int, int]]], p: int) -> int:
@@ -317,35 +316,34 @@ def _rank_mod_prime(rows: Iterable[Sequence[tuple[int, int]]], p: int) -> int:
 
 
 def _certify(m: RationalMatrix, rank: int,
-             basis: Sequence[Sequence[int]], free: Sequence[int]) -> None:
-    """Check that ``m`` has rank ``rank`` and that ``basis``, the vector of
-    each free column in ``free`` in order, spans its kernel; raise
-    ``RuntimeError`` otherwise.
+             basis: Sequence[Sequence[int]]) -> None:
+    """Check that ``m`` has rank ``rank`` and that the integer vectors
+    ``basis`` span its kernel; raise ``RuntimeError`` otherwise.
 
-    Trusts nothing from the elimination that made the claim. The rows of
-    ``m`` are read once, each scaled to integers by the lcm of its
-    denominators, which changes neither rank nor kernel, and kept as their
-    ``(column, entry)`` nonzeros. Then:
+    Trusts nothing from the elimination that made the claim and accepts
+    any basis of the kernel. The vectors, and the rows of ``m`` read once,
+    each scaled to integers by the lcm of its denominators (which changes
+    neither rank nor kernel), are kept as ``(column, entry)`` nonzeros. Then:
 
-    - independence: there are ``ncols - rank`` vectors on distinct free
-      columns, each nonzero at its own free column and zero at the others;
+    - independence: there are ``ncols - rank`` vectors of length ``ncols``,
+      and their rank over GF(p) is their number;
     - annihilation: every vector maps to zero exactly on the integer rows,
-      which with independence bounds the rank from above. The vectors'
-      nonzeros are indexed by column, so each row adds into one
-      accumulator per vector that shares a column with it;
-    - lower bound: the rank of the integer rows over GF(p), which never
-      exceeds the rational rank, equals ``rank`` for one of
-      ``_CHECK_PRIMES``. It is a sparse elimination of its own,
-      :func:`_rank_mod_prime`, apart from :func:`_insert`.
+      through a column index of the vectors' nonzeros; with independence,
+      this bounds the rank from above;
+    - lower bound: the rank of the integer rows over GF(p) is ``rank``.
+
+    Each GF(p) rank, from the sparse elimination :func:`_rank_mod_prime`
+    and apart from :func:`_insert`, must hold for one of ``_CHECK_PRIMES``.
+    It never exceeds the rational rank: an integer relation among vectors
+    or rows, divided by its gcd, stays a nontrivial relation mod p.
     """
     ncols = m.ncols
     k = len(basis)
-    if k != ncols - rank or len(free) != k:
+    if k != ncols - rank:
         raise RuntimeError(f"{k} kernel vectors for nullity {ncols - rank}")
-    if len(set(free)) != k or not all(0 <= c < ncols for c in free) or any(
-        len(v) != ncols or not v[fc] or [v[c] for c in free].count(0) != k - 1
-        for v, fc in zip(basis, free)
-    ):
+    vectors = [[(c, v[c]) for c in compress(range(ncols), v)] for v in basis]
+    if any(len(v) != ncols for v in basis) or all(
+            _rank_mod_prime(vectors, p) != k for p in _CHECK_PRIMES):
         raise RuntimeError("kernel vectors are not independent")
     rows = []
     for row in m.rows:
@@ -357,9 +355,9 @@ def _certify(m: RationalMatrix, rank: int,
         rows.append([(c, x.numerator * (denlcm // x.denominator))
                      for c, x in nonzero])
     index: dict[int, list[tuple[int, int]]] = {}
-    for i, v in enumerate(basis):
-        for c in compress(range(ncols), v):
-            index.setdefault(c, []).append((i, v[c]))
+    for i, v in enumerate(vectors):
+        for c, x in v:
+            index.setdefault(c, []).append((i, x))
     for row in rows:
         acc: dict[int, int] = {}
         for c, a in row:
@@ -385,18 +383,13 @@ def rank_and_kernel(
     integer back-substitution, one per non-pivot column (where it is
     positive).
 
-    The result is then certified by :func:`_certify`, which reads ``m``'s
-    own rows and none of the elimination: the vectors must be independent
-    and annihilated exactly (the upper bound), and a sparse elimination of
-    the row-scaled integer rows mod 2**61 - 1, :func:`_rank_mod_prime`,
-    must reach the same rank (the lower bound). On disagreement a second
-    prime is tried, and if that also disagrees a ``RuntimeError`` is raised
-    (the finite-field rank can only undercount, so persistent disagreement
-    means a real inconsistency).
+    The rank and the basis are then certified by :func:`_certify`, from
+    ``m``'s own rows and none of the elimination, or ``RuntimeError`` is
+    raised.
     """
     echelon: list[tuple[int, list[int]]] = []
     for row in m.rows:
         _insert(_primitive(row), echelon)
-    free, basis = _echelon_kernel(echelon, m.ncols)
-    _certify(m, len(echelon), basis, free)
+    basis = _echelon_kernel(echelon, m.ncols)
+    _certify(m, len(echelon), basis)
     return len(echelon), basis

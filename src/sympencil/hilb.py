@@ -42,6 +42,16 @@ Vector = tuple[Fraction, ...]
 _NONZERO_POOL = tuple(x for x in range(-9, 10) if x != 0)
 
 
+def _signed_bytes(s: int) -> bytes:
+    """Two's-complement bytes of s: a seed with its sign and no digit limit."""
+    return s.to_bytes((s.bit_length() + 8) // 8, "big", signed=True)
+
+
+def _rng(seed: int) -> random.Random:
+    """Negative seeds go in as bytes: ``random.Random(n)`` seeds by abs(n)."""
+    return random.Random(seed if seed >= 0 else _signed_bytes(seed))
+
+
 def _check_model_shapes(b1: RationalMatrix, b2: RationalMatrix, v: Sequence,
                         r: int) -> None:
     if r < 1:
@@ -86,8 +96,8 @@ def is_stable(b1: RationalMatrix, b2: RationalMatrix,
         for image in (b1.apply(w), b2.apply(w)):
             if any(image):
                 queue.append(image)
-    free, basis = exact._echelon_kernel(echelon, r)
-    exact._certify(RationalMatrix(accepted + spent), len(accepted), basis, free)
+    exact._certify(RationalMatrix(accepted + spent), len(accepted),
+                   exact._echelon_kernel(echelon, r))
     return len(accepted) == r
 
 
@@ -146,8 +156,7 @@ def sample_smooth_stratum(r: int, lam: Rational, seed: int) -> RelADHMQuad:
         raise ValueError("matrix size r must be positive")
     if r > len(_NONZERO_POOL):
         raise ValueError(f"sampler supports r up to {len(_NONZERO_POOL)}")
-    rng = random.Random(seed)
-    zs = rng.sample(_NONZERO_POOL, r)
+    zs = _rng(seed).sample(_NONZERO_POOL, r)
     b1 = RationalMatrix.diagonal(zs)
     b2 = RationalMatrix.diagonal([lam / z for z in zs])
     v = tuple(Fraction(1) for _ in range(r))
@@ -169,7 +178,7 @@ def sample_singular_stratum(r: int, n: int, m: int, seed: int) -> RelADHMQuad:
         raise ValueError("chain lengths must be nonnegative")
     if n + m + 1 != r:
         raise ValueError(f"chain lengths ({n}, {m}) do not split r = {r}")
-    rng = random.Random(seed)
+    rng = _rng(seed)
     hs = [rng.randint(-9, 9) for _ in range(n)]
     caps = [rng.randint(-9, 9) for _ in range(m)]
     zero = Fraction(0)
@@ -195,7 +204,7 @@ def sample_b1zero_stratum(r: int, seed: int) -> RelADHMQuad:
     exact._require_ints((r, seed), "r and seed must be integers")
     if r < 1:
         raise ValueError("matrix size r must be positive")
-    rng = random.Random(seed)
+    rng = _rng(seed)
     const = rng.choice(_NONZERO_POOL)
     higher = [rng.randint(-9, 9) for _ in range(r - 1)]
     coeffs = [const] + higher
@@ -280,7 +289,7 @@ def sample_commuting_diagonal(r: int, seed: int) -> ADHMTriple:
         raise ValueError("matrix size r must be positive")
     if r > len(_NONZERO_POOL):
         raise ValueError(f"sampler supports r up to {len(_NONZERO_POOL)}")
-    rng = random.Random(seed)
+    rng = _rng(seed)
     b1 = RationalMatrix.diagonal(rng.sample(_NONZERO_POOL, r))
     b2 = RationalMatrix.diagonal([rng.randint(-9, 9) for _ in range(r)])
     v = tuple(Fraction(1) for _ in range(r))
@@ -305,9 +314,7 @@ class CertificationReport(Record):
 def _sample_for(stratum: str, r: int, seed: int, index: int) -> RelADHMQuad:
     s = seed + index
     if stratum == "smooth":
-        # Seeded from the bytes of s: a decimal string of s would raise past
-        # Python's integer-string digit limit.
-        key = b"lam:" + s.to_bytes((s.bit_length() + 8) // 8, "big", signed=True)
+        key = b"lam:" + _signed_bytes(s)
         lam = Fraction(random.Random(key).choice(_NONZERO_POOL))
         return sample_smooth_stratum(r, lam, s)
     if stratum == "singular":

@@ -1,0 +1,227 @@
+"""Mutation check for the rank verifier: every mutant listed here must make
+the tests it names fail.
+
+Run from anywhere, with pytest and hypothesis installed:
+
+    python3 tests/mutants.py
+
+Each mutant replaces one exact snippet of a source file, which must occur
+there exactly once, in a fresh temporary copy of ``src``, ``tests`` and
+``pyproject.toml``, and runs pytest on the named test files of that copy.
+A mutant is killed when pytest reports failing tests (exit status 1); a
+collection error, a passing run, or a snippet that is missing or occurs
+more than once is a failure of this check. The unmutated copy runs first
+and must pass, so that a kill means the mutant was caught. The exit status
+is 0 when every mutant is killed and 1 otherwise.
+
+A change that rewrites a checked line must update its mutant here. The
+module's name does not match pytest's ``test_*.py`` pattern, so the test
+suite does not collect it. It uses only the standard library.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+EXACT = "src/sympencil/exact.py"
+TEST_EXACT = "tests/test_exact.py"
+# An unmutated run of the targeted files takes seconds; a mutant that
+# makes the suite hang counts as not killed.
+TIMEOUT_S = 300
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+    why: str
+
+
+MUTANTS = (
+    Mutant(
+        "nullity count accepts too few vectors", EXACT,
+        "    if k != ncols - rank:\n",
+        "    if k > ncols - rank:\n",
+        (TEST_EXACT,),
+        "With one vector too few, the rest are independent and annihilated "
+        "and the rows reach the rank, so only the count refutes the claim.",
+    ),
+    Mutant(
+        "length check dropped", EXACT,
+        "    if any(len(v) != ncols for v in basis) or all(\n",
+        "    if all(\n",
+        (TEST_EXACT,),
+        "A vector with a trailing zero too many has the same nonzeros as a "
+        "true one; only its length shows that the claim is malformed.",
+    ),
+    Mutant(
+        "independence rank bypassed", EXACT,
+        "            _rank_mod_prime(vectors, p) != k for p in _CHECK_PRIMES):\n",
+        "            False for p in _CHECK_PRIMES):\n",
+        (TEST_EXACT,),
+        "Duplicated or summed kernel vectors are annihilated, so without "
+        "the rank they pass as a basis and overstate the kernel.",
+    ),
+    Mutant(
+        "independence rank loosened by one", EXACT,
+        "            _rank_mod_prime(vectors, p) != k for p in _CHECK_PRIMES):\n",
+        "            _rank_mod_prime(vectors, p) < k - 1 for p in _CHECK_PRIMES):\n",
+        (TEST_EXACT,),
+        "Three vectors of rank two (one the sum of the others) must be "
+        "refused; a rank one short of k is a dependent set.",
+    ),
+    Mutant(
+        "independence rank without the second prime", EXACT,
+        "            _rank_mod_prime(vectors, p) != k for p in _CHECK_PRIMES):\n",
+        "            _rank_mod_prime(vectors, p) != k for p in _CHECK_PRIMES[:1]):\n",
+        (TEST_EXACT,),
+        "A basis that is independent over the rationals but dependent mod "
+        "2**61 - 1 (a vector divisible by it) is a true claim; refusing it "
+        "is a false alarm.",
+    ),
+    Mutant(
+        "column index drops the last vector", EXACT,
+        "    for i, v in enumerate(vectors):\n",
+        "    for i, v in enumerate(vectors[:-1]):\n",
+        (TEST_EXACT,),
+        "The last vector is never multiplied by the rows, so a last vector "
+        "outside the kernel passes.",
+    ),
+    Mutant(
+        "annihilation check bypassed", EXACT,
+        "        if any(acc.values()):\n",
+        "        if False:\n",
+        (TEST_EXACT,),
+        "No vector is checked against the rows, so any independent set "
+        "passes as a kernel basis.",
+    ),
+    Mutant(
+        "annihilation skips each row's last nonzero", EXACT,
+        "        for c, a in row:\n            for i, x in index.get(c, ()):\n",
+        "        for c, a in row[:-1]:\n            for i, x in index.get(c, ()):\n",
+        (TEST_EXACT,),
+        "A vector that only a row's last nonzero catches passes; a row "
+        "with one nonzero is not read at all.",
+    ),
+    Mutant(
+        "annihilation checked on the first row only", EXACT,
+        "    for row in rows:\n        acc: dict[int, int] = {}\n",
+        "    for row in rows[:1]:\n        acc: dict[int, int] = {}\n",
+        (TEST_EXACT,),
+        "A vector that only a later row maps to a nonzero passes.",
+    ),
+    Mutant(
+        "row rank check bypassed", EXACT,
+        "        if _rank_mod_prime(rows, p) == rank:\n",
+        "        if True:\n",
+        (TEST_EXACT,),
+        "An overclaimed rank with its kernel basis cut to match passes: "
+        "the vectors left are independent and annihilated.",
+    ),
+    Mutant(
+        "GF(p) rank skips each row's last nonzero", EXACT,
+        "        work = {c: r for c, a in row if (r := a % p)}\n",
+        "        work = {c: r for c, a in row[:-1] if (r := a % p)}\n",
+        (TEST_EXACT,),
+        "The rank of the rows, and of the vectors, is then taken of other "
+        "rows; the dense oracle disagrees.",
+    ),
+    Mutant(
+        "GF(p) rank counts the rows nonzero mod p", EXACT,
+        "    return len(pivots)\n",
+        "    return sum(any(a % p for _, a in row) for row in rows)\n",
+        (TEST_EXACT,),
+        "Duplicated or dependent rows and vectors count as independent, "
+        "so an overclaimed rank or a dependent basis passes.",
+    ),
+    Mutant(
+        "GF(p) rank stores each row unreduced", EXACT,
+        "            pivot = pivots.get(lead)\n",
+        "            pivot = None\n",
+        (TEST_EXACT,),
+        "The rank becomes the number of distinct leading columns, which "
+        "undercounts: two independent rows with one leading column count "
+        "once, so true claims are refused.",
+    ),
+    Mutant(
+        "row rank without the second prime", EXACT,
+        "    for p in _CHECK_PRIMES:\n        if _rank_mod_prime(rows, p) == rank:\n",
+        "    for p in _CHECK_PRIMES[:1]:\n        if _rank_mod_prime(rows, p) == rank:\n",
+        (TEST_EXACT,),
+        "Rows whose rank falls short mod 2**61 - 1 alone (a row divisible "
+        "by it) are a true claim; refusing it is a false alarm.",
+    ),
+)
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(tree: Path, tests: tuple[str, ...]) -> int | None:
+    """pytest's exit status on the test files of the tree, or None on a
+    timeout."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             *tests],
+            cwd=tree, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, timeout=TIMEOUT_S,
+        ).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def _run(mutant: Mutant | None) -> str | None:
+    """None when the mutant is killed (or, for None, the unmutated tree
+    passes); otherwise what went wrong."""
+    with tempfile.TemporaryDirectory(prefix="sympencil-mutant-") as tmp:
+        tree = Path(tmp)
+        _copy_tree(tree)
+        if mutant is None:
+            tests = tuple(sorted({t for m in MUTANTS for t in m.tests}))
+            status = _pytest(tree, tests)
+            return None if status == 0 else f"unmutated tests exit {status}"
+        path = tree / mutant.file
+        text = path.read_text(encoding="utf-8")
+        count = text.count(mutant.snippet)
+        if count != 1:
+            return f"snippet occurs {count} times in {mutant.file}"
+        path.write_text(text.replace(mutant.snippet, mutant.replacement),
+                        encoding="utf-8")
+        status = _pytest(tree, mutant.tests)
+        return None if status == 1 else f"not killed (pytest exit {status})"
+
+
+def main() -> int:
+    failures = 0
+    for mutant in (None, *MUTANTS):
+        name = "unmutated" if mutant is None else mutant.name
+        start = time.perf_counter()
+        problem = _run(mutant)
+        took = time.perf_counter() - start
+        verdict = problem or ("passes" if mutant is None else "killed")
+        print(f"{name}: {verdict} ({took:.1f} s)", flush=True)
+        failures += problem is not None
+        if mutant is None and problem:
+            break
+    print(f"{len(MUTANTS)} mutants, {failures} problems")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

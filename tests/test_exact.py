@@ -17,6 +17,7 @@ from sympencil.exact import (
     series_geom_pow,
 )
 from sympencil.lattice import FourManifoldLattice
+from sympencil.strata import STRATA
 
 
 class TestBinom:
@@ -379,12 +380,11 @@ class TestKernelVerifierChecksTheInput:
             rank_and_kernel(_WIDE)
 
 
-# Rank 2 with free columns 2, 3 and 4, and each free column's kernel
-# vector written out by hand.
+# Rank 2, with a kernel basis written out by hand: the vector of each free
+# column 2, 3 and 4 of the echelon.
 _CLAIM_MATRIX = RationalMatrix(
     [[1, 0, 2, 0, 3], [0, 1, -1, 0, 4], [2, 1, 3, 0, 10]]
 )
-_CLAIM_FREE = [2, 3, 4]
 _CLAIM_BASIS = [(-2, 1, 1, 0, 0), (0, 0, 0, 1, 0), (-3, -4, 0, 0, 1)]
 _CLAIM_SUM = tuple(map(sum, zip(*_CLAIM_BASIS[:2])))
 _PRODUCER = ("_primitive", "_insert", "_back_substituted", "_echelon_kernel")
@@ -408,25 +408,36 @@ class TestCertify:
         _refuse_producer(monkeypatch)
 
     def test_true_claim_passes(self):
-        exact._certify(_CLAIM_MATRIX, 2, _CLAIM_BASIS, _CLAIM_FREE)
+        exact._certify(_CLAIM_MATRIX, 2, _CLAIM_BASIS)
 
-    @pytest.mark.parametrize("basis, free", [
-        # duplicate vectors, on their own free columns or on one
-        ([_CLAIM_BASIS[0]] * 3, _CLAIM_FREE),
-        ([_CLAIM_BASIS[0]] * 3, [2, 2, 2]),
-        # the third vector replaced by the sum of the first two
-        (_CLAIM_BASIS[:2] + [_CLAIM_SUM], _CLAIM_FREE),
-        # one vector too few
-        (_CLAIM_BASIS[:2], _CLAIM_FREE[:2]),
-        # a free column outside the matrix
-        (_CLAIM_BASIS, [2, 3, 5]),
-        # the sum of the first two, twice: nonzero at each own free column,
-        # so only the zero-at-the-others clause refutes it
-        ([_CLAIM_SUM, _CLAIM_SUM, _CLAIM_BASIS[2]], _CLAIM_FREE),
-    ])
-    def test_dependent_or_missing_vectors_raise(self, basis, free):
-        with pytest.raises(RuntimeError, match="kernel vectors"):
-            exact._certify(_CLAIM_MATRIX, 2, basis, free)
+    def test_sheared_basis_passes(self):
+        # The third vector replaced by the sum of the first and the third:
+        # still a basis of the kernel, though no list of free columns fits
+        # it (each vector nonzero at its own and zero at the others').
+        b0, b1, b2 = _CLAIM_BASIS
+        exact._certify(_CLAIM_MATRIX, 2,
+                       [b0, b1, tuple(a + b for a, b in zip(b0, b2))])
+
+    @pytest.mark.parametrize("basis, message", [
+        ([_CLAIM_BASIS[0]] * 3, "not independent"),
+        # the third vector replaced by the sum of the first two, and that
+        # sum in place of both of them
+        (_CLAIM_BASIS[:2] + [_CLAIM_SUM], "not independent"),
+        ([_CLAIM_SUM, _CLAIM_SUM, _CLAIM_BASIS[2]], "not independent"),
+        (_CLAIM_BASIS[:2], "2 kernel vectors for nullity 3"),
+        # a trailing zero too many: independent and annihilated as sparse
+        # vectors, so only the length check refutes it
+        ([v + (0,) for v in _CLAIM_BASIS], "not independent"),
+    ], ids=["duplicate", "sum", "duplicated_sum", "too_few", "too_long"])
+    def test_dependent_missing_or_malformed_vectors_raise(self, basis, message):
+        with pytest.raises(RuntimeError, match=message):
+            exact._certify(_CLAIM_MATRIX, 2, basis)
+
+    def test_unlucky_first_prime_is_retried(self):
+        # p = 2**61 - 1 divides the one basis vector and a row, so both
+        # ranks fall short mod p; the second prime confirms them.
+        p = 2**61 - 1
+        exact._certify(RationalMatrix([[p, 0, 0], [0, 1, 0]]), 2, [(0, 0, p)])
 
     @pytest.mark.parametrize("position, bad", [
         (0, (-1, 1, 1, 0, 0)),
@@ -437,26 +448,26 @@ class TestCertify:
         basis = list(_CLAIM_BASIS)
         basis[position] = bad
         with pytest.raises(RuntimeError, match="re-substitution"):
-            exact._certify(_CLAIM_MATRIX, 2, basis, _CLAIM_FREE)
+            exact._certify(_CLAIM_MATRIX, 2, basis)
 
     def test_only_the_last_row_detects_the_bad_vector(self):
         # The first two rows annihilate the bad vector; the last row's only
         # nonzero, at its last column, does not.
         m = RationalMatrix([[1, 0, 2, 0, 3], [0, 1, -1, 0, 4], [0, 0, 0, 0, 1]])
-        exact._certify(m, 3, [(-2, 1, 1, 0, 0), (0, 0, 0, 1, 0)], [2, 3])
+        exact._certify(m, 3, [(-2, 1, 1, 0, 0), (0, 0, 0, 1, 0)])
         with pytest.raises(RuntimeError, match="re-substitution"):
-            exact._certify(m, 3, [(-5, -3, 1, 0, 1), (0, 0, 0, 1, 0)], [2, 3])
+            exact._certify(m, 3, [(-5, -3, 1, 0, 1), (0, 0, 0, 1, 0)])
 
     def test_overclaimed_rank_raises(self):
         # Rank 3 with the two vectors left: each is independent and
         # annihilated, so only the GF(p) rank can refute the claim.
         with pytest.raises(RuntimeError, match="rank mismatch"):
-            exact._certify(_CLAIM_MATRIX, 3, _CLAIM_BASIS[1:], _CLAIM_FREE[1:])
+            exact._certify(_CLAIM_MATRIX, 3, _CLAIM_BASIS[1:])
 
 
 def _rref_claim(m):
-    """The true claim for ``m``: its rank, its free columns and the integer
-    kernel vector of each, by reduced row echelon form in ``Fraction``
+    """The true claim for ``m``: its rank and the integer kernel vector of
+    each free column, by reduced row echelon form in ``Fraction``
     arithmetic, a route of its own."""
     ncols = m.ncols
     work = [list(row) for row in m.rows]
@@ -474,67 +485,73 @@ def _rref_claim(m):
                 f = r[col]
                 r[:] = [a - f * b for a, b in zip(r, pivot)]
         pivots.append(col)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for row, pc in zip(work, pivots):
             v[pc] = -row[fc]
         denlcm = math.lcm(*(x.denominator for x in v))
         basis.append(tuple(int(x * denlcm) for x in v))
-    return len(pivots), free, basis
+    return len(pivots), basis
 
 
-def _claim_holds(m, rank, basis, free):
+def _claim_holds(m, rank, basis):
     """Whether a claim is true, decided in ``Fraction`` arithmetic: ``rank``
-    is the rank of ``m``, and there is one vector per free column, nonzero
-    there and zero at the other free columns, each mapped to zero by ``m``."""
+    is the rank of ``m``, and ``basis`` is ``ncols - rank`` vectors of
+    length ``ncols``, independent by their ``Fraction`` rank and each
+    mapped to zero by ``m``."""
     ncols = m.ncols
     k = len(basis)
     return (rank == _rank_over_q(m.rows) and k == ncols - rank
-            and len(free) == k and len(set(free)) == k
-            and all(0 <= c < ncols for c in free)
-            and all(len(v) == ncols and v[fc]
-                    and not any(v[c] for c in free if c != fc)
-                    for v, fc in zip(basis, free))
+            and all(len(v) == ncols for v in basis)
+            and _rank_over_q(basis) == k
             and not any(x for v in basis for x in m.apply(v)))
 
 
 _ATTACKS = ("none", "perturb", "duplicate", "sum", "drop", "drop_and_raise",
-            "permute", "rank_up", "rank_down")
+            "shear", "scale", "rank_up", "rank_down")
 
 
 @st.composite
 def _claims(draw):
     """A small rational matrix and a claim about it: the true claim, or one
-    attacked by a perturbed, duplicated, summed or dropped vector, permuted
-    free columns, or a rank off by one."""
+    attacked by a perturbed, duplicated or dropped vector, a vector replaced
+    by the sum of two others, or a rank off by one, which falsify it, or by
+    a shear (v_j += c v_i) or a scaled vector, which keep it true."""
     m = RationalMatrix(draw(_rational_matrices(max_rows=5, max_cols=6)))
-    rank, free, basis = _rref_claim(m)
+    rank, basis = _rref_claim(m)
     k = len(basis)
     attack = draw(st.sampled_from(_ATTACKS))
+    factor = st.sampled_from([-3, -2, -1, 2, 3])
     if attack == "perturb" and k:
         i = draw(st.integers(0, k - 1))
         c = draw(st.integers(0, m.ncols - 1))
         v = list(basis[i])
         v[c] += draw(st.sampled_from([-2, -1, 1, 2]))
         basis[i] = tuple(v)
-    elif attack in ("duplicate", "sum") and k > 1:
+    elif attack == "duplicate" and k > 1:
         i, j = draw(st.permutations(range(k)))[:2]
-        basis[j] = (basis[i] if attack == "duplicate"
-                    else tuple(a + b for a, b in zip(basis[i], basis[j])))
+        basis[j] = basis[i]
+    elif attack == "sum" and k > 2:
+        i, j, l = draw(st.permutations(range(k)))[:3]
+        basis[j] = tuple(a + b for a, b in zip(basis[i], basis[l]))
     elif attack in ("drop", "drop_and_raise") and k:
-        i = draw(st.integers(0, k - 1))
-        del basis[i], free[i]
+        del basis[draw(st.integers(0, k - 1))]
         rank += attack == "drop_and_raise"
-    elif attack == "permute" and k > 1:
-        free = draw(st.permutations(free))
+    elif attack == "shear" and k > 1:
+        i, j = draw(st.permutations(range(k)))[:2]
+        c = draw(factor)
+        basis[j] = tuple(b + c * a for a, b in zip(basis[i], basis[j]))
+    elif attack == "scale" and k:
+        i = draw(st.integers(0, k - 1))
+        c = draw(factor)
+        basis[i] = tuple(c * a for a in basis[i])
     elif attack == "rank_up":
         rank += 1
     elif attack == "rank_down":
         rank -= 1
-    return m, rank, basis, free
+    return m, rank, basis
 
 
 class TestCertifySoundness:
@@ -544,15 +561,15 @@ class TestCertifySoundness:
     @given(_claims())
     @settings(max_examples=300)
     def test_accepts_exactly_the_true_claims(self, claim):
-        m, rank, basis, free = claim
+        m, rank, basis = claim
         with pytest.MonkeyPatch.context() as patch:
             _refuse_producer(patch)
             try:
-                exact._certify(m, rank, basis, free)
+                exact._certify(m, rank, basis)
                 accepted = True
             except RuntimeError:
                 accepted = False
-        assert accepted == _claim_holds(m, rank, basis, free)
+        assert accepted == _claim_holds(m, rank, basis)
 
 
 def test_duplicate_back_substitution_is_caught_through_hilb(monkeypatch):
@@ -569,6 +586,99 @@ def test_duplicate_back_substitution_is_caught_through_hilb(monkeypatch):
     monkeypatch.setattr(exact, "_back_substituted", duplicating)
     with pytest.raises(RuntimeError, match="not independent"):
         hilb.kernel_dimension(hilb.sample_smooth_stratum(3, 2, 1))
+
+
+@pytest.mark.parametrize("stratum", STRATA)
+def test_sheared_kernel_passes_through_hilb(monkeypatch, stratum):
+    """A producer that returns a sheared basis (each vector plus the next,
+    the last one kept) still returns a basis of the kernel, and the
+    verifier accepts it: the kernel dimension stays r^2 + 1."""
+    echelon_kernel = exact._echelon_kernel
+
+    def sheared(echelon, ncols):
+        basis = echelon_kernel(echelon, ncols)
+        return [tuple(a + b for a, b in zip(v, w))
+                for v, w in zip(basis, basis[1:])] + basis[-1:]
+
+    q = hilb._sample_for(stratum, 4, 1729, 1)
+    monkeypatch.setattr(exact, "_echelon_kernel", sheared)
+    assert hilb.kernel_dimension(q) == 17
+
+
+def _inverse(rows):
+    """Inverse of an invertible square rational matrix, by Gauss-Jordan
+    elimination in ``Fraction`` arithmetic."""
+    n = len(rows)
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(rows)]
+    for col in range(n):
+        top = next(i for i in range(col, n) if work[i][col])
+        work[col], work[top] = work[top], work[col]
+        lead = work[col][col]
+        work[col] = [x / lead for x in work[col]]
+        for i, row in enumerate(work):
+            if i != col and row[col]:
+                f = row[col]
+                work[i] = [a - f * b for a, b in zip(row, work[col])]
+    return [row[n:] for row in work]
+
+
+def _smooth_kernel(q):
+    """The kernel of the differential at a smooth-stratum point (B1 = diag z,
+    B2 = lambda B1^{-1}, lambda an integer), in closed form. For each (i, j)
+    the 2 x 2 block on (C1_ij, C2_ij) has determinant lambda - lambda = 0,
+    with kernel (z_i z_j, -lambda); and one mu vector has C2_ii = 1/z_i and
+    mu = 1, cleared to integers."""
+    r, rr = q.r, q.r * q.r
+    zs = [int(q.b1.rows[i][i]) for i in range(r)]
+    basis = []
+    for i, j in itertools.product(range(r), repeat=2):
+        v = [0] * (2 * rr + 1)
+        v[i * r + j] = zs[i] * zs[j]
+        v[rr + i * r + j] = -int(q.lam)
+        basis.append(tuple(v))
+    scale = math.lcm(*zs)
+    mu = [0] * (2 * rr + 1)
+    for i, z in enumerate(zs):
+        mu[rr + i * r + i] = scale // z
+    mu[-1] = scale
+    return basis + [tuple(mu)]
+
+
+def _b1zero_kernel(q):
+    """The kernel of the differential at a b1zero-stratum point (B1 = 0, B2
+    invertible), in closed form: C2 is free, so the r^2 unit vectors of C2,
+    and C1 = mu B2^{-1} with mu = 1, cleared to integers."""
+    r, rr = q.r, q.r * q.r
+    basis = [tuple(int(c == rr + n) for c in range(2 * rr + 1))
+             for n in range(rr)]
+    inverse = [x for row in _inverse(q.b2.rows) for x in row]
+    scale = math.lcm(*(x.denominator for x in inverse))
+    return basis + [tuple(int(x * scale) for x in inverse) + (0,) * rr + (scale,)]
+
+
+class TestClosedFormKernels:
+    """On the smooth and b1zero strata the kernel has a closed form, a route
+    to the r^2 + 1 kernel apart from elimination. The verifier accepts it,
+    at rank r^2, with the producer patched to raise."""
+
+    @pytest.mark.parametrize("seed, lam", [(1, 2), (7, -3), (1729, 5)])
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_smooth(self, monkeypatch, r, seed, lam):
+        q = hilb.sample_smooth_stratum(r, lam, seed)
+        self._check(monkeypatch, q, _smooth_kernel(q))
+
+    @pytest.mark.parametrize("seed", [1, 7, 1729])
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_b1zero(self, monkeypatch, r, seed):
+        q = hilb.sample_b1zero_stratum(r, seed)
+        self._check(monkeypatch, q, _b1zero_kernel(q))
+
+    @staticmethod
+    def _check(monkeypatch, q, basis):
+        assert len(basis) == q.r * q.r + 1
+        _refuse_producer(monkeypatch)
+        exact._certify(hilb.differential_matrix(q), q.r * q.r, basis)
 
 
 def _cleared_by_fraction_products(m):

@@ -337,6 +337,19 @@ class TestSamplers:
     def test_b1zero_seed_reproducibility(self):
         assert sample_b1zero_stratum(3, 21) == sample_b1zero_stratum(3, 21)
 
+    @pytest.mark.parametrize("sample", [
+        lambda s: sample_smooth_stratum(6, 2, s),
+        lambda s: sample_singular_stratum(6, 2, 3, s),
+        lambda s: sample_b1zero_stratum(6, s),
+        lambda s: sample_commuting_diagonal(6, s),
+    ], ids=["smooth", "singular", "b1zero", "commuting_diagonal"])
+    def test_negative_seed_draws_its_own_point(self, sample):
+        # random.Random seeds an int by its absolute value; seed -s must not
+        # repeat seed s, or `hilb --seed -3 --samples 7` certifies sample 0
+        # and sample 6 at one point.
+        for s in range(1, 6):
+            assert sample(-s) != sample(s)
+
 
 class TestDifferential:
     def test_rank_one_shape_and_kernel(self):

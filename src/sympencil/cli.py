@@ -15,12 +15,21 @@ the CPU count and at ``--samples``; its output does not depend on it.
 
 A process imports only what its command uses: ``hilb``, ``brill_noether``
 and ``applications`` load inside the commands that need them.
+
+``main`` is the click group, for in-process callers. A process started as
+``python -m sympencil.cli`` or through the ``sympencil`` script enters
+through :func:`run` instead, which flushes the standard streams and leaves
+with click's exit code without tearing the interpreter down. So nothing a
+command runs may rely on interpreter shutdown: no ``atexit`` hook, no
+finalizer, no file left open (``hilb``'s worker pool shuts down inside its
+``with`` block).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import warnings
 
 import click
@@ -431,8 +440,14 @@ def hilb_cmd(r, samples, seed, stratum):
         )
     report = hilb.certify_stratum(stratum, r, samples, seed=seed,
                                   workers=workers)
+    payload = _record_payload(report)
+    # Only a failed run names its samples, so passing reports keep their bytes.
+    failing = payload.pop("failing_samples")
+    if failing:
+        payload["failing_samples"] = [
+            dict(zip(("index", "seed", "kernel_dim"), sample)) for sample in failing]
     return {
-        **_record_payload(report),
+        **payload,
         "seed": seed,
         "citations": [
             "kernel of (C1, C2, mu) -> (C1 B2 + B1 C2 - mu I, B2 C1 + C2 B1 - mu I) "
@@ -473,5 +488,32 @@ def classify_cmd(manifold, classes_path):
             all(rep.verdict != "fail" for rep in reports))
 
 
+def run() -> None:
+    """Run the command line as a one-shot process: the entry point of the
+    ``sympencil`` script and of ``python -m sympencil.cli``.
+
+    click's standalone mode always ends ``main`` with ``SystemExit`` and an
+    ``int`` code. Then the standard streams are flushed (a stream is
+    ``None`` when its descriptor was closed at start) and the process
+    leaves through ``os._exit`` with that code, skipping the interpreter's
+    teardown of modules and objects: ``atexit`` hooks do not fire and
+    finalizers do not run. Any other ending (a non-``int`` code, an
+    uncaught exception, or a flush that fails) leaves through the normal
+    interpreter exit.
+    """
+    try:
+        main()
+    except SystemExit as exc:
+        if not isinstance(exc.code, int):
+            raise
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        except OSError:
+            raise exc from None
+        os._exit(exc.code)
+
+
 if __name__ == "__main__":
-    main()
+    run()

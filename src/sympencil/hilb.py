@@ -297,10 +297,13 @@ def sample_commuting_diagonal(r: int, seed: int) -> ADHMTriple:
 
 
 class CertificationReport(Record):
-    """Outcome of a sample-and-certify sweep over one stratum."""
+    """Outcome of a sample-and-certify sweep over one stratum.
+    ``failing_samples`` holds ``(index, seed, kernel_dim)`` for each sample
+    whose kernel dimension is not the expected one, in index order, so a
+    failure can be rerun from its seed."""
 
     __slots__ = ("stratum", "r", "samples", "failures", "kernel_dims_observed",
-                 "expected_kernel_dim", "passed")
+                 "expected_kernel_dim", "passed", "failing_samples")
 
     stratum: str
     r: int
@@ -309,6 +312,7 @@ class CertificationReport(Record):
     kernel_dims_observed: tuple[int, ...]
     expected_kernel_dim: int
     passed: bool
+    failing_samples: tuple[tuple[int, int, int], ...]
 
 
 def _sample_for(stratum: str, r: int, seed: int, index: int) -> RelADHMQuad:
@@ -368,13 +372,14 @@ def certify_stratum(stratum: str, r: int, samples: int, seed: int = 1729,
     results.sort()
     dims = [dim for _, dim in results]
     expected = r * r + 1
-    failures = sum(1 for dim in dims if dim != expected)
+    failing = tuple((i, seed + i, dim) for i, dim in results if dim != expected)
     return CertificationReport(
         stratum=stratum,
         r=r,
         samples=samples,
-        failures=failures,
+        failures=len(failing),
         kernel_dims_observed=tuple(sorted(set(dims))),
         expected_kernel_dim=expected,
-        passed=failures == 0,
+        passed=not failing,
+        failing_samples=failing,
     )

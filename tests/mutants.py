@@ -1,5 +1,7 @@
-"""Mutation check for the rank verifier: every mutant listed here must make
-the tests it names fail.
+"""Mutation check: every mutant listed here must make the tests it names
+fail. The mutants weaken the rank verifier (``exact._certify`` and its
+GF(p) rank), the lattice's input checks, the boundaries of
+``pencil.count_decision`` and the exit code of ``cli.run``.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -32,7 +34,13 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 EXACT = "src/sympencil/exact.py"
+LATTICE = "src/sympencil/lattice.py"
+PENCIL = "src/sympencil/pencil.py"
+CLI = "src/sympencil/cli.py"
 TEST_EXACT = "tests/test_exact.py"
+TEST_LATTICE = "tests/test_lattice.py"
+TEST_PENCIL = "tests/test_pencil.py"
+TEST_CLI_PROCESS = "tests/test_cli_process.py"
 # An unmutated run of the targeted files takes seconds; a mutant that
 # makes the suite hang counts as not killed.
 TIMEOUT_S = 300
@@ -160,6 +168,56 @@ MUTANTS = (
         (TEST_EXACT,),
         "Rows whose rank falls short mod 2**61 - 1 alone (a row divisible "
         "by it) are a true claim; refusing it is a false alarm.",
+    ),
+    Mutant(
+        "chi_h integrality check skipped", LATTICE,
+        "        if self.b1 % 2 == 0 and (self.euler + self.signature) % 4:\n",
+        "        if False:\n",
+        (TEST_LATTICE,),
+        "A form with b1 even and e + sigma not divisible by 4 can still pass "
+        "the characteristic congruence and K.K = 2e + 3sigma; only this "
+        "check refuses its half-integral chi_h.",
+    ),
+    Mutant(
+        "symmetry checked above the diagonal only", LATTICE,
+        "            if rows[j][i] != v:\n",
+        "            if j > i and rows[j][i] != v:\n",
+        (TEST_LATTICE,),
+        "A nonzero below the diagonal opposite a zero is never compared, so "
+        "an asymmetric form is read as its lower rows.",
+    ),
+    Mutant(
+        "symmetry checked below the diagonal only", LATTICE,
+        "            if rows[j][i] != v:\n",
+        "            if j < i and rows[j][i] != v:\n",
+        (TEST_LATTICE,),
+        "The mirror case: a nonzero above the diagonal opposite a zero is "
+        "never compared.",
+    ),
+    Mutant(
+        "b+ > 1 + b1 loosened to >=", PENCIL,
+        "    high_b_plus = x.b_plus > 1 + x.b1\n",
+        "    high_b_plus = x.b_plus >= 1 + x.b1\n",
+        (TEST_PENCIL,),
+        "On b+ = 1, b1 = 0 (CP2, the blow-ups) the simple-type vanishing "
+        "rule then fires, and a class the wall-crossing rule counts +/-1 is "
+        "declared Zero.",
+    ),
+    Mutant(
+        "a.omega > K.omega tightened to >=", PENCIL,
+        "a_omega > k_omega",
+        "a_omega >= k_omega",
+        (TEST_PENCIL,),
+        "The canonical class has a.omega = K.omega and counts +/-1 on a "
+        "lattice with b+ > 1 + b1; the mutant declares it Zero.",
+    ),
+    Mutant(
+        "run exits 0 whatever click's code", CLI,
+        "        os._exit(exc.code)\n",
+        "        os._exit(0)\n",
+        (TEST_CLI_PROCESS,),
+        "Exit codes 1 and 2 are the CLI's contract; a process that reports "
+        "a usage error with exit 0 breaks every caller that checks it.",
     ),
 )
 

@@ -219,6 +219,32 @@ class TestHilbCommand:
         assert payload["passed"] is True
         assert payload["seed"] == 7
 
+    def test_failed_certification_names_its_samples(self, runner, monkeypatch):
+        from sympencil import hilb
+
+        real = hilb.kernel_dimension
+        calls = []
+
+        def off_at_index_one(q):
+            calls.append(q)
+            return q.r * q.r if len(calls) == 2 else real(q)
+
+        monkeypatch.setattr(hilb, "kernel_dimension", off_at_index_one)
+        result = check(runner, ["hilb", "--r", "3", "--samples", "4", "--seed", "-5"],
+                       expect_exit=1, env={"SYMPENCIL_WORKERS": "1"})
+        payload = parsed(result)
+        assert payload["failing_samples"] == [{"index": 1, "seed": -4, "kernel_dim": 9}]
+        assert (payload["failures"], payload["passed"]) == (1, False)
+
+    def test_passing_report_has_no_failing_samples(self, runner):
+        payload = parsed(check(runner, ["hilb", "--r", "2", "--samples", "3"]))
+        assert "failing_samples" not in payload
+        # The schema ties the field to failures > 0, both ways.
+        sample = [{"index": 0, "seed": 1729, "kernel_dim": 4}]
+        for bad in (dict(payload, failures=1), dict(payload, failing_samples=sample)):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(bad, SCHEMA)
+
     def test_default_seed_documented_constant(self, runner):
         result = check(runner, ["hilb", "--r", "1", "--samples", "2"])
         assert parsed(result)["seed"] == 1729

@@ -445,7 +445,24 @@ class TestCertifyStratum:
             kernel_dims_observed=(5,),
             expected_kernel_dim=5,
             passed=True,
+            failing_samples=(),
         )
+
+    def test_failure_names_its_samples(self, monkeypatch):
+        """A sample whose kernel dimension is off is named by its index,
+        its seed and the dimension observed."""
+        real = hilb.kernel_dimension
+        calls = []
+
+        def off_at_index_two(q):
+            calls.append(q)
+            return q.r * q.r if len(calls) == 3 else real(q)
+
+        monkeypatch.setattr(hilb, "kernel_dimension", off_at_index_two)
+        rep = certify_stratum("singular", 2, 5, seed=40, workers=1)
+        assert (rep.failures, rep.passed) == (1, False)
+        assert rep.kernel_dims_observed == (4, 5)
+        assert rep.failing_samples == ((2, 42, 4),)
 
     def test_singular_covers_every_split(self):
         rep = certify_stratum("singular", 4, 8, seed=2)

@@ -91,9 +91,12 @@ class TestSignature:
             signature_of_symmetric([[1, 0], [0]])
 
     def test_rejects_asymmetry_against_zero(self):
-        # The mismatch sits opposite a zero entry, not between two nonzeros.
+        # The mismatch sits opposite a zero entry, not between two nonzeros,
+        # below the diagonal and then above it.
         with pytest.raises(ValueError, match="symmetric"):
             signature_of_symmetric([[1, 0, 0], [0, 1, 0], [3, 0, 1]])
+        with pytest.raises(ValueError, match="symmetric"):
+            signature_of_symmetric([[1, 0, 3], [0, 1, 0], [0, 0, 1]])
 
     @pytest.mark.parametrize("rows", [
         [[0.5]],

@@ -27,6 +27,7 @@ finalizer, no file left open (``hilb``'s worker pool shuts down inside its
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import sys
@@ -45,7 +46,7 @@ from .pencil import (
     residual_fibre_degree,
     virtual_dim,
 )
-from .strata import MAX_R, MAX_SAMPLES, STRATA
+from .strata import MAX_FILE_BYTES, MAX_R, MAX_SAMPLES, STRATA
 
 DEFAULT_SEED = 1729
 WORKERS_ENV = "SYMPENCIL_WORKERS"
@@ -118,11 +119,21 @@ _INTEGER = _Integer()
 
 
 def _load_json(path: str):
+    """The JSON value in the file; reading stops one byte past
+    ``MAX_FILE_BYTES``, so a larger file or an endless stream costs no
+    more than that."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_FILE_BYTES + 1)
     except OSError as exc:
         raise click.UsageError(f"cannot read {path}: {exc}")
+    if len(data) > MAX_FILE_BYTES:
+        raise click.UsageError(
+            f"{path} is larger than the {MAX_FILE_BYTES:,}-byte file limit")
+    try:
+        # Decoded as a text-mode open() would, newlines translated, so a
+        # decode or syntax error reports the same position.
+        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise click.UsageError(f"{path} is not valid JSON: {exc}")
     except RecursionError:
@@ -206,7 +217,8 @@ class _Group(click.Group):
             raise click.UsageError(exc.format_message()) from None
 
 
-@click.group(cls=_Group, no_args_is_help=False)
+@click.group(cls=_Group, no_args_is_help=False,
+             epilog=f"A JSON file read may hold at most {MAX_FILE_BYTES:,} bytes.")
 @click.version_option(version=__version__)
 def main():
     """Exact invariants of symplectic surface counting: lattices, section

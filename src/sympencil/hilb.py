@@ -299,8 +299,8 @@ def sample_commuting_diagonal(r: int, seed: int) -> ADHMTriple:
 class CertificationReport(Record):
     """Outcome of a sample-and-certify sweep over one stratum.
     ``failing_samples`` holds ``(index, seed, kernel_dim)`` for each sample
-    whose kernel dimension is not the expected one, in index order, so a
-    failure can be rerun from its seed."""
+    whose kernel dimension is not the expected one, in index order; a run
+    of one sample from that seed redraws it, on every stratum."""
 
     __slots__ = ("stratum", "r", "samples", "failures", "kernel_dims_observed",
                  "expected_kernel_dim", "passed", "failing_samples")
@@ -315,24 +315,21 @@ class CertificationReport(Record):
     failing_samples: tuple[tuple[int, int, int], ...]
 
 
-def _sample_for(stratum: str, r: int, seed: int, index: int) -> RelADHMQuad:
-    s = seed + index
+def _sample_for(stratum: str, r: int, s: int) -> RelADHMQuad:
     if stratum == "smooth":
         key = b"lam:" + _signed_bytes(s)
         lam = Fraction(random.Random(key).choice(_NONZERO_POOL))
         return sample_smooth_stratum(r, lam, s)
     if stratum == "singular":
-        n = index % r
+        n = s % r
         return sample_singular_stratum(r, n, r - 1 - n, s)
     if stratum == "b1zero":
         return sample_b1zero_stratum(r, s)
     raise ValueError(f"unknown stratum {stratum!r}; choose from {STRATA}")
 
 
-def _certify_one(args: tuple[str, int, int, int]) -> tuple[int, int]:
-    stratum, r, seed, index = args
-    q = _sample_for(stratum, r, seed, index)
-    return index, kernel_dimension(q)
+def _certify_one(args: tuple[str, int, int]) -> int:
+    return kernel_dimension(_sample_for(*args))
 
 
 def certify_stratum(stratum: str, r: int, samples: int, seed: int = 1729,
@@ -340,13 +337,14 @@ def certify_stratum(stratum: str, r: int, samples: int, seed: int = 1729,
     """Sample the stratum `samples` times (seeds seed, seed+1, ...) and
     certify the kernel dimension at each point.
 
-    Samples are independent, so any worker count yields the same report;
-    results merge by sample index.  At most ``min(workers, cpu count,
-    samples)`` worker processes run, and none when that is 1.  The
-    singular stratum cycles through all chain splits (n, m) as the index
-    advances.  ``r`` may be at most ``MAX_R`` and ``samples`` at most
-    ``MAX_SAMPLES``; both are checked before anything is sampled, and
-    all four integer arguments must be exactly ``int`` (``TypeError``).
+    Each sample is drawn from its seed alone, so any worker count yields
+    the same report and sample i is the one sample of a run from seed + i.
+    The singular chain split (n, m) cycles as the seed advances, so any r
+    consecutive seeds cover every split.  At most ``min(workers, cpu
+    count, samples)`` worker processes run, and none when that is 1.
+    ``r`` may be at most ``MAX_R`` and ``samples`` at most ``MAX_SAMPLES``;
+    both are checked before anything is sampled, and all four integer
+    arguments must be exactly ``int`` (``TypeError``).
     """
     if stratum not in STRATA:
         raise ValueError(f"unknown stratum {stratum!r}; choose from {STRATA}")
@@ -358,7 +356,7 @@ def certify_stratum(stratum: str, r: int, samples: int, seed: int = 1729,
         raise ValueError(f"samples must be between 1 and {MAX_SAMPLES}")
     if workers < 1:
         raise ValueError("worker count must be positive")
-    jobs = ((stratum, r, seed, i) for i in range(samples))
+    jobs = ((stratum, r, seed + i) for i in range(samples))
     workers = min(workers, os.cpu_count() or 1, samples)
     if workers > 1:
         # Imported here so that importing the package, and so every CLI
@@ -366,13 +364,12 @@ def certify_stratum(stratum: str, r: int, samples: int, seed: int = 1729,
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_certify_one, jobs))
+            dims = list(pool.map(_certify_one, jobs))
     else:
-        results = [_certify_one(job) for job in jobs]
-    results.sort()
-    dims = [dim for _, dim in results]
+        dims = [_certify_one(job) for job in jobs]
     expected = r * r + 1
-    failing = tuple((i, seed + i, dim) for i, dim in results if dim != expected)
+    failing = tuple((i, seed + i, dim) for i, dim in enumerate(dims)
+                    if dim != expected)
     return CertificationReport(
         stratum=stratum,
         r=r,

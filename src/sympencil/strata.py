@@ -1,5 +1,5 @@
-"""Names of the strata that :mod:`sympencil.hilb` samples, and the size
-limits of one certification run.
+"""Names of the strata that :mod:`sympencil.hilb` samples, the size
+limits of one certification run, and the size limit of an input file.
 
 They live apart from that module so that the CLI can offer the names as
 choices, and state the limits in its help, without importing it.
@@ -13,3 +13,8 @@ MAX_R = 18
 
 # Most samples in one run; the acceptance suite certifies 50 per stratum.
 MAX_SAMPLES = 1000
+
+# Largest JSON file the CLI reads, in bytes. The largest manifold file the
+# benchmarks write is 172 KB (b2 = 238); a 16 MB one (b2 = 2,338) reads and
+# validates in about 1 s and 100 MB on a 2-CPU host.
+MAX_FILE_BYTES = 16 * 2**20

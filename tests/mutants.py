@@ -1,7 +1,9 @@
 """Mutation check: every mutant listed here must make the tests it names
 fail. The mutants weaken the rank verifier (``exact._certify`` and its
-GF(p) rank), the lattice's input checks, the boundaries of
-``pencil.count_decision`` and the exit code of ``cli.run``.
+GF(p) rank), the integer producer it checks (``exact._primitive`` and
+``exact._insert``), the rank that ``hilb.is_stable`` claims, the lattice's
+input checks, the boundaries of ``pencil.count_decision`` and the exit code
+of ``cli.run``.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -34,10 +36,12 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 EXACT = "src/sympencil/exact.py"
+HILB = "src/sympencil/hilb.py"
 LATTICE = "src/sympencil/lattice.py"
 PENCIL = "src/sympencil/pencil.py"
 CLI = "src/sympencil/cli.py"
 TEST_EXACT = "tests/test_exact.py"
+TEST_HILB = "tests/test_hilb.py"
 TEST_LATTICE = "tests/test_lattice.py"
 TEST_PENCIL = "tests/test_pencil.py"
 TEST_CLI_PROCESS = "tests/test_cli_process.py"
@@ -168,6 +172,42 @@ MUTANTS = (
         (TEST_EXACT,),
         "Rows whose rank falls short mod 2**61 - 1 alone (a row divisible "
         "by it) are a true claim; refusing it is a false alarm.",
+    ),
+    Mutant(
+        "clearing rule drops the denominators", EXACT,
+        "    ints = [x.numerator * (denlcm // x.denominator) for x in values]\n",
+        "    ints = [x.numerator for x in values]\n",
+        (TEST_EXACT,),
+        "A row with unequal denominators leaves its ray: (1/2, 1/3) becomes "
+        "(1, 1), not (3, 2), so the echelon spans other rows and its kernel "
+        "fails the re-substitution check.",
+    ),
+    Mutant(
+        "reducer adds the pivot row instead of subtracting it", EXACT,
+        "            row = [p * a - f * b for a, b in zip(row, e)]\n",
+        "            row = [p * a + f * b for a, b in zip(row, e)]\n",
+        (TEST_EXACT,),
+        "The pivot column is not cleared (p f + f p is not zero), so a "
+        "dependent row survives as a new one and the rank is overclaimed; "
+        "the verifier's checks, read from the input, refuse it.",
+    ),
+    Mutant(
+        "is_stable claims the echelon's length as its rank", HILB,
+        "    exact._certify(RationalMatrix(accepted + spent), len(accepted),\n",
+        "    exact._certify(RationalMatrix(accepted + spent), len(echelon),\n",
+        (TEST_HILB,),
+        "On a sound reducer every accepted vector joins the echelon, so the "
+        "two counts agree; only the fault-injection tests, whose reducer "
+        "reports a row accepted without inserting it, tell them apart: the "
+        "verdict counts accepted vectors, so the certificate must too.",
+    ),
+    Mutant(
+        "omega.omega = 0 accepted", LATTICE,
+        "        if omega_squared <= 0:\n",
+        "        if omega_squared < 0:\n",
+        (TEST_LATTICE,),
+        "A symplectic form has positive volume; omega = 0 on CP2 has "
+        "omega.omega = 0 and must be refused.",
     ),
     Mutant(
         "chi_h integrality check skipped", LATTICE,

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from sympencil import __version__
 from sympencil.catalog import STANDARD_BUILDERS, lattice_to_dict
 from sympencil.cli import _ReportCommand, main
-from sympencil.strata import MAX_R, MAX_SAMPLES
+from sympencil.strata import MAX_FILE_BYTES, MAX_R, MAX_SAMPLES
 
 SCHEMA = json.loads(
     (resources.files("sympencil") / "data" / "report.schema.json").read_text()
@@ -236,6 +236,33 @@ class TestHilbCommand:
         assert payload["failing_samples"] == [{"index": 1, "seed": -4, "kernel_dim": 9}]
         assert (payload["failures"], payload["passed"]) == (1, False)
 
+    def test_failing_singular_sample_reruns_from_its_seed(self, runner, monkeypatch):
+        """A fault at one point of a singular run is named by its seed, and
+        ``--seed <seed> --samples 1`` redraws that point: it fails again."""
+        from sympencil import hilb
+
+        real = hilb.kernel_dimension
+        points = []
+
+        def recorded(q):
+            points.append(q)
+            return real(q)
+
+        args = ["hilb", "--stratum", "singular", "--r", "3"]
+        env = {"SYMPENCIL_WORKERS": "1"}
+        monkeypatch.setattr(hilb, "kernel_dimension", recorded)
+        check(runner, args + ["--samples", "5", "--seed", "20"], env=env)
+        bad = points[2]
+        monkeypatch.setattr(hilb, "kernel_dimension",
+                            lambda q: q.r * q.r if q == bad else real(q))
+        result = check(runner, args + ["--samples", "5", "--seed", "20"],
+                       expect_exit=1, env=env)
+        failing = parsed(result)["failing_samples"]
+        assert failing == [{"index": 2, "seed": 22, "kernel_dim": 9}]
+        rerun = check(runner, args + ["--samples", "1", "--seed", str(failing[0]["seed"])],
+                      expect_exit=1, env=env)
+        assert parsed(rerun)["failing_samples"] == [{"index": 0, "seed": 22, "kernel_dim": 9}]
+
     def test_passing_report_has_no_failing_samples(self, runner):
         payload = parsed(check(runner, ["hilb", "--r", "2", "--samples", "3"]))
         assert "failing_samples" not in payload
@@ -425,6 +452,38 @@ def test_json_the_reader_rejects_names_the_file(runner, manifold_file, tmp_path,
     assert result.stderr.startswith(f"Error: {path} ")
     assert result.stderr.count("\n") == 1
     assert "set_int_max_str_digits" not in result.stderr
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at_limit", "one_byte_past"])
+@pytest.mark.parametrize("reads", ["manifold", "classes"])
+def test_file_size_limit(runner, manifold_file, tmp_path, monkeypatch, reads, over):
+    """A file of MAX_FILE_BYTES bytes reads; one byte more exits 2 with one
+    `Error:` line that names the file and the limit. The limit is lowered
+    to 4 KiB, above the cp2 manifold file, so both files meet it."""
+    from sympencil import cli
+
+    limit = 4096
+    monkeypatch.setattr(cli, "MAX_FILE_BYTES", limit)
+    path = tmp_path / "input.json"
+    if reads == "manifold":
+        text = json.dumps(lattice_to_dict(STANDARD_BUILDERS["cp2"]()))
+        args, read_exit = ["manifold-check", str(path)], 0
+    else:
+        # Once the classes are read, classify reports; cp2 fails inflation.
+        text = "[[1], [0]]"
+        args, read_exit = ["classify", manifold_file("cp2"), "--classes", str(path)], 1
+    path.write_text(text + " " * (limit + over - len(text)))
+    assert path.stat().st_size == limit + over
+    result = runner.invoke(main, args)
+    if not over:
+        assert (result.exit_code, result.stderr) == (read_exit, ""), result.output
+        return
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == f"Error: {path} is larger than the 4,096-byte file limit\n"
+
+
+def test_help_states_the_file_limit(runner):
+    assert f"at most {MAX_FILE_BYTES:,} bytes." in check(runner, ["--help"]).output
 
 
 # W.W, a.a and the other squares have about 4,400 digits, past the

@@ -600,7 +600,7 @@ def test_sheared_kernel_passes_through_hilb(monkeypatch, stratum):
         return [tuple(a + b for a, b in zip(v, w))
                 for v, w in zip(basis, basis[1:])] + basis[-1:]
 
-    q = hilb._sample_for(stratum, 4, 1729, 1)
+    q = hilb._sample_for(stratum, 4, 1730)
     monkeypatch.setattr(exact, "_echelon_kernel", sheared)
     assert hilb.kernel_dimension(q) == 17
 

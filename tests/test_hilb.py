@@ -28,7 +28,7 @@ from sympencil.hilb import (
     sample_smooth_stratum,
     verify_absolute_cokernel,
 )
-from sympencil.strata import MAX_R, MAX_SAMPLES
+from sympencil.strata import MAX_R, MAX_SAMPLES, STRATA
 
 
 def diag(*entries):
@@ -366,7 +366,7 @@ class TestDifferential:
     def test_matrix_matches_direct_map(self, seed, stratum, r):
         # Evaluate the defining map directly on a random domain vector and
         # compare against the assembled matrix.
-        q = hilb._sample_for(stratum, r, 1729, seed)
+        q = hilb._sample_for(stratum, r, 1729 + seed)
         c1, c2, mu, vec = _random_domain_vector(seed, r)
         expected = []
         for lhs, rhs in ((c1.matmul(q.b2), q.b1.matmul(c2)),
@@ -418,7 +418,7 @@ class TestAbsoluteCokernel:
         # Each stratum's pair commutes (B1 B2 = lambda I = B2 B1), so it is
         # a point of the absolute model too; evaluate [C1, B2] + [B1, C2]
         # directly and compare against the assembled matrix.
-        q = hilb._sample_for(stratum, r, 1729, seed)
+        q = hilb._sample_for(stratum, r, 1729 + seed)
         t = ADHMTriple(q.b1, q.b2, q.v, r)
         c1, c2, _, vec = _random_domain_vector(seed, r)
         a, b, c, d = (m.rows for m in (c1.matmul(t.b2), t.b2.matmul(c1),
@@ -468,6 +468,43 @@ class TestCertifyStratum:
         rep = certify_stratum("singular", 4, 8, seed=2)
         assert rep.passed
         assert rep.kernel_dims_observed == (17,)
+
+    @pytest.mark.parametrize("seed", [-3, 0, 10**30])
+    def test_consecutive_seeds_cover_every_split(self, monkeypatch, seed):
+        """Any r consecutive seeds draw all r chain splits, negative seeds
+        included."""
+        splits = []
+        sample = hilb.sample_singular_stratum
+
+        def recorded(r, n, m, s):
+            splits.append(n)
+            return sample(r, n, m, s)
+
+        monkeypatch.setattr(hilb, "sample_singular_stratum", recorded)
+        certify_stratum("singular", 4, 4, seed=seed)
+        assert sorted(splits) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("stratum", STRATA)
+    @pytest.mark.parametrize("r", [1, 2, 3, 5])
+    def test_sample_reruns_from_its_seed(self, monkeypatch, stratum, r):
+        """Sample i of a run from seed S is the one sample of a run from
+        S + i, so each entry of ``failing_samples`` can be rerun alone."""
+        real = hilb.kernel_dimension
+        points = []
+
+        def recorded(q):
+            points.append(q)
+            return real(q)
+
+        monkeypatch.setattr(hilb, "kernel_dimension", recorded)
+        seed, samples = -2, r + 2
+        certify_stratum(stratum, r, samples, seed=seed)
+        run = points[:]
+        assert len(run) == samples
+        for i in range(samples):
+            points.clear()
+            certify_stratum(stratum, r, 1, seed=seed + i)
+            assert points == [run[i]]
 
     def test_b1zero_stratum(self):
         rep = certify_stratum("b1zero", 3, 5, seed=0)

@@ -46,7 +46,7 @@ _EXPORTS = {
         "pencil": (
             "PencilData", "SurfaceCountVerdict", "build_pencil",
             "count_decision", "fibre_degree", "ratio_convergence",
-            "residual_fibre_degree", "virtual_dim",
+            "residual_fibre_degree",
         ),
     }.items()
     for name in names

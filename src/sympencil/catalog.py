@@ -65,9 +65,10 @@ def _shown(value) -> str:
 
 
 def parse_rational(value: Union[int, str]) -> Fraction:
-    """Bit-exact rational parsing: ints stay ints, and a string must match
-    the manifold schema's omega pattern ``-?[0-9]+(/[0-9]+)?`` in full,
-    with no more digits per part than ``int()`` converts."""
+    """Bit-exact rational parsing into a ``Fraction``: an int converts
+    exactly, and a string must match the manifold schema's omega pattern
+    ``-?[0-9]+(/[0-9]+)?`` in full, with no more digits per part than
+    ``int()`` converts."""
     if isinstance(value, bool):
         raise ValueError("booleans are not rational entries")
     if isinstance(value, int):

@@ -31,7 +31,6 @@ import io
 import json
 import os
 import sys
-import warnings
 
 import click
 
@@ -39,14 +38,8 @@ from . import __version__
 from .catalog import format_rational, lattice_from_dict, manifold_fields
 from .gromov import duality_check, gromov_invariant, serre_dual, vanishing_profile
 from .lattice import FourManifoldLattice, is_even_form
-from .pencil import (
-    build_pencil,
-    count_decision,
-    fibre_degree,
-    residual_fibre_degree,
-    virtual_dim,
-)
-from .strata import MAX_FILE_BYTES, MAX_R, MAX_SAMPLES, STRATA
+from .pencil import build_pencil, count_decision, fibre_degree, residual_fibre_degree
+from .strata import MAX_CLASSES, MAX_FILE_BYTES, MAX_R, MAX_SAMPLES, STRATA
 
 DEFAULT_SEED = 1729
 WORKERS_ENV = "SYMPENCIL_WORKERS"
@@ -284,7 +277,7 @@ def gromov_cmd(manifold, class_, h0, h2):
     x = _load_lattice(manifold)
     coords = _parse_class(class_, x.b2)
     profile = vanishing_profile(x, coords, h0, h2)
-    r = virtual_dim(x, coords)
+    r = profile.divisor.virtual_dim()
     value = gromov_invariant(profile, r) if r >= 0 else 0
     return {
         "label": x.label,
@@ -311,7 +304,7 @@ def duality_cmd(manifold, class_, h0, h2):
     x = _load_lattice(manifold)
     coords = _parse_class(class_, x.b2)
     profile = vanishing_profile(x, coords, h0, h2)
-    r = virtual_dim(x, coords)
+    r = profile.divisor.virtual_dim()
     if r < 0:
         raise click.UsageError(
             f"virtual dimension {r} is negative; the duality check needs r >= 0"
@@ -343,9 +336,7 @@ def duality_cmd(manifold, class_, h0, h2):
 def pencil_cmd(manifold, k, class_):
     """Pencil numerology: fibre genus, base points, critical fibres."""
     x = _load_lattice(manifold)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        pencil = build_pencil(x, k)
+    pencil = build_pencil(x, k)
     payload = {
         "label": x.label,
         "k": k,
@@ -472,7 +463,8 @@ def hilb_cmd(r, samples, seed, stratum):
 @_MANIFOLD
 @click.option("--classes", "classes_path", default=None,
               type=click.Path(exists=True, dir_okay=False),
-              help="JSON file with an array of class vectors to decide.")
+              help=f"JSON file with an array of at most {MAX_CLASSES:,} "
+                   "class vectors to decide.")
 def classify_cmd(manifold, classes_path):
     """Run every applicable named check; exit 1 if any check fails."""
     from . import applications
@@ -481,6 +473,9 @@ def classify_cmd(manifold, classes_path):
     classes = []
     if classes_path is not None:
         data = _load_json(classes_path)
+        if isinstance(data, list) and len(data) > MAX_CLASSES:
+            raise click.UsageError(f"{classes_path} holds {len(data):,} classes, "
+                                   f"past the {MAX_CLASSES:,}-class limit")
         if not isinstance(data, list) or any(
             not isinstance(row, list)
             or any(not isinstance(v, int) or isinstance(v, bool) for v in row)

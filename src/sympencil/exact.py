@@ -1,6 +1,6 @@
 """Exact arithmetic kernels: integer binomials with an independent
 integer-series oracle, and rational matrices with certified rank/kernel
-computation and their characteristic polynomials.
+computation.
 
 Everything in this module is exact. Scalars are ``int`` or
 ``fractions.Fraction``; floats never enter. The package's two input rules
@@ -184,24 +184,6 @@ class RationalMatrix:
 
     def __hash__(self) -> int:
         return hash(self.rows)
-
-
-def char_poly(m: RationalMatrix) -> list[Fraction]:
-    """Coefficients, constant first, of det(x I - M); always monic."""
-    r = m.nrows
-    coeffs = [Fraction(0)] * (r + 1)
-    coeffs[r] = Fraction(1)
-    work = RationalMatrix.diagonal([1] * r)
-    for k in range(1, r + 1):
-        prod = m.matmul(work)
-        c = Fraction(-sum(prod.rows[i][i] for i in range(r)), k)
-        coeffs[r - k] = c
-        if k < r:
-            work = RationalMatrix(
-                [[prod.rows[i][j] + (c if i == j else 0) for j in range(r)]
-                 for i in range(r)]
-            )
-    return coeffs
 
 
 def _primitive(values: Sequence[Rational]) -> list[int]:

@@ -1,6 +1,5 @@
 """Pencil numerology: fibre genus, base and critical point counts, fibre
-degrees, the virtual dimension of a class, and the conservative
-surface-count decision rules.
+degrees, and the conservative surface-count decision rules.
 
 A degree-k pencil on a lattice is pure bookkeeping here: the fibre class is
 k times the primitive integral multiple of omega, the genus comes from
@@ -11,7 +10,6 @@ members, e(X) + N = 2(2 - 2g) + delta.
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -44,11 +42,7 @@ def primitive_symplectic_class(x: FourManifoldLattice) -> tuple[int, ...]:
 
 def build_pencil(x: FourManifoldLattice, k: int) -> PencilData:
     """Degree-k pencil data: W = k * (primitive omega), genus by adjunction,
-    N = W.W base points, and the critical-fibre count delta.
-
-    Warns when the fibre genus comes out below 2, where the high-degree
-    asymptotics the construction is meant for do not yet apply.
-    """
+    N = W.W base points, and the critical-fibre count delta."""
     _require_ints((k,), "pencil degree k must be an integer")
     if k < 1:
         raise ValueError("pencil degree k must be positive")
@@ -65,12 +59,6 @@ def build_pencil(x: FourManifoldLattice, k: int) -> PencilData:
         raise ValueError(
             f"critical-fibre count delta = {delta} is negative; "
             "inconsistent input lattice"
-        )
-    if genus < 2:
-        warnings.warn(
-            f"fibre genus {genus} < 2 at degree k = {k}; "
-            "the high-degree regime needs larger k",
-            stacklevel=2,
         )
     return PencilData(
         lattice=x,
@@ -127,19 +115,12 @@ def ratio_convergence(
     """
     out = []
     for k in k_range:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            p = build_pencil(x, k)
+        p = build_pencil(x, k)
         r = fibre_degree(p, a)
         if r == 0:
             raise ValueError(f"fibre degree vanishes at k = {k}; ratio undefined")
         out.append((k, Fraction(2 * p.genus - 2, r)))
     return out
-
-
-def virtual_dim(x: FourManifoldLattice, a: Sequence[int]) -> int:
-    """(a.a - K.a)/2; an integer because K is characteristic."""
-    return HomologyClass(x, tuple(a)).virtual_dim()
 
 
 class SurfaceCountVerdict(Record):

@@ -175,6 +175,14 @@ def corpus_inputs() -> tuple[dict[str, str], list[dict]]:
     add(["transmogrify"])
     add(["--bogus"])
     add(["--version"])
+
+    # The count decision on a rational omega: its context, and classify's
+    # surface_count numbers, carry a.omega and K.omega as str(Fraction)
+    # strings ("1/3", "-8/3"). Recorded after the rest, so that adding them
+    # left every earlier record in place.
+    files["rational_classes.json"] = "[[0, 1], [-2, -2]]"
+    add(["count", "rational_omega.json", "--class", "0,1"], text=True)
+    add(["classify", "rational_omega.json", "--classes", "rational_classes.json"])
     return files, invocations
 
 

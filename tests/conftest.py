@@ -1,8 +1,10 @@
 """Shared fixtures and sample generators for the test suite."""
 
+from fractions import Fraction
 from functools import lru_cache
 
 from sympencil.catalog import elliptic_like, spin_model
+from sympencil.exact import RationalMatrix
 from sympencil.gromov import CohomologyProfile
 from sympencil.lattice import HomologyClass
 
@@ -15,6 +17,26 @@ def elliptic(n: int):
 @lru_cache(maxsize=None)
 def spin(n: int):
     return spin_model(n)
+
+
+def char_poly(m: RationalMatrix) -> list[Fraction]:
+    """Coefficients, constant first, of det(x I - M); always monic. The
+    Faddeev-LeVerrier recurrence, apart from every elimination in the
+    package: the Descartes oracle of the signature tests reads it."""
+    r = m.nrows
+    coeffs = [Fraction(0)] * (r + 1)
+    coeffs[r] = Fraction(1)
+    work = RationalMatrix.diagonal([1] * r)
+    for k in range(1, r + 1):
+        prod = m.matmul(work)
+        c = Fraction(-sum(prod.rows[i][i] for i in range(r)), k)
+        coeffs[r - k] = c
+        if k < r:
+            work = RationalMatrix(
+                [[prod.rows[i][j] + (c if i == j else 0) for j in range(r)]
+                 for i in range(r)]
+            )
+    return coeffs
 
 
 # Classes of virtual dimension r on the elliptic-like lattices, written as

@@ -2,8 +2,8 @@
 fail. The mutants weaken the rank verifier (``exact._certify`` and its
 GF(p) rank), the integer producer it checks (``exact._primitive`` and
 ``exact._insert``), the rank that ``hilb.is_stable`` claims, the lattice's
-input checks, the boundaries of ``pencil.count_decision`` and the exit code
-of ``cli.run``.
+input checks, the boundaries of ``pencil.count_decision``, the class-count
+bound of ``classify --classes`` and the exit code of ``cli.run``.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -44,6 +44,7 @@ TEST_EXACT = "tests/test_exact.py"
 TEST_HILB = "tests/test_hilb.py"
 TEST_LATTICE = "tests/test_lattice.py"
 TEST_PENCIL = "tests/test_pencil.py"
+TEST_CLI = "tests/test_cli.py"
 TEST_CLI_PROCESS = "tests/test_cli_process.py"
 # An unmutated run of the targeted files takes seconds; a mutant that
 # makes the suite hang counts as not killed.
@@ -250,6 +251,15 @@ MUTANTS = (
         (TEST_PENCIL,),
         "The canonical class has a.omega = K.omega and counts +/-1 on a "
         "lattice with b+ > 1 + b1; the mutant declares it Zero.",
+    ),
+    Mutant(
+        "class-count bound off by one", CLI,
+        "len(data) > MAX_CLASSES",
+        "len(data) >= MAX_CLASSES",
+        (TEST_CLI,),
+        "A classes file of exactly MAX_CLASSES classes is within the stated "
+        "limit; the mutant rejects it, which the at-limit case of "
+        "test_class_count_limit sees.",
     ),
     Mutant(
         "run exits 0 whatever click's code", CLI,

@@ -8,7 +8,6 @@ of the contract and must not be loosened.
 import json
 import random
 import time
-import warnings
 from fractions import Fraction
 
 from click.testing import CliRunner
@@ -104,9 +103,7 @@ def test_criterion_08_plane_pencil_numerology():
     x = STANDARD_BUILDERS["cp2"]()
     expected = {1: (0, 1, 0), 2: (0, 4, 3), 3: (1, 9, 12)}
     for k, (g, n, delta) in expected.items():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pencil = build_pencil(x, k)
+        pencil = build_pencil(x, k)
         assert (pencil.genus, pencil.base_points, pencil.critical_fibres) == (g, n, delta)
 
 

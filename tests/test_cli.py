@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from sympencil import __version__
 from sympencil.catalog import STANDARD_BUILDERS, lattice_to_dict
 from sympencil.cli import _ReportCommand, main
-from sympencil.strata import MAX_FILE_BYTES, MAX_R, MAX_SAMPLES
+from sympencil.strata import MAX_CLASSES, MAX_FILE_BYTES, MAX_R, MAX_SAMPLES
 
 SCHEMA = json.loads(
     (resources.files("sympencil") / "data" / "report.schema.json").read_text()
@@ -480,6 +480,35 @@ def test_file_size_limit(runner, manifold_file, tmp_path, monkeypatch, reads, ov
         return
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr == f"Error: {path} is larger than the 4,096-byte file limit\n"
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at_limit", "one_past"])
+def test_class_count_limit(runner, manifold_file, tmp_path, monkeypatch, over):
+    """A classes file of MAX_CLASSES classes is decided; one class more
+    exits 2 with one `Error:` line that names the file and the limit,
+    before any class is checked: the extra class is malformed, and its own
+    error does not show. The limit is lowered to 3."""
+    from sympencil import cli
+
+    limit = 3
+    monkeypatch.setattr(cli, "MAX_CLASSES", limit)
+    path = tmp_path / "classes.json"
+    path.write_text(json.dumps([[1]] * limit + [["h"]] * over))
+    result = runner.invoke(main, ["classify", manifold_file("cp2"),
+                                  "--classes", str(path)])
+    if not over:
+        # cp2 fails inflation, so the report exits 1.
+        assert (result.exit_code, result.stderr) == (1, ""), result.output
+        names = [rep["check_name"] for rep in json.loads(result.stdout)]
+        assert names.count("surface_count[1]") == limit
+        return
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == f"Error: {path} holds 4 classes, past the 3-class limit\n"
+
+
+def test_help_states_the_class_limit(runner):
+    result = check(runner, ["classify", "--help"])
+    assert f"at most {MAX_CLASSES:,} class vectors" in " ".join(result.output.split())
 
 
 def test_help_states_the_file_limit(runner):

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import char_poly
 from sympencil import exact, hilb
 from sympencil.exact import (
     RationalMatrix,
     _rank_mod_prime,
     binom,
-    char_poly,
     rank_and_kernel,
     series_geom_pow,
 )

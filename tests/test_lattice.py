@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import char_poly
 from sympencil.catalog import (
     E8_GRAM,
     HYPERBOLIC,
@@ -22,7 +23,7 @@ from sympencil.catalog import (
 )
 from sympencil import lattice as lattice_module
 from sympencil.brill_noether import BNQuery, abel_jacobi_fibre_dims
-from sympencil.exact import RationalMatrix, char_poly, series_geom_pow
+from sympencil.exact import RationalMatrix, series_geom_pow
 from sympencil.gromov import CohomologyProfile, gr_parity, vanishing_profile
 from sympencil.hilb import (
     certify_stratum,

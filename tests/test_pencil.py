@@ -5,7 +5,7 @@ import pytest
 
 from conftest import class_of_virtual_dim, elliptic
 from sympencil.catalog import STANDARD_BUILDERS
-from sympencil.lattice import FourManifoldLattice
+from sympencil.lattice import FourManifoldLattice, HomologyClass
 from sympencil.pencil import (
     build_pencil,
     count_decision,
@@ -14,29 +14,18 @@ from sympencil.pencil import (
     primitive_symplectic_class,
     ratio_convergence,
     residual_fibre_degree,
-    virtual_dim,
 )
 
 
 class TestBuildPencil:
     @pytest.mark.parametrize(
         "k,expected",
-        [(1, (0, 1, 0)), (2, (0, 4, 3)), (3, (1, 9, 12))],
+        [(1, (0, 1, 0)), (2, (0, 4, 3)), (3, (1, 9, 12)), (4, (3, 16, 27))],
     )
     def test_plane_pencils(self, k, expected):
         cp2 = STANDARD_BUILDERS["cp2"]()
-        with pytest.warns(UserWarning, match="genus"):
-            p = build_pencil(cp2, k)
+        p = build_pencil(cp2, k)
         assert (p.genus, p.base_points, p.critical_fibres) == expected
-
-    def test_plane_low_degree_warns_high_degree_does_not(self):
-        cp2 = STANDARD_BUILDERS["cp2"]()
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            p = build_pencil(cp2, 4)  # genus 3, no warning expected
-        assert p.genus == 3
 
     def test_k3_pencil(self):
         k3 = STANDARD_BUILDERS["k3"]()
@@ -66,8 +55,7 @@ class TestBuildPencil:
 class TestFibreDegree:
     def test_plane_cubics_with_line(self):
         cp2 = STANDARD_BUILDERS["cp2"]()
-        with pytest.warns(UserWarning):
-            p = build_pencil(cp2, 3)
+        p = build_pencil(cp2, 3)
         assert fibre_degree(p, [1]) == 12
 
     def test_zero_class_gives_base_points(self):
@@ -79,11 +67,7 @@ class TestFibreDegree:
         rng = random.Random(5)
         for name, k in (("cp2", 1), ("cp2", 2), ("cp2", 3), ("s2xs2", 1)):
             x = STANDARD_BUILDERS[name]()
-            import warnings
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                p = build_pencil(x, k)
+            p = build_pencil(x, k)
             for _ in range(10):
                 a = [rng.randint(-4, 4) for _ in range(x.b2)]
                 assert fibre_degree(p, a) == fibre_degree_blowup_route(p, a)
@@ -92,11 +76,7 @@ class TestFibreDegree:
         rng = random.Random(11)
         for name in ("cp2", "s2xs2", "k3", "e3"):
             x = STANDARD_BUILDERS[name]()
-            import warnings
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                p = build_pencil(x, 2)
+            p = build_pencil(x, 2)
             for _ in range(20):
                 a = [rng.randint(-5, 5) for _ in range(x.b2)]
                 assert (
@@ -107,8 +87,7 @@ class TestFibreDegree:
 
     def test_non_integer_class_not_truncated(self):
         cp2 = STANDARD_BUILDERS["cp2"]()
-        with pytest.warns(UserWarning):
-            p = build_pencil(cp2, 3)
+        p = build_pencil(cp2, 3)
         for route in (fibre_degree, residual_fibre_degree,
                       fibre_degree_blowup_route):
             with pytest.raises(TypeError):
@@ -116,8 +95,7 @@ class TestFibreDegree:
 
     def test_class_length_checked(self):
         cp2 = STANDARD_BUILDERS["cp2"]()
-        with pytest.warns(UserWarning):
-            p = build_pencil(cp2, 3)
+        p = build_pencil(cp2, 3)
         for route in (fibre_degree, residual_fibre_degree,
                       fibre_degree_blowup_route):
             with pytest.raises(ValueError):
@@ -159,11 +137,11 @@ class TestRatioConvergence:
 class TestIndices:
     def test_virtual_dims(self):
         cp2 = STANDARD_BUILDERS["cp2"]()
-        assert virtual_dim(cp2, [1]) == 2
+        assert HomologyClass(cp2, (1,)).virtual_dim() == 2
         for name in ("cp2", "k3", "e3", "e4"):
             x = STANDARD_BUILDERS[name]()
-            assert virtual_dim(x, x.canonical) == 0
-            assert virtual_dim(x, [0] * x.b2) == 0
+            assert HomologyClass(x, x.canonical).virtual_dim() == 0
+            assert HomologyClass(x, (0,) * x.b2).virtual_dim() == 0
 
 
 class TestCountDecision:

@@ -2,7 +2,6 @@
 
 import copy
 import pickle
-import warnings
 
 import pytest
 
@@ -13,17 +12,11 @@ from sympencil.record import Record
 CP2 = STANDARD_BUILDERS["cp2"]()
 
 
-def _pencil():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return pencil.build_pencil(CP2, 4)
-
-
 # One instance of each record class, built through the public API.
 EXAMPLES = {
     "HomologyClass": lambda: lattice.HomologyClass(CP2, (1,)),
     "BPlusOneClassification": lambda: lattice.classify_b_plus_one(CP2),
-    "PencilData": _pencil,
+    "PencilData": lambda: pencil.build_pencil(CP2, 4),
     "SurfaceCountVerdict": lambda: pencil.count_decision(CP2, (1,)),
     "CohomologyProfile": lambda: gromov.vanishing_profile(CP2, (1,), 3, 0),
     "BNQuery": lambda: brill_noether.BNQuery(5, 2, 1),

@@ -35,11 +35,12 @@ import sys
 import click
 
 from . import __version__
-from .catalog import format_rational, lattice_from_dict, manifold_fields
+from .catalog import format_rational, manifold_fields
 from .gromov import duality_check, gromov_invariant, serre_dual, vanishing_profile
-from .lattice import FourManifoldLattice, is_even_form
+from .lattice import FourManifoldLattice, is_even_form, largest_block
 from .pencil import build_pencil, count_decision, fibre_degree, residual_fibre_degree
-from .strata import MAX_CLASSES, MAX_FILE_BYTES, MAX_R, MAX_SAMPLES, STRATA
+from .strata import (MAX_B2, MAX_BLOCK, MAX_CLASSES, MAX_FILE_BYTES, MAX_R,
+                     MAX_SAMPLES, STRATA)
 
 DEFAULT_SEED = 1729
 WORKERS_ENV = "SYMPENCIL_WORKERS"
@@ -135,11 +136,33 @@ def _load_json(path: str):
         raise click.UsageError(f"{path} holds an integer with too many digits")
 
 
-def _load_lattice(path: str) -> FourManifoldLattice:
+def _manifold_fields(path: str) -> dict:
+    """The constructor keywords of a manifold file, once its shape, its b2
+    and its largest direct-sum block are within bounds. Both limits are
+    checked on the rows as read, before the constructor eliminates."""
     data = _load_json(path)
     try:
-        return lattice_from_dict(data)
+        fields = manifold_fields(data)
     except ValueError as exc:
+        raise click.UsageError(f"{path}: {exc}")
+    form = fields["form"]
+    if len(form) > MAX_B2:
+        raise click.UsageError(
+            f"{path} has b2 = {len(form):,}, past the b2 limit of {MAX_B2:,}")
+    # No block has more rows than the form, so a smaller form is not scanned.
+    block = largest_block(form) if len(form) > MAX_BLOCK else 0
+    if block > MAX_BLOCK:
+        raise click.UsageError(
+            f"{path} has a direct-sum block of {block:,} rows, "
+            f"past the {MAX_BLOCK:,}-row block limit")
+    return fields
+
+
+def _load_lattice(path: str) -> FourManifoldLattice:
+    fields = _manifold_fields(path)
+    try:
+        return FourManifoldLattice(**fields)
+    except (TypeError, ValueError) as exc:
         raise click.UsageError(f"{path}: {exc}")
 
 
@@ -211,7 +234,9 @@ class _Group(click.Group):
 
 
 @click.group(cls=_Group, no_args_is_help=False,
-             epilog=f"A JSON file read may hold at most {MAX_FILE_BYTES:,} bytes.")
+             epilog=f"A JSON file read may hold at most {MAX_FILE_BYTES:,} bytes."
+                    f"\n\nA manifold file may have b2 at most {MAX_B2:,}, and "
+                    f"no direct-sum block of its form more than {MAX_BLOCK:,} rows.")
 @click.version_option(version=__version__)
 def main():
     """Exact invariants of symplectic surface counting: lattices, section
@@ -236,11 +261,7 @@ def _profile_options(command):
 @_MANIFOLD
 def manifold_check(manifold):
     """Validate a manifold file and report its characteristic numbers."""
-    data = _load_json(manifold)
-    try:
-        fields = manifold_fields(data)
-    except ValueError as exc:
-        raise click.UsageError(f"{manifold}: {exc}")
+    fields = _manifold_fields(manifold)
     try:
         x = FourManifoldLattice(**fields)
     except TypeError as exc:
@@ -277,7 +298,7 @@ def gromov_cmd(manifold, class_, h0, h2):
     x = _load_lattice(manifold)
     coords = _parse_class(class_, x.b2)
     profile = vanishing_profile(x, coords, h0, h2)
-    r = profile.divisor.virtual_dim()
+    r = profile.virtual_dim
     value = gromov_invariant(profile, r) if r >= 0 else 0
     return {
         "label": x.label,
@@ -304,7 +325,7 @@ def duality_cmd(manifold, class_, h0, h2):
     x = _load_lattice(manifold)
     coords = _parse_class(class_, x.b2)
     profile = vanishing_profile(x, coords, h0, h2)
-    r = profile.divisor.virtual_dim()
+    r = profile.virtual_dim
     if r < 0:
         raise click.UsageError(
             f"virtual dimension {r} is negative; the duality check needs r >= 0"

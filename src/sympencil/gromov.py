@@ -55,6 +55,13 @@ class CohomologyProfile(Record):
     def chi(self) -> int:
         return self.h0 - self.h1 + self.h2
 
+    @property
+    def virtual_dim(self) -> int:
+        """(D.D - K.D)/2 of the divisor, read as chi - chi_h: construction
+        has checked chi against Riemann-Roch, and the record is immutable,
+        so no pairing runs."""
+        return self.chi - self.divisor.lattice.chi_h
+
 
 def serre_dual(p: CohomologyProfile) -> CohomologyProfile:
     """The dual profile: (h0, h1, h2) -> (h2, h1, h0) on the class K - D.
@@ -102,12 +109,13 @@ def gromov_invariant(p: CohomologyProfile, r: int) -> int:
 
     Evaluates binom(-(h2 - r), (h0 - 1) - r) with the negative-upper-index
     convention. ``r`` must equal the virtual dimension (a.a - K.a)/2 of the
-    divisor class. An empty linear system (h0 = 0), or a lower index below
-    zero, gives 0.
+    divisor class, which is read from the profile (``p.virtual_dim``, which
+    Riemann-Roch certified at construction), so no pairing runs. An empty
+    linear system (h0 = 0), or a lower index below zero, gives 0.
     """
     if r < 0:
         raise ValueError("virtual dimension r must be nonnegative")
-    vd = p.divisor.virtual_dim()
+    vd = p.virtual_dim
     if r != vd:
         raise ValueError(
             f"r = {r} but the divisor class has virtual dimension {vd}"
@@ -121,7 +129,12 @@ def gromov_invariant(p: CohomologyProfile, r: int) -> int:
 
 
 def duality_check(p: CohomologyProfile, r: int) -> bool:
-    """Whether |count(D)| = |count(K - D)| at virtual dimension r."""
+    """Whether |count(D)| = |count(K - D)| at virtual dimension r.
+
+    Both counts read their profile's certified virtual dimension; the only
+    pairings are those of the Riemann-Roch check that builds the dual
+    profile on K - D (D.D and K.D of the dual class, two in all).
+    """
     return abs(gromov_invariant(p, r)) == abs(gromov_invariant(serre_dual(p), r))
 
 

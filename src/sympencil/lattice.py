@@ -54,9 +54,10 @@ def _symmetric_support(rows: Sequence[Sequence[int]],
     return _Support(support)
 
 
-def _direct_sum_blocks(support: _Support) -> Iterator[list[int]]:
+def _direct_sum_blocks(support: Sequence[Sequence[tuple]]) -> Iterator[list[int]]:
     """Index sets of the direct-sum blocks: the connected components of the
-    nonzero pattern, each in increasing order."""
+    nonzero pattern, given as each row's ``(j, a_ij)`` entries, each in
+    increasing order."""
     seen = [False] * len(support)
     for start in range(len(support)):
         if seen[start]:
@@ -70,6 +71,21 @@ def _direct_sum_blocks(support: _Support) -> Iterator[list[int]]:
                     block.append(j)
         block.sort()
         yield block
+
+
+def largest_block(rows: Sequence[Sequence]) -> int:
+    """Rows in the largest direct-sum block of the nonzero pattern of
+    ``rows``, with no entry or symmetry checked, so that a reader can
+    bound the elimination before the constructor runs it.
+
+    Row i's nonzero entries below ``len(rows)`` are its neighbours. On a
+    square symmetric matrix the blocks are those that
+    :func:`signature_of_symmetric` eliminates; the constructor refuses any
+    other matrix before it eliminates.
+    """
+    n = len(rows)
+    pattern = [tuple((j, None) for j in compress(range(n), row)) for row in rows]
+    return max(map(len, _direct_sum_blocks(pattern)), default=0)
 
 
 def signature_of_symmetric(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:

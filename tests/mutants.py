@@ -2,8 +2,10 @@
 fail. The mutants weaken the rank verifier (``exact._certify`` and its
 GF(p) rank), the integer producer it checks (``exact._primitive`` and
 ``exact._insert``), the rank that ``hilb.is_stable`` claims, the lattice's
-input checks, the boundaries of ``pencil.count_decision``, the class-count
-bound of ``classify --classes`` and the exit code of ``cli.run``.
+input checks, the boundaries of ``pencil.count_decision``, a profile's
+certified virtual dimension and ``gromov_invariant``'s check of ``r``
+against it, the CLI's class-count, b2 and block bounds and the exit code
+of ``cli.run``.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -39,11 +41,13 @@ EXACT = "src/sympencil/exact.py"
 HILB = "src/sympencil/hilb.py"
 LATTICE = "src/sympencil/lattice.py"
 PENCIL = "src/sympencil/pencil.py"
+GROMOV = "src/sympencil/gromov.py"
 CLI = "src/sympencil/cli.py"
 TEST_EXACT = "tests/test_exact.py"
 TEST_HILB = "tests/test_hilb.py"
 TEST_LATTICE = "tests/test_lattice.py"
 TEST_PENCIL = "tests/test_pencil.py"
+TEST_GROMOV = "tests/test_gromov.py"
 TEST_CLI = "tests/test_cli.py"
 TEST_CLI_PROCESS = "tests/test_cli_process.py"
 # An unmutated run of the targeted files takes seconds; a mutant that
@@ -251,6 +255,40 @@ MUTANTS = (
         (TEST_PENCIL,),
         "The canonical class has a.omega = K.omega and counts +/-1 on a "
         "lattice with b+ > 1 + b1; the mutant declares it Zero.",
+    ),
+    Mutant(
+        "certified virtual dimension off by one", GROMOV,
+        "        return self.chi - self.divisor.lattice.chi_h\n",
+        "        return self.chi - self.divisor.lattice.chi_h + 1\n",
+        (TEST_GROMOV,),
+        "The count then refuses the true r: the canonical profile at r = 0 "
+        "raises, and the count tests and the pairing oracle see it.",
+    ),
+    Mutant(
+        "r checked against nothing", GROMOV,
+        "    if r != vd:\n",
+        "    if False:\n",
+        (TEST_GROMOV,),
+        "A caller's r that is not the class's virtual dimension evaluates "
+        "the binomial at the wrong index instead of raising.",
+    ),
+    Mutant(
+        "b2 bound off by one", CLI,
+        "if len(form) > MAX_B2:",
+        "if len(form) >= MAX_B2:",
+        (TEST_CLI,),
+        "A manifold of exactly MAX_B2 rows is within the stated limit; the "
+        "mutant rejects it, which the at-limit cases of "
+        "test_manifold_size_limits see.",
+    ),
+    Mutant(
+        "block bound off by one", CLI,
+        "    if block > MAX_BLOCK:\n",
+        "    if block >= MAX_BLOCK:\n",
+        (TEST_CLI,),
+        "A block of exactly MAX_BLOCK rows is within the stated limit; the "
+        "mutant rejects it, which the at-limit cases of "
+        "test_manifold_size_limits see.",
     ),
     Mutant(
         "class-count bound off by one", CLI,

@@ -14,7 +14,8 @@ from click.testing import CliRunner
 from sympencil import __version__
 from sympencil.catalog import STANDARD_BUILDERS, lattice_to_dict
 from sympencil.cli import _ReportCommand, main
-from sympencil.strata import MAX_CLASSES, MAX_FILE_BYTES, MAX_R, MAX_SAMPLES
+from sympencil.strata import (MAX_B2, MAX_BLOCK, MAX_CLASSES, MAX_FILE_BYTES, MAX_R,
+                              MAX_SAMPLES)
 
 SCHEMA = json.loads(
     (resources.files("sympencil") / "data" / "report.schema.json").read_text()
@@ -513,6 +514,63 @@ def test_help_states_the_class_limit(runner):
 
 def test_help_states_the_file_limit(runner):
     assert f"at most {MAX_FILE_BYTES:,} bytes." in check(runner, ["--help"]).output
+
+
+# Every command that reads a manifold file, with arguments for k3: b2 = 22,
+# and its largest direct-sum block is a -E8 block of 8 rows.
+_K3_ZERO = ",".join(["0"] * 22)
+_MANIFOLD_COMMANDS = {
+    "manifold-check": [],
+    "gromov": ["--class", _K3_ZERO, "--h0", "1", "--h2", "1"],
+    "duality": ["--class", _K3_ZERO, "--h0", "1", "--h2", "1"],
+    "pencil": ["--k", "1"],
+    "count": ["--class", _K3_ZERO],
+    "classify": [],
+}
+_K3_SIZES = {"MAX_B2": 22, "MAX_BLOCK": 8}
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at_limit", "one_past"])
+@pytest.mark.parametrize("limit", sorted(_K3_SIZES))
+@pytest.mark.parametrize("command", sorted(_MANIFOLD_COMMANDS))
+def test_manifold_size_limits(runner, manifold_file, monkeypatch, command,
+                              limit, over):
+    """A manifold at the b2 limit, or with a block at the block limit,
+    reports as it does under the default limits; one row past either
+    exits 2 with one `Error:` line that names the file and the limit,
+    manifold-check included, and before any elimination. The limit is
+    lowered to k3's size, or one below it."""
+    from sympencil import cli, lattice
+
+    path = manifold_file("k3")
+    args = [command, path, *_MANIFOLD_COMMANDS[command]]
+    expected = runner.invoke(main, args)
+    assert expected.exit_code in (0, 1) and expected.stderr == ""
+    size = _K3_SIZES[limit]
+    monkeypatch.setattr(cli, limit, size - over)
+    if not over:
+        result = runner.invoke(main, args)
+        assert (result.exit_code, result.stdout, result.stderr) == (
+            expected.exit_code, expected.stdout, "")
+        return
+
+    def eliminate(rows):
+        raise AssertionError("eliminated past the limit")
+
+    monkeypatch.setattr(lattice, "_dense_signature", eliminate)
+    result = runner.invoke(main, args)
+    assert (result.exit_code, result.stdout) == (2, "")
+    message = {
+        "MAX_B2": "has b2 = 22, past the b2 limit of 21",
+        "MAX_BLOCK": "has a direct-sum block of 8 rows, past the 7-row block limit",
+    }[limit]
+    assert result.stderr == f"Error: {path} {message}\n"
+
+
+def test_help_states_the_manifold_limits(runner):
+    text = " ".join(check(runner, ["--help"]).output.split())
+    assert (f"b2 at most {MAX_B2:,}, and no direct-sum block of its form "
+            f"more than {MAX_BLOCK:,} rows.") in text
 
 
 # W.W, a.a and the other squares have about 4,400 digits, past the

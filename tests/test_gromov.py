@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -186,6 +187,67 @@ class TestDualityCheck:
         for _ in range(120):
             p, r = profile_pair_sample(rng)
             assert duality_check(p, r)
+
+
+class TestCertifiedVirtualDim:
+    """A profile's virtual dimension is read from its Riemann-Roch-checked
+    chi, not paired again; the direct pairing stays the oracle."""
+
+    @pytest.fixture
+    def pairings(self, monkeypatch):
+        calls = []
+        pairing = FourManifoldLattice.pairing
+
+        def counted(self, x, y):
+            calls.append((x, y))
+            return pairing(self, x, y)
+
+        monkeypatch.setattr(FourManifoldLattice, "pairing", counted)
+        return calls
+
+    @staticmethod
+    def _profiles():
+        x = elliptic(4)
+        rng = random.Random(11)
+        return [
+            (vanishing_profile(x, x.canonical, x.chi_h - 1, 1), 0),
+            (spin_half_canonical_profile(3), 0),
+            *(profile_pair_sample(rng) for _ in range(6)),
+        ]
+
+    def test_gromov_invariant_pairs_nothing(self, pairings):
+        for p, r in self._profiles():
+            pairings.clear()
+            gromov_invariant(p, r)
+            assert p.virtual_dim == r
+            assert pairings == []
+
+    def test_duality_check_pairs_only_the_dual_riemann_roch(self, pairings):
+        # serre_dual re-validates chi on K - D: D'.D' and K.D', two pairings.
+        for p, r in self._profiles():
+            pairings.clear()
+            assert duality_check(p, r)
+            assert len(pairings) == 2
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_direct_pairing(self, data):
+        x = _catalog(data.draw(st.sampled_from(sorted(STANDARD_BUILDERS))))
+        coords = tuple(data.draw(
+            st.lists(st.integers(-4, 4), min_size=x.b2, max_size=x.b2)))
+        vd = HomologyClass(x, coords).virtual_dim()
+        chi = x.chi_h + vd
+        h0 = data.draw(st.integers(0, 12))
+        h1 = max(0, h0 - chi) + data.draw(st.integers(0, 12))
+        p = CohomologyProfile(h0, h1, chi - h0 + h1, HomologyClass(x, coords))
+        assert p.virtual_dim == vd
+        dual = serre_dual(p)
+        assert dual.virtual_dim == dual.divisor.virtual_dim()
+
+
+@lru_cache(maxsize=None)
+def _catalog(name):
+    return STANDARD_BUILDERS[name]()
 
 
 class TestParity:

@@ -41,6 +41,7 @@ from sympencil.lattice import (
     blow_up,
     classify_b_plus_one,
     is_even_form,
+    largest_block,
     minimality_inequality,
     signature_of_symmetric,
     twist,
@@ -207,6 +208,52 @@ class TestSignatureOracle:
             assert signature_of_symmetric(x.form) == expected, x.label
             assert _dense_signature(x.form) == expected, x.label
             assert descartes_inertia(x.form) == expected, x.label
+
+
+def _largest_component(q):
+    """Size of the largest connected component of q's nonzero pattern, by
+    closing each index's neighbour set until it stops growing."""
+    n = len(q)
+    reach = [{i} | {j for j in range(n) if q[i][j] or q[j][i]} for i in range(n)]
+    while True:
+        grown = [set().union(*(reach[j] for j in r)) for r in reach]
+        if grown == reach:
+            return max(map(len, reach), default=0)
+        reach = grown
+
+
+class TestLargestBlock:
+    """The size a reader bounds before any elimination runs."""
+
+    def test_catalog(self):
+        sizes = {name: largest_block(x.form) for name, x in _catalog().items()}
+        assert sizes == {"cp2": 1, "s2xs2": 2, "k3": 8, "k3_sum3": 8,
+                         "e1": 1, "e3": 1, "e4": 8}
+
+    def test_reads_no_entry(self):
+        # The pattern only: entries are neither type- nor symmetry-checked,
+        # and a column past the row count is not a neighbour.
+        assert largest_block([["a", 0, 7], [0, "b", 0]]) == 1
+        assert largest_block([[1, "x"], ["x", 1]]) == 2
+        assert largest_block([]) == 0
+
+    @given(_interleaved_sums())
+    @settings(max_examples=60, deadline=None)
+    def test_is_the_largest_block_eliminated(self, q):
+        assert largest_block(q) == _largest_component(q)
+        sizes = []
+
+        def eliminate(rows):
+            sizes.append(len(rows))
+            return _dense_signature(rows)
+
+        original = lattice_module._dense_signature
+        lattice_module._dense_signature = eliminate
+        try:
+            signature_of_symmetric(q)
+        finally:
+            lattice_module._dense_signature = original
+        assert max(sizes) == largest_block(q)
 
 
 class TestCatalogEntries:

@@ -9,6 +9,7 @@ import pytest
 import sympencil
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sympencil"
+README = PACKAGE.parent.parent / "README.md"
 
 
 def test_no_assert_statements():
@@ -137,3 +138,13 @@ def test_cli_options_do_not_use_click_int():
              if isinstance(node, ast.keyword) and node.arg == "type"
              and isinstance(node.value, ast.Name) and node.value.id == "int"]
     assert found == []
+
+
+def test_readme_library_use_runs():
+    """The README's "Library use" block runs as written, its asserts
+    included, also under ``python -O``."""
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, str(README), "exec", optimize=0), namespace)
+    assert namespace["profile"].virtual_dim == 0

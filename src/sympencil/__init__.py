@@ -26,7 +26,7 @@ _EXPORTS = {
             "lattice_to_dict", "spin_model",
         ),
         "exact": (
-            "RationalMatrix", "binom", "rank_and_kernel", "series_geom_pow",
+            "RationalMatrix", "binom", "rank_and_kernel",
         ),
         "gromov": (
             "CohomologyProfile", "duality_check", "gr_parity",
@@ -39,14 +39,12 @@ _EXPORTS = {
             "verify_absolute_cokernel",
         ),
         "lattice": (
-            "BlownUpLattice", "BPlusOneClassification", "FourManifoldLattice",
-            "HomologyClass", "blow_up", "classify_b_plus_one", "is_even_form",
-            "minimality_inequality", "signature_of_symmetric", "twist",
+            "BlownUpLattice", "FourManifoldLattice", "HomologyClass",
+            "blow_up", "is_even_form", "signature_of_symmetric", "twist",
         ),
         "pencil": (
             "PencilData", "SurfaceCountVerdict", "build_pencil",
-            "count_decision", "fibre_degree", "ratio_convergence",
-            "residual_fibre_degree",
+            "count_decision", "fibre_degree", "residual_fibre_degree",
         ),
     }.items()
     for name in names

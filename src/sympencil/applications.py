@@ -16,12 +16,7 @@ from typing import Iterable, Optional, Sequence
 from . import pencil
 from .catalog import format_rational
 from .gromov import gr_parity
-from .lattice import (
-    FourManifoldLattice,
-    classify_b_plus_one,
-    is_even_form,
-    minimality_inequality,
-)
+from .lattice import FourManifoldLattice, is_even_form
 from .record import Record
 
 
@@ -45,7 +40,7 @@ def _minimality_report(x: FourManifoldLattice) -> CheckReport:
             "b_plus": x.b_plus,
             "b1": x.b1,
         })
-    holds = minimality_inequality(x)
+    holds = x.two_e_plus_3sigma >= 0
     return CheckReport(name, "pass" if holds else "fail", cited, {
         "two_e_plus_3sigma": x.two_e_plus_3sigma,
         "b_plus": x.b_plus,
@@ -63,16 +58,24 @@ def _classification_report(x: FourManifoldLattice) -> CheckReport:
             "b1": x.b1,
             "k_omega": format_rational(k_omega),
         })
-    outcome = classify_b_plus_one(x)
+    even = is_even_form(x)
     numbers = {
-        "b_minus": outcome.b_minus,
-        "two_e_plus_3sigma": outcome.two_e_plus_3sigma,
-        "even": outcome.even,
+        "b_minus": x.b_minus,
+        "two_e_plus_3sigma": x.two_e_plus_3sigma,
+        "even": even,
         "k_omega": format_rational(k_omega),
     }
-    if outcome.verdict == "rejected":
+    # The degree-zero count forces 2e + 3sigma = 9 - b_minus >= 0, so
+    # b_minus > 8 is rejected outright; otherwise the parity of the form
+    # decides between the even quadric type and blow-ups of the plane.
+    if x.b_minus > 8:
         return CheckReport(name, "fail", cited, numbers)
-    numbers["homeo_type"] = outcome.homeo_type
+    if even:
+        numbers["homeo_type"] = "s2xs2"
+    elif x.b_minus == 0:
+        numbers["homeo_type"] = "cp2"
+    else:
+        numbers["homeo_type"] = f"cp2#{x.b_minus}cp2bar"
     return CheckReport(name, "pass", cited, numbers)
 
 

@@ -11,7 +11,8 @@ library ``ValueError`` and a result too long to print included), reported
 as one ``Error: ...`` line on stderr.  Integer options take the grammar of
 ``--class``.  Seeded commands default to seed 1729.  ``hilb`` reads the
 worker count from the SYMPENCIL_WORKERS environment variable, capped at
-the CPU count and at ``--samples``; its output does not depend on it.
+the CPUs the process may use and at ``--samples``; its output does not
+depend on it.
 
 A process imports only what its command uses: ``hilb``, ``brill_noether``
 and ``applications`` load inside the commands that need them.

@@ -1,6 +1,6 @@
-"""Exact arithmetic kernels: integer binomials with an independent
-integer-series oracle, and rational matrices with certified rank/kernel
-computation.
+"""Exact arithmetic kernels: integer binomials, whose independent
+integer-series oracle lives in ``tests/conftest.py``, and rational
+matrices with certified rank/kernel computation.
 
 Everything in this module is exact. Scalars are ``int`` or
 ``fractions.Fraction``; floats never enter. The package's two input rules
@@ -74,39 +74,6 @@ def binom(n: int, k: int) -> int:
         return math.comb(n, k)
     sign = -1 if k % 2 else 1
     return sign * math.comb(k - n - 1, k)
-
-
-def _truncated_product(a: list[int], b: list[int]) -> list[int]:
-    """Product of two integer series of one length, truncated to it."""
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b[:len(a) - i]):
-            out[i + j] += x * y
-    return out
-
-
-def series_geom_pow(exponent: int, cap: int) -> list[int]:
-    """Coefficients of ``(1 + H)**exponent`` truncated to ``cap`` terms.
-
-    Binary powering of ``1 + H``, or of its inverse ``1 - H + H^2 - ...``
-    for a negative exponent, by truncated integer products; deliberately
-    not through :func:`binom` or ``math.comb``, so the two routes stay
-    independent and can cross-check each other.
-    """
-    _require_ints((exponent, cap), "exponent and cap must be integers")
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    base = ([-1 if k % 2 else 1 for k in range(cap)] if exponent < 0
-            else [1, 1][:cap] + [0] * (cap - 2))
-    result = [1] + [0] * (cap - 1)
-    e = abs(exponent)
-    while e:
-        if e & 1:
-            result = _truncated_product(result, base)
-        e >>= 1
-        if e:
-            base = _truncated_product(base, base)
-    return result
 
 
 class RationalMatrix:

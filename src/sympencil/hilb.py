@@ -340,8 +340,10 @@ def certify_stratum(stratum: str, r: int, samples: int, seed: int = 1729,
     Each sample is drawn from its seed alone, so any worker count yields
     the same report and sample i is the one sample of a run from seed + i.
     The singular chain split (n, m) cycles as the seed advances, so any r
-    consecutive seeds cover every split.  At most ``min(workers, cpu
-    count, samples)`` worker processes run, and none when that is 1.
+    consecutive seeds cover every split.  At most ``min(workers, usable
+    CPUs, samples)`` worker processes run, and none when that is 1; the
+    usable CPUs are the process's affinity set where the platform reports
+    one, and the host's CPU count otherwise.
     ``r`` may be at most ``MAX_R`` and ``samples`` at most ``MAX_SAMPLES``;
     both are checked before anything is sampled, and all four integer
     arguments must be exactly ``int`` (``TypeError``).
@@ -357,7 +359,11 @@ def certify_stratum(stratum: str, r: int, samples: int, seed: int = 1729,
     if workers < 1:
         raise ValueError("worker count must be positive")
     jobs = ((stratum, r, seed + i) for i in range(samples))
-    workers = min(workers, os.cpu_count() or 1, samples)
+    # The CPUs this process may run on, which taskset or a container's
+    # cpuset can make fewer than the host's.
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    workers = min(workers, usable, samples)
     if workers > 1:
         # Imported here so that importing the package, and so every CLI
         # start, does not load the process-pool modules.

@@ -11,13 +11,16 @@ holomorphic Euler characteristic when the first Betti number is even.
 The form and the canonical vector take exact ``int`` entries only, and so
 does the signature: its elimination runs on integers, one direct-sum block
 at a time. Any other entry raises ``TypeError``.
+
+The module holds only lattices; the named checks over one live in
+:mod:`sympencil.applications`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .exact import Rational, _fraction, _require_ints
 from .record import Record
@@ -463,63 +466,3 @@ def twist(xp: BlownUpLattice, a: Sequence[int]) -> IntVector:
 def is_even_form(x: FourManifoldLattice) -> bool:
     """Whether every self-intersection is even (diagonal evenness suffices)."""
     return all(x.form[i][i] % 2 == 0 for i in range(x.b2))
-
-
-class BPlusOneClassification(Record):
-    """Outcome of the b+ = 1 homeomorphism-type argument."""
-
-    __slots__ = ("verdict", "homeo_type", "b_minus", "two_e_plus_3sigma",
-                 "even")
-
-    verdict: str  # "classified" or "rejected"
-    homeo_type: Optional[str]
-    b_minus: int
-    two_e_plus_3sigma: int
-    even: bool
-
-
-def classify_b_plus_one(x: FourManifoldLattice) -> BPlusOneClassification:
-    """Classify a rational-type lattice with b+ = 1, b1 = 0, K.omega < 0.
-
-    The degree-zero count forces 2e + 3sigma = 9 - b_minus to be
-    nonnegative, so b_minus > 8 is rejected outright. Otherwise the parity
-    of the form decides between the even quadric type and blow-ups of the
-    projective plane.
-    """
-    if x.b_plus != 1 or x.b1 != 0:
-        raise ValueError("classification needs b+ = 1 and b1 = 0")
-    if x.omega_dot(x.canonical) >= 0:
-        raise ValueError("classification needs K.omega < 0")
-    even = is_even_form(x)
-    b_minus = x.b_minus
-    if b_minus > 8:
-        return BPlusOneClassification(
-            verdict="rejected",
-            homeo_type=None,
-            b_minus=b_minus,
-            two_e_plus_3sigma=x.two_e_plus_3sigma,
-            even=even,
-        )
-    if even:
-        homeo = "s2xs2"
-    elif b_minus == 0:
-        homeo = "cp2"
-    else:
-        homeo = f"cp2#{b_minus}cp2bar"
-    return BPlusOneClassification(
-        verdict="classified",
-        homeo_type=homeo,
-        b_minus=b_minus,
-        two_e_plus_3sigma=x.two_e_plus_3sigma,
-        even=even,
-    )
-
-
-def minimality_inequality(x: FourManifoldLattice) -> bool:
-    """Whether 2e + 3sigma >= 0, the bound forced on minimal lattices with
-    b+ > 1. Raises if the preconditions are not declared."""
-    if not x.minimal:
-        raise ValueError("inequality only constrains minimal lattices")
-    if x.b_plus <= 1:
-        raise ValueError("inequality needs b+ > 1")
-    return x.two_e_plus_3sigma >= 0

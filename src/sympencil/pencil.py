@@ -10,8 +10,7 @@ members, e(X) + N = 2(2 - 2g) + delta.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exact import _primitive, _require_ints
 from .lattice import FourManifoldLattice, HomologyClass, blow_up, twist
@@ -103,24 +102,6 @@ def residual_fibre_degree(pencil: PencilData, a: Sequence[int]) -> int:
     a = HomologyClass(x, a).coords
     residual = [k - v for k, v in zip(x.canonical, a)]
     return x.pairing(residual, pencil.fibre_class.coords)
-
-
-def ratio_convergence(
-    x: FourManifoldLattice, a: Sequence[int], k_range: Iterable[int]
-) -> list[tuple[int, Fraction]]:
-    """Table of (k, (2g - 2)/r) for the pencils of the given degrees.
-
-    Exact rationals; the ratio tends to 1 because the genus grows
-    quadratically while the twist contribution of the class is linear.
-    """
-    out = []
-    for k in k_range:
-        p = build_pencil(x, k)
-        r = fibre_degree(p, a)
-        if r == 0:
-            raise ValueError(f"fibre degree vanishes at k = {k}; ratio undefined")
-        out.append((k, Fraction(2 * p.genus - 2, r)))
-    return out
 
 
 class SurfaceCountVerdict(Record):

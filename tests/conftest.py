@@ -4,9 +4,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from sympencil.catalog import elliptic_like, spin_model
-from sympencil.exact import RationalMatrix
+from sympencil.exact import RationalMatrix, _require_ints
 from sympencil.gromov import CohomologyProfile
 from sympencil.lattice import HomologyClass
+from sympencil.pencil import build_pencil, fibre_degree
 
 
 @lru_cache(maxsize=None)
@@ -37,6 +38,56 @@ def char_poly(m: RationalMatrix) -> list[Fraction]:
                  for i in range(r)]
             )
     return coeffs
+
+
+def _truncated_product(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer series of one length, truncated to it."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[:len(a) - i]):
+            out[i + j] += x * y
+    return out
+
+
+def series_geom_pow(exponent: int, cap: int) -> list[int]:
+    """Coefficients of ``(1 + H)**exponent`` truncated to ``cap`` terms.
+
+    Binary powering of ``1 + H``, or of its inverse ``1 - H + H^2 - ...``
+    for a negative exponent, by truncated integer products; deliberately
+    not through ``exact.binom`` or ``math.comb``, so the two routes stay
+    independent and can cross-check each other: the binomial oracle of
+    the count and duality tests.
+    """
+    _require_ints((exponent, cap), "exponent and cap must be integers")
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    base = ([-1 if k % 2 else 1 for k in range(cap)] if exponent < 0
+            else [1, 1][:cap] + [0] * (cap - 2))
+    result = [1] + [0] * (cap - 1)
+    e = abs(exponent)
+    while e:
+        if e & 1:
+            result = _truncated_product(result, base)
+        e >>= 1
+        if e:
+            base = _truncated_product(base, base)
+    return result
+
+
+def ratio_convergence(x, a, k_range) -> list[tuple[int, Fraction]]:
+    """Table of (k, (2g - 2)/r) for the pencils of the given degrees.
+
+    Exact rationals; the ratio tends to 1 because the genus grows
+    quadratically while the twist contribution of the class is linear.
+    """
+    out = []
+    for k in k_range:
+        p = build_pencil(x, k)
+        r = fibre_degree(p, a)
+        if r == 0:
+            raise ValueError(f"fibre degree vanishes at k = {k}; ratio undefined")
+        out.append((k, Fraction(2 * p.genus - 2, r)))
+    return out
 
 
 # Classes of virtual dimension r on the elliptic-like lattices, written as

@@ -2,10 +2,11 @@
 fail. The mutants weaken the rank verifier (``exact._certify`` and its
 GF(p) rank), the integer producer it checks (``exact._primitive`` and
 ``exact._insert``), the rank that ``hilb.is_stable`` claims, the lattice's
-input checks, the boundaries of ``pencil.count_decision``, a profile's
-certified virtual dimension and ``gromov_invariant``'s check of ``r``
-against it, the CLI's class-count, b2 and block bounds and the exit code
-of ``cli.run``.
+input checks, the boundaries of ``pencil.count_decision``, the boundaries
+of the minimality bound and the b+ = 1 classification in
+``applications``, a profile's certified virtual dimension and
+``gromov_invariant``'s check of ``r`` against it, the CLI's class-count,
+b2 and block bounds and the exit code of ``cli.run``.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -42,12 +43,14 @@ HILB = "src/sympencil/hilb.py"
 LATTICE = "src/sympencil/lattice.py"
 PENCIL = "src/sympencil/pencil.py"
 GROMOV = "src/sympencil/gromov.py"
+APPLICATIONS = "src/sympencil/applications.py"
 CLI = "src/sympencil/cli.py"
 TEST_EXACT = "tests/test_exact.py"
 TEST_HILB = "tests/test_hilb.py"
 TEST_LATTICE = "tests/test_lattice.py"
 TEST_PENCIL = "tests/test_pencil.py"
 TEST_GROMOV = "tests/test_gromov.py"
+TEST_APPLICATIONS = "tests/test_applications.py"
 TEST_CLI = "tests/test_cli.py"
 TEST_CLI_PROCESS = "tests/test_cli_process.py"
 # An unmutated run of the targeted files takes seconds; a mutant that
@@ -255,6 +258,23 @@ MUTANTS = (
         (TEST_PENCIL,),
         "The canonical class has a.omega = K.omega and counts +/-1 on a "
         "lattice with b+ > 1 + b1; the mutant declares it Zero.",
+    ),
+    Mutant(
+        "minimality bound tightened to > 0", APPLICATIONS,
+        "    holds = x.two_e_plus_3sigma >= 0\n",
+        "    holds = x.two_e_plus_3sigma > 0\n",
+        (TEST_APPLICATIONS,),
+        "K3 is minimal with b+ = 3 and 2e + 3sigma = 0, on the boundary; "
+        "the bound holds there, and the mutant fails it.",
+    ),
+    Mutant(
+        "b+ = 1 rejection loosened to b_minus > 9", APPLICATIONS,
+        "    if x.b_minus > 8:\n",
+        "    if x.b_minus > 9:\n",
+        (TEST_APPLICATIONS,),
+        "E(1), the plane blown up nine times, has b_minus = 9 and so "
+        "2e + 3sigma = 0 with K.omega < 0; the degree-zero count rejects it, "
+        "and the mutant classifies it as cp2#9cp2bar.",
     ),
     Mutant(
         "certified virtual dimension off by one", GROMOV,

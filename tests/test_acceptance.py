@@ -15,14 +15,14 @@ from click.testing import CliRunner
 from sympencil.applications import run_all
 from sympencil.catalog import STANDARD_BUILDERS, lattice_to_dict
 from sympencil.cli import main as cli_main
-from sympencil.exact import binom, series_geom_pow
+from sympencil.exact import binom
 from sympencil.gromov import duality_check, gr_parity, gromov_invariant, vanishing_profile
 from sympencil.hilb import certify_stratum, sample_commuting_diagonal, verify_absolute_cokernel, STRATA
-from sympencil.lattice import HomologyClass, blow_up, classify_b_plus_one, minimality_inequality, twist
-from sympencil.pencil import build_pencil, ratio_convergence
+from sympencil.lattice import HomologyClass, blow_up, twist
+from sympencil.pencil import build_pencil
 from sympencil.brill_noether import AbelJacobiFibres, BNQuery, abel_jacobi_fibre_dims, eh_predicate, rho
 
-from conftest import elliptic, profile_pair_sample, spin_half_canonical_profile
+from conftest import elliptic, profile_pair_sample, ratio_convergence, series_geom_pow, spin_half_canonical_profile
 from test_brill_noether import RHO_GRID
 
 
@@ -127,19 +127,20 @@ def test_criterion_10_brill_noether_grid_boundary_and_fibre_profile():
 
 
 def test_criterion_11_application_verdicts():
-    triple = STANDARD_BUILDERS["k3_sum3"]()
-    assert not minimality_inequality(triple)
-    assert triple.two_e_plus_3sigma == -8
-    reports = {rep.check_name: rep for rep in run_all(triple)}
-    assert reports["minimality_bound"].verdict == "fail"
-    assert reports["minimality_bound"].numbers["two_e_plus_3sigma"] == -8
+    def verdicts(name):
+        return {rep.check_name: rep for rep in run_all(STANDARD_BUILDERS[name]())}
 
-    plane = STANDARD_BUILDERS["cp2"]()
-    assert classify_b_plus_one(plane).homeo_type == "cp2"
+    bound = verdicts("k3_sum3")["minimality_bound"]
+    assert bound.verdict == "fail"
+    assert bound.numbers["two_e_plus_3sigma"] == -8
 
-    nine = classify_b_plus_one(STANDARD_BUILDERS["e1"]())
-    assert nine.verdict == "rejected"
-    assert nine.b_minus == 9
+    plane = verdicts("cp2")["b_plus_one_classification"]
+    assert plane.verdict == "pass"
+    assert plane.numbers["homeo_type"] == "cp2"
+
+    nine = verdicts("e1")["b_plus_one_classification"]
+    assert nine.verdict == "fail"
+    assert nine.numbers["b_minus"] == 9
 
 
 def test_criterion_12_cli_reruns_are_byte_identical(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from sympencil.applications import CheckReport, run_all
 from sympencil.catalog import STANDARD_BUILDERS
-from sympencil.lattice import FourManifoldLattice
+from sympencil.lattice import FourManifoldLattice, blow_up
 
 
 def by_name(reports):
@@ -50,6 +50,11 @@ class TestRunAllCatalog:
         assert rep.verdict == "not-applicable"
         assert rep.numbers["minimal"] is False
 
+    def test_minimality_skipped_for_b_plus_one(self):
+        rep = by_name(run_all(STANDARD_BUILDERS["cp2"]()))["minimality_bound"]
+        assert rep.verdict == "not-applicable"
+        assert rep.numbers["b_plus"] == 1
+
     @pytest.mark.parametrize("entry", [1.9, True, Fraction(1)])
     def test_non_integer_class_not_truncated(self, entry):
         with pytest.raises(TypeError, match="class coordinates"):
@@ -79,11 +84,23 @@ class TestRunAllCatalog:
         assert rep.numbers["b_minus"] == 9
         assert "homeo_type" not in rep.numbers
 
+    def test_blown_up_plane_classifies_by_b_minus(self):
+        xp = blow_up(STANDARD_BUILDERS["cp2"](), 3)
+        rep = by_name(run_all(xp))["b_plus_one_classification"]
+        assert rep.verdict == "pass"
+        assert rep.numbers["homeo_type"] == "cp2#3cp2bar"
+
     def test_classification_skipped_for_high_b_plus(self):
         rep = by_name(run_all(STANDARD_BUILDERS["k3"]()))[
             "b_plus_one_classification"
         ]
         assert rep.verdict == "not-applicable"
+
+    def test_classification_skipped_for_positive_k_omega(self):
+        flipped = FourManifoldLattice("flip", 0, [[1]], [3], [1], True)
+        rep = by_name(run_all(flipped))["b_plus_one_classification"]
+        assert rep.verdict == "not-applicable"
+        assert rep.numbers["k_omega"] == 3
 
     def test_k3_spin_parity_odd(self):
         rep = by_name(run_all(STANDARD_BUILDERS["k3"]()))["spin_parity"]

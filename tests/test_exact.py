@@ -7,15 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import char_poly
+import conftest
+from conftest import char_poly, series_geom_pow
 from sympencil import exact, hilb
-from sympencil.exact import (
-    RationalMatrix,
-    _rank_mod_prime,
-    binom,
-    rank_and_kernel,
-    series_geom_pow,
-)
+from sympencil.exact import RationalMatrix, _rank_mod_prime, binom, rank_and_kernel
 from sympencil.lattice import FourManifoldLattice
 from sympencil.strata import STRATA
 
@@ -90,6 +85,7 @@ class TestTruncatedSeries:
         monkeypatch.setattr(exact, "binom", refuse)
         monkeypatch.setattr(math, "comb", refuse)
         monkeypatch.setattr(exact, "Fraction", refuse)
+        monkeypatch.setattr(conftest, "Fraction", refuse)
         got = [series_geom_pow(e, cap) for e, cap in cases]
         assert got == expected
         assert all(type(c) is int for row in got for c in row)

@@ -9,11 +9,12 @@ from conftest import (
     class_of_virtual_dim,
     elliptic,
     profile_pair_sample,
+    series_geom_pow,
     spin,
     spin_half_canonical_profile,
 )
 from sympencil.catalog import STANDARD_BUILDERS
-from sympencil.exact import binom, series_geom_pow
+from sympencil.exact import binom
 from sympencil.gromov import (
     CohomologyProfile,
     duality_check,

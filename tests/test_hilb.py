@@ -520,17 +520,11 @@ class TestCertifyStratum:
         parallel = certify_stratum("singular", 3, 6, seed=11, workers=2)
         assert serial == parallel
 
-    @pytest.mark.parametrize("workers, cpus, samples, pool", [
-        (1, 8, 5, None),
-        (64, 4, 10, 4),
-        (64, 4, 3, 3),
-        (3, 8, 10, 3),
-        (64, None, 10, None),
-        (64, 8, 1, None),
-    ])
-    def test_pool_size_capped(self, monkeypatch, workers, cpus, samples, pool):
-        """At most min(workers, cpu count, samples) processes, and no pool
-        at all when that is 1; checked with a stand-in that starts none."""
+    @staticmethod
+    def _pools_started(monkeypatch, affinity, host):
+        """The ``max_workers`` of each pool started, through a stand-in
+        that starts no process, with the CPUs the process may use set to
+        ``affinity`` (no affinity call when None) on a host of ``host``."""
         import concurrent.futures
 
         started = []
@@ -549,9 +543,44 @@ class TestCertifyStratum:
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        monkeypatch.setattr("os.cpu_count", lambda: host)
+        if affinity is None:
+            monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(affinity),
+                                raising=False)
+        return started
+
+    @pytest.mark.parametrize("workers, cpus, samples, pool", [
+        (1, 8, 5, None),
+        (64, 4, 10, 4),
+        (64, 4, 3, 3),
+        (3, 8, 10, 3),
+        (64, None, 10, None),
+        (64, 8, 1, None),
+    ])
+    def test_pool_size_capped(self, monkeypatch, workers, cpus, samples, pool):
+        """At most min(workers, usable CPUs, samples) processes, and no
+        pool at all when that is 1. ``cpus`` None is a platform with no
+        affinity call whose CPU count is unknown."""
+        affinity = None if cpus is None else range(cpus)
+        started = self._pools_started(monkeypatch, affinity, cpus)
         rep = certify_stratum("b1zero", 1, samples, seed=3, workers=workers)
         assert rep == certify_stratum("b1zero", 1, samples, seed=3)
+        assert started == ([] if pool is None else [pool])
+
+    @pytest.mark.parametrize("affinity, host, pool", [
+        ({0}, 2, None),
+        ({1, 3}, 8, 2),
+        (None, 3, 3),
+    ], ids=["one-of-two", "two-of-eight", "no-affinity-call"])
+    def test_pool_capped_at_usable_cpus(self, monkeypatch, affinity, host, pool):
+        """The cap is the CPUs the process may run on, not the host's: on
+        one usable CPU of two (``taskset -c 0``), four workers start no
+        pool. Without an affinity call the host's count caps it."""
+        started = self._pools_started(monkeypatch, affinity, host)
+        rep = certify_stratum("b1zero", 1, 6, seed=3, workers=4)
+        assert rep == certify_stratum("b1zero", 1, 6, seed=3)
         assert started == ([] if pool is None else [pool])
 
     def test_bad_inputs_rejected(self):

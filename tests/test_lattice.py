@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import char_poly
+from conftest import char_poly, series_geom_pow
 from sympencil.catalog import (
     E8_GRAM,
     HYPERBOLIC,
@@ -22,8 +22,9 @@ from sympencil.catalog import (
     spin_model,
 )
 from sympencil import lattice as lattice_module
+from sympencil.applications import run_all
 from sympencil.brill_noether import BNQuery, abel_jacobi_fibre_dims
-from sympencil.exact import RationalMatrix, series_geom_pow
+from sympencil.exact import RationalMatrix
 from sympencil.gromov import CohomologyProfile, gr_parity, vanishing_profile
 from sympencil.hilb import (
     certify_stratum,
@@ -39,10 +40,8 @@ from sympencil.lattice import (
     _dense_signature,
     _symmetric_support,
     blow_up,
-    classify_b_plus_one,
     is_even_form,
     largest_block,
-    minimality_inequality,
     signature_of_symmetric,
     twist,
 )
@@ -533,50 +532,46 @@ class TestBlowUp:
 
 
 class TestClassification:
+    # The b+ = 1 classification is a named check of `applications`.
+    @staticmethod
+    def report(x):
+        reports = {rep.check_name: rep for rep in run_all(x)}
+        return reports["b_plus_one_classification"]
+
     def test_plane(self):
-        v = classify_b_plus_one(STANDARD_BUILDERS["cp2"]())
-        assert v.verdict == "classified"
-        assert v.homeo_type == "cp2"
+        rep = self.report(STANDARD_BUILDERS["cp2"]())
+        assert rep.verdict == "pass"
+        assert rep.numbers["homeo_type"] == "cp2"
 
     def test_quadric(self):
-        v = classify_b_plus_one(STANDARD_BUILDERS["s2xs2"]())
-        assert v.verdict == "classified"
-        assert v.homeo_type == "s2xs2"
-        assert v.even
+        rep = self.report(STANDARD_BUILDERS["s2xs2"]())
+        assert rep.verdict == "pass"
+        assert rep.numbers["homeo_type"] == "s2xs2"
+        assert rep.numbers["even"] is True
 
     def test_nine_blowups_rejected(self):
-        v = classify_b_plus_one(STANDARD_BUILDERS["e1"]())
-        assert v.verdict == "rejected"
-        assert v.b_minus == 9
-        assert v.two_e_plus_3sigma == 0
-
-    def test_blown_up_plane_types(self):
-        xp = blow_up(STANDARD_BUILDERS["cp2"](), 3)
-        v = classify_b_plus_one(xp)
-        assert v.homeo_type == "cp2#3cp2bar"
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError, match="b\\+"):
-            classify_b_plus_one(STANDARD_BUILDERS["k3"]())
-        flipped = FourManifoldLattice("flip", 0, [[1]], [3], [1], True)
-        with pytest.raises(ValueError, match="omega"):
-            classify_b_plus_one(flipped)
+        rep = self.report(STANDARD_BUILDERS["e1"]())
+        assert rep.verdict == "fail"
+        assert rep.numbers["b_minus"] == 9
+        assert rep.numbers["two_e_plus_3sigma"] == 0
 
 
 class TestMinimality:
+    # The minimality bound 2e + 3sigma >= 0 is a named check of `applications`.
+    @staticmethod
+    def report(x):
+        return {rep.check_name: rep for rep in run_all(x)}["minimality_bound"]
+
     def test_k3_holds(self):
-        assert minimality_inequality(STANDARD_BUILDERS["k3"]()) is True
+        assert self.report(STANDARD_BUILDERS["k3"]()).verdict == "pass"
 
     def test_triple_sum_fails(self):
-        assert minimality_inequality(STANDARD_BUILDERS["k3_sum3"]()) is False
-
-    def test_needs_b_plus_above_one(self):
-        with pytest.raises(ValueError):
-            minimality_inequality(STANDARD_BUILDERS["cp2"]())
+        assert self.report(STANDARD_BUILDERS["k3_sum3"]()).verdict == "fail"
 
     def test_needs_minimal_flag(self):
-        with pytest.raises(ValueError):
-            minimality_inequality(STANDARD_BUILDERS["e1"]())
+        rep = self.report(STANDARD_BUILDERS["e1"]())
+        assert rep.verdict == "not-applicable"
+        assert rep.numbers["minimal"] is False
 
 
 class TestManifoldFiles:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import class_of_virtual_dim, elliptic
+from conftest import class_of_virtual_dim, elliptic, ratio_convergence
 from sympencil.catalog import STANDARD_BUILDERS
 from sympencil.lattice import FourManifoldLattice, HomologyClass
 from sympencil.pencil import (
@@ -12,7 +12,6 @@ from sympencil.pencil import (
     fibre_degree,
     fibre_degree_blowup_route,
     primitive_symplectic_class,
-    ratio_convergence,
     residual_fibre_degree,
 )
 

@@ -15,7 +15,6 @@ CP2 = STANDARD_BUILDERS["cp2"]()
 # One instance of each record class, built through the public API.
 EXAMPLES = {
     "HomologyClass": lambda: lattice.HomologyClass(CP2, (1,)),
-    "BPlusOneClassification": lambda: lattice.classify_b_plus_one(CP2),
     "PencilData": lambda: pencil.build_pencil(CP2, 4),
     "SurfaceCountVerdict": lambda: pencil.count_decision(CP2, (1,)),
     "CohomologyProfile": lambda: gromov.vanishing_profile(CP2, (1,), 3, 0),

@@ -58,16 +58,10 @@ def test_data_holds_only_the_schemas():
     assert names == ["manifold.schema.json", "report.schema.json"]
 
 
-# Public functions kept as test oracles for the acceptance criteria: the
-# integer-series binomial oracle (criterion 02) and the pencil ratio table
-# (criterion 09).
-_ORACLE_EXPORTS = {"series_geom_pow", "ratio_convergence"}
-
-
 def test_every_exported_function_has_a_caller():
     """No public function that no command, report or benchmark uses: each
     exported function is referenced from the package or from ``bench/``
-    by name, unless it is a named test oracle."""
+    by name. Test oracles live in ``tests/conftest.py``."""
     functions = {name for name in sympencil._EXPORTS
                  if inspect.isfunction(getattr(sympencil, name))}
     # A ``def`` is neither a Name nor an Attribute, so it never counts.
@@ -79,7 +73,7 @@ def test_every_exported_function_has_a_caller():
         if isinstance(node, (ast.Name, ast.Attribute))
     }
     assert "rank_and_kernel" in referenced
-    assert sorted(functions - _ORACLE_EXPORTS - referenced) == []
+    assert sorted(functions - referenced) == []
 
 
 # The two input rules of ``exact`` and the set behind the exact-``int``

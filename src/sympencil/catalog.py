@@ -94,19 +94,27 @@ def format_rational(q: Rational) -> Union[int, str]:
     return f"{q.numerator}/{q.denominator}"
 
 
+_FIELDS = frozenset({"label", "b1", "Q", "K", "omega", "minimal"})
+
+
 def manifold_fields(data: dict) -> dict:
     """Shape-check a manifold dict and return constructor keywords.
 
-    Only the file format is validated here. The constructor checks the
-    entry types of ``Q`` and ``K`` (``TypeError``) and then the lattice
-    invariants (``ValueError``), so callers can tell a malformed file apart
-    from a well-formed one describing an invalid lattice.
+    Only the file format is validated here: the schema's six fields, no
+    more and no fewer. The constructor checks the entry types of ``Q`` and
+    ``K`` (``TypeError``) and then the lattice invariants (``ValueError``),
+    so callers can tell a malformed file apart from a well-formed one
+    describing an invalid lattice.
     """
     if not isinstance(data, dict):
         raise ValueError("manifold file must contain a JSON object")
-    missing = {"label", "b1", "Q", "K", "omega", "minimal"} - set(data)
+    missing = _FIELDS - set(data)
     if missing:
         raise ValueError(f"manifold file missing fields: {sorted(missing)}")
+    unknown = set(data) - _FIELDS
+    if unknown:
+        raise ValueError(
+            f"manifold file has unknown fields: {_shown(sorted(unknown, key=str))}")
     if not isinstance(data["label"], str):
         raise ValueError("'label' must be a string")
     if not isinstance(data["minimal"], bool):

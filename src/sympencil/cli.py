@@ -300,7 +300,7 @@ def gromov_cmd(manifold, class_, h0, h2):
     coords = _parse_class(class_, x.b2)
     profile = vanishing_profile(x, coords, h0, h2)
     r = profile.virtual_dim
-    value = gromov_invariant(profile, r) if r >= 0 else 0
+    value = gromov_invariant(profile) if r >= 0 else 0
     return {
         "label": x.label,
         "class": list(coords),
@@ -339,8 +339,8 @@ def duality_cmd(manifold, class_, h0, h2):
         "profile": {"h0": profile.h0, "h1": profile.h1, "h2": profile.h2},
         "dual_profile": {"h0": dual.h0, "h1": dual.h1, "h2": dual.h2},
         "virtual_dim": r,
-        "invariant": gromov_invariant(profile, r),
-        "dual_invariant": gromov_invariant(dual, r),
+        "invariant": gromov_invariant(profile),
+        "dual_invariant": gromov_invariant(dual),
         "magnitudes_equal": ok,
         "citations": [
             "dual section dims (h2, h1, h0) live on K - a",
@@ -449,8 +449,8 @@ def hilb_cmd(r, samples, seed, stratum):
     """Certify the kernel dimension r^2 + 1 on sampled matrix models.
 
     The SYMPENCIL_WORKERS environment variable (default 1) sets the number
-    of worker processes; at most the CPU count and at most --samples of
-    them run. The report does not depend on it.
+    of worker processes; at most the CPUs the process may use and at most
+    --samples of them run. The report does not depend on it.
     """
     from . import hilb
 

@@ -104,22 +104,18 @@ def vanishing_profile(
     return CohomologyProfile(h0_d, h1, h2, HomologyClass(x, tuple(d)))
 
 
-def gromov_invariant(p: CohomologyProfile, r: int) -> int:
-    """Signed surface count of the profile's class through r generic points.
+def gromov_invariant(p: CohomologyProfile) -> int:
+    """Signed surface count of the profile's class through r generic points,
+    r the virtual dimension (a.a - K.a)/2 that Riemann-Roch certified at
+    construction (``p.virtual_dim``), so no pairing runs; a negative r raises.
 
     Evaluates binom(-(h2 - r), (h0 - 1) - r) with the negative-upper-index
-    convention. ``r`` must equal the virtual dimension (a.a - K.a)/2 of the
-    divisor class, which is read from the profile (``p.virtual_dim``, which
-    Riemann-Roch certified at construction), so no pairing runs. An empty
-    linear system (h0 = 0), or a lower index below zero, gives 0.
+    convention. An empty linear system (h0 = 0), or a lower index below
+    zero, gives 0.
     """
+    r = p.virtual_dim
     if r < 0:
-        raise ValueError("virtual dimension r must be nonnegative")
-    vd = p.virtual_dim
-    if r != vd:
-        raise ValueError(
-            f"r = {r} but the divisor class has virtual dimension {vd}"
-        )
+        raise ValueError(f"virtual dimension {r} is negative")
     if p.h0 == 0:
         return 0
     lower = (p.h0 - 1) - r
@@ -131,11 +127,14 @@ def gromov_invariant(p: CohomologyProfile, r: int) -> int:
 def duality_check(p: CohomologyProfile, r: int) -> bool:
     """Whether |count(D)| = |count(K - D)| at virtual dimension r.
 
-    Both counts read their profile's certified virtual dimension; the only
-    pairings are those of the Riemann-Roch check that builds the dual
-    profile on K - D (D.D and K.D of the dual class, two in all).
+    The one check of a caller's r: it must be the profile's certified
+    virtual dimension, which K - D shares. The only pairings are the two of
+    the Riemann-Roch check that builds the dual profile on K - D.
     """
-    return abs(gromov_invariant(p, r)) == abs(gromov_invariant(serre_dual(p), r))
+    vd = p.virtual_dim
+    if r != vd:
+        raise ValueError(f"r = {r} but the divisor class has virtual dimension {vd}")
+    return abs(gromov_invariant(p)) == abs(gromov_invariant(serre_dual(p)))
 
 
 def gr_parity(n: int) -> int:

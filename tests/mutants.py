@@ -5,8 +5,9 @@ GF(p) rank), the integer producer it checks (``exact._primitive`` and
 input checks, the boundaries of ``pencil.count_decision``, the boundaries
 of the minimality bound and the b+ = 1 classification in
 ``applications``, a profile's certified virtual dimension and
-``gromov_invariant``'s check of ``r`` against it, the CLI's class-count,
-b2 and block bounds and the exit code of ``cli.run``.
+``duality_check``'s check of ``r`` against it, the manifold parser's
+rejection of unknown fields, the CLI's class-count, b2 and block bounds
+and the exit code of ``cli.run``.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -43,6 +44,7 @@ HILB = "src/sympencil/hilb.py"
 LATTICE = "src/sympencil/lattice.py"
 PENCIL = "src/sympencil/pencil.py"
 GROMOV = "src/sympencil/gromov.py"
+CATALOG = "src/sympencil/catalog.py"
 APPLICATIONS = "src/sympencil/applications.py"
 CLI = "src/sympencil/cli.py"
 TEST_EXACT = "tests/test_exact.py"
@@ -281,16 +283,26 @@ MUTANTS = (
         "        return self.chi - self.divisor.lattice.chi_h\n",
         "        return self.chi - self.divisor.lattice.chi_h + 1\n",
         (TEST_GROMOV,),
-        "The count then refuses the true r: the canonical profile at r = 0 "
-        "raises, and the count tests and the pairing oracle see it.",
+        "The count then reads the wrong r: the canonical profile counts at "
+        "r = 1, duality_check refuses the true r, and the pairing oracle "
+        "sees it.",
     ),
     Mutant(
         "r checked against nothing", GROMOV,
         "    if r != vd:\n",
         "    if False:\n",
         (TEST_GROMOV,),
-        "A caller's r that is not the class's virtual dimension evaluates "
-        "the binomial at the wrong index instead of raising.",
+        "A caller's r that is not the class's virtual dimension passes the "
+        "duality check unnoticed instead of raising: both counts read the "
+        "certified dimension, so the magnitudes agree at any r.",
+    ),
+    Mutant(
+        "unknown manifold fields accepted", CATALOG,
+        "    if unknown:\n",
+        "    if False:\n",
+        (TEST_LATTICE, TEST_CLI),
+        "The manifold schema allows no fields beyond its six; a file with a "
+        "stray \"note\" would pass the parser while the schema rejects it.",
     ),
     Mutant(
         "b2 bound off by one", CLI,

@@ -32,7 +32,8 @@ def test_criterion_01_canonical_class_invariant_is_plus_minus_one():
         x = elliptic(p_g + 1)
         assert (x.b_plus - 1) // 2 == p_g
         profile = vanishing_profile(x, x.canonical, p_g, 1)
-        value = gromov_invariant(profile, 0)
+        assert profile.virtual_dim == 0
+        value = gromov_invariant(profile)
         assert abs(value) == 1
         assert value == (-1) ** (p_g - 1)
     assert time.monotonic() - start < 1.0
@@ -41,7 +42,9 @@ def test_criterion_01_canonical_class_invariant_is_plus_minus_one():
 def test_criterion_02_spin_profile_matches_central_binomial_and_series_oracle():
     start = time.monotonic()
     for n in range(1, 9):
-        value = gromov_invariant(spin_half_canonical_profile(n), 0)
+        profile = spin_half_canonical_profile(n)
+        assert profile.virtual_dim == 0
+        value = gromov_invariant(profile)
         assert abs(value) == binom(2 * n - 2, n - 1)
         assert value == series_geom_pow(-n, n)[n - 1]
     assert time.monotonic() - start < 1.0

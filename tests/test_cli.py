@@ -300,6 +300,13 @@ class TestHilbCommand:
         assert f"1 to {MAX_R}." in result.output
         assert f"1 to {MAX_SAMPLES}." in result.output
 
+    def test_help_states_the_worker_cap(self, runner):
+        # The cap is the CPUs the process may use (its affinity set), not
+        # the host's CPU count.
+        text = " ".join(check(runner, ["hilb", "--help"]).output.split())
+        assert ("at most the CPUs the process may use and at most --samples "
+                "of them run.") in text
+
     def test_bad_stratum_exit_two(self, runner):
         check(runner, ["hilb", "--r", "2", "--samples", "2",
                        "--stratum", "mystery"], expect_exit=2)
@@ -565,6 +572,19 @@ def test_manifold_size_limits(runner, manifold_file, monkeypatch, command,
         "MAX_BLOCK": "has a direct-sum block of 8 rows, past the 7-row block limit",
     }[limit]
     assert result.stderr == f"Error: {path} {message}\n"
+
+
+@pytest.mark.parametrize("command", sorted(_MANIFOLD_COMMANDS))
+def test_unknown_manifold_field_exit_two(runner, tmp_path, command):
+    """The manifold schema allows no other fields, and neither does any
+    command that reads a manifold file, manifold-check included."""
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps(
+        dict(lattice_to_dict(STANDARD_BUILDERS["k3"]()), note="x")))
+    result = runner.invoke(main, [command, str(path), *_MANIFOLD_COMMANDS[command]])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == (
+        f"Error: {path}: manifold file has unknown fields: ['note']\n")
 
 
 def test_help_states_the_manifold_limits(runner):

@@ -121,7 +121,8 @@ class TestGromovInvariant:
     def test_canonical_profile_is_plus_minus_one(self, p_g):
         x = elliptic(p_g + 1)
         p = vanishing_profile(x, x.canonical, p_g, 1)
-        assert gromov_invariant(p, 0) == (-1) ** (p_g - 1)
+        assert p.virtual_dim == 0
+        assert gromov_invariant(p) == (-1) ** (p_g - 1)
 
     def test_rigid_sphere_profile(self):
         # (1, 0, 0) at r = 0 counts exactly one curve; the exceptional
@@ -130,12 +131,13 @@ class TestGromovInvariant:
         e = [0] * 10
         e[1] = 1  # exceptional class: a.a = -1, K.a = -1, virtual dim 0
         p = CohomologyProfile(1, 0, 0, HomologyClass(e1, tuple(e)))
-        assert gromov_invariant(p, 0) == 1
+        assert gromov_invariant(p) == 1
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_spin_profile_matches_central_binomial(self, n):
         p = spin_half_canonical_profile(n)
-        value = gromov_invariant(p, 0)
+        assert p.virtual_dim == 0
+        value = gromov_invariant(p)
         assert abs(value) == binom(2 * n - 2, n - 1)
         assert value == binom(-n, n - 1)
 
@@ -143,19 +145,23 @@ class TestGromovInvariant:
         x = elliptic(4)
         d = [0] * x.b2
         p = vanishing_profile(x, d, 0, 4)
-        assert gromov_invariant(p, 0) == 0
+        assert gromov_invariant(p) == 0
 
     def test_low_h0_counts_zero(self):
         # lower index (h0 - 1) - r < 0.
         x = elliptic(3)
         d = class_of_virtual_dim(x, 3, 1)
         p = CohomologyProfile(1, 0, 3, d)
-        assert gromov_invariant(p, 1) == 0
+        assert p.virtual_dim == 1
+        assert gromov_invariant(p) == 0
 
-    def test_r_must_match_virtual_dimension(self):
-        p = spin_half_canonical_profile(2)
-        with pytest.raises(ValueError, match="virtual dimension"):
-            gromov_invariant(p, 1)
+    def test_negative_virtual_dimension_raises(self):
+        # On the plane the class -H has (1 - 3)/2 = -1, so chi = 0.
+        cp2 = STANDARD_BUILDERS["cp2"]()
+        p = CohomologyProfile(0, 0, 0, HomologyClass(cp2, (-1,)))
+        assert p.virtual_dim == -1
+        with pytest.raises(ValueError, match="virtual dimension -1 is negative"):
+            gromov_invariant(p)
 
     def test_r_zero_matches_series_extraction(self):
         # The closed form and the truncated-series route agree whenever the
@@ -167,7 +173,7 @@ class TestGromovInvariant:
             if r != 0 or p.h0 == 0:
                 continue
             coeffs = series_geom_pow(p.h1 - p.h2, p.h0)
-            assert gromov_invariant(p, 0) == coeffs[p.h0 - 1]
+            assert gromov_invariant(p) == coeffs[p.h0 - 1]
             checked += 1
 
 
@@ -177,8 +183,8 @@ class TestDualityCheck:
         p_g = x.chi_h - 1
         p = vanishing_profile(x, x.canonical, p_g, 1)
         assert duality_check(p, 0)
-        assert abs(gromov_invariant(p, 0)) == 1
-        assert abs(gromov_invariant(serre_dual(p), 0)) == 1
+        assert abs(gromov_invariant(p)) == 1
+        assert abs(gromov_invariant(serre_dual(p))) == 1
 
     def test_spin_self_dual(self):
         assert duality_check(spin_half_canonical_profile(3), 0)
@@ -188,6 +194,15 @@ class TestDualityCheck:
         for _ in range(120):
             p, r = profile_pair_sample(rng)
             assert duality_check(p, r)
+
+    def test_r_must_match_virtual_dimension(self):
+        # The spin profile has virtual dimension 0; its magnitudes agree
+        # at any r, so only the check refuses a wrong one.
+        p = spin_half_canonical_profile(2)
+        for wrong in (-1, 1, 2):
+            with pytest.raises(ValueError, match=f"r = {wrong} but the divisor "
+                                                 "class has virtual dimension 0"):
+                duality_check(p, wrong)
 
 
 class TestCertifiedVirtualDim:
@@ -219,7 +234,7 @@ class TestCertifiedVirtualDim:
     def test_gromov_invariant_pairs_nothing(self, pairings):
         for p, r in self._profiles():
             pairings.clear()
-            gromov_invariant(p, r)
+            gromov_invariant(p)
             assert p.virtual_dim == r
             assert pairings == []
 

@@ -3,7 +3,9 @@ import json
 import random
 import time
 from fractions import Fraction
+from importlib import resources
 
+import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from sympencil.catalog import (
     elliptic_like,
     lattice_from_dict,
     lattice_to_dict,
+    manifold_fields,
     negated,
     parse_rational,
     spin_model,
@@ -50,6 +53,14 @@ from sympencil.pencil import build_pencil
 
 def _catalog():
     return {name: build() for name, build in STANDARD_BUILDERS.items()}
+
+
+_MANIFOLD_SCHEMA = json.loads(
+    (resources.files("sympencil") / "data" / "manifold.schema.json").read_text()
+)
+_MANIFOLD_VALIDATOR = jsonschema.validators.validator_for(_MANIFOLD_SCHEMA)(
+    _MANIFOLD_SCHEMA)
+_CP2_FILE = lattice_to_dict(STANDARD_BUILDERS["cp2"]())
 
 
 class TestSignature:
@@ -607,6 +618,36 @@ class TestManifoldFiles:
     def test_missing_fields(self):
         with pytest.raises(ValueError, match="missing"):
             lattice_from_dict({"label": "x"})
+
+    def test_unknown_fields(self):
+        bad = dict(_CP2_FILE, note="x", Z=1)
+        with pytest.raises(ValueError) as info:
+            lattice_from_dict(bad)
+        assert str(info.value) == "manifold file has unknown fields: ['Z', 'note']"
+
+    @pytest.mark.parametrize("name", sorted(STANDARD_BUILDERS))
+    def test_catalog_files_meet_the_schema(self, name):
+        _MANIFOLD_VALIDATOR.validate(lattice_to_dict(STANDARD_BUILDERS[name]()))
+
+    @pytest.mark.parametrize("doc, accepted", [
+        (_CP2_FILE, True),
+        (dict(_CP2_FILE, note="x"), False),
+        ({k: v for k, v in _CP2_FILE.items() if k != "K"}, False),
+        (dict(_CP2_FILE, omega=["1/2"]), True),
+        (dict(_CP2_FILE, omega=["+1"]), False),
+        (dict(_CP2_FILE, omega=["1 /2"]), False),
+        (dict(_CP2_FILE, omega=["\u0663"]), False),
+    ], ids=["cp2", "extra_field", "missing_field", "omega_half", "omega_plus",
+            "omega_space", "omega_arabic_indic"])
+    def test_schema_and_parser_agree(self, doc, accepted):
+        """``manifold.schema.json`` and ``catalog.manifold_fields`` accept
+        and reject the same files."""
+        try:
+            manifold_fields(doc)
+            parsed = True
+        except ValueError:
+            parsed = False
+        assert (_MANIFOLD_VALIDATOR.is_valid(doc), parsed) == (accepted, accepted)
 
     def test_non_integer_entries_rejected(self):
         good = lattice_to_dict(STANDARD_BUILDERS["cp2"]())

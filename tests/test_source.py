@@ -1,12 +1,7 @@
 """Source-level checks on the package."""
 
 import ast
-import inspect
 from pathlib import Path
-
-import pytest
-
-import sympencil
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sympencil"
 README = PACKAGE.parent.parent / "README.md"
@@ -22,15 +17,6 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
-
-
-def test_package_exports_resolve():
-    """Every name in the lazy export table names a real object."""
-    for name in sympencil.__all__:
-        getattr(sympencil, name)
-        assert name in dir(sympencil)
-    with pytest.raises(AttributeError):
-        sympencil.no_such_name
 
 
 def test_no_dataclasses_import():
@@ -58,22 +44,58 @@ def test_data_holds_only_the_schemas():
     assert names == ["manifold.schema.json", "report.schema.json"]
 
 
-def test_every_exported_function_has_a_caller():
-    """No public function that no command, report or benchmark uses: each
-    exported function is referenced from the package or from ``bench/``
-    by name. Test oracles live in ``tests/conftest.py``."""
-    functions = {name for name in sympencil._EXPORTS
-                 if inspect.isfunction(getattr(sympencil, name))}
-    # A ``def`` is neither a Name nor an Attribute, so it never counts.
+def _is_cli_command(node):
+    """A function that a ``@<group>.command(...)`` decorator registers;
+    click calls it through the group, not by name."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr == "command" for d in node.decorator_list)
+
+
+def _uncalled_public_names(package, *callers):
+    """``module:name`` of each public top-level ``def`` and ``class`` of the
+    package's modules that no code of the package or of ``callers``
+    references by name. A ``def`` or an import is neither a Name nor an
+    Attribute, so neither counts as a reference."""
     referenced = {
         node.id if isinstance(node, ast.Name) else node.attr
-        for root in (PACKAGE, PACKAGE.parent.parent / "bench")
+        for root in (package, *callers)
         for path in sorted(root.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, (ast.Name, ast.Attribute))
     }
-    assert "rank_and_kernel" in referenced
-    assert sorted(functions - referenced) == []
+    return [
+        f"{path.stem}:{node.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in referenced
+        and not _is_cli_command(node)
+    ]
+
+
+def test_every_public_name_has_a_caller():
+    """No public function or class that no command, report or benchmark
+    uses: each is referenced from the package or from ``bench/`` by name.
+    The modules are the API, and test oracles live in
+    ``tests/conftest.py``."""
+    assert _uncalled_public_names(PACKAGE, PACKAGE.parent.parent / "bench") == []
+
+
+def test_caller_check_finds_an_orphan(tmp_path):
+    """A click command and a name called from another root count as used;
+    an import, or a name only a test would call, does not."""
+    package, bench = tmp_path / "package", tmp_path / "bench"
+    package.mkdir()
+    bench.mkdir()
+    (package / "mod.py").write_text(
+        "@main.command('run')\n"
+        "def run_cmd(): pass\n"
+        "def used(): pass\n"
+        "def orphan(): pass\n"
+        "class Orphan: pass\n"
+        "def _private(): pass\n")
+    (bench / "caller.py").write_text("from mod import orphan, used\nused()\n")
+    assert _uncalled_public_names(package, bench) == ["mod:orphan", "mod:Orphan"]
 
 
 # The two input rules of ``exact`` and the set behind the exact-``int``

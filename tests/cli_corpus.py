@@ -19,8 +19,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-from click.testing import CliRunner
-
 CORPUS = Path(__file__).resolve().parent / "cli_corpus.json"
 
 
@@ -35,6 +33,8 @@ def write_files(files: dict[str, str], workdir: Path) -> None:
 def replay(invocation: dict, workdir: Path) -> dict:
     """Run one invocation with workdir as the current directory, and return
     its exit code and what it wrote to stdout and stderr."""
+    from click.testing import CliRunner
+
     from sympencil.cli import main
 
     cwd = os.getcwd()

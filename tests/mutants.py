@@ -6,8 +6,9 @@ input checks, the boundaries of ``pencil.count_decision``, the boundaries
 of the minimality bound and the b+ = 1 classification in
 ``applications``, a profile's certified virtual dimension and
 ``duality_check``'s check of ``r`` against it, the manifold parser's
-rejection of unknown fields, the CLI's class-count, b2 and block bounds
-and the exit code of ``cli.run``.
+rejection of unknown fields, the CLI's class-count, b2 and block bounds,
+the parser's checks of a ``MANIFOLD`` path, of ``--opt=value`` and of a
+missing required option, and the exit code of ``cli.run``.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -332,7 +333,30 @@ MUTANTS = (
         "test_class_count_limit sees.",
     ),
     Mutant(
-        "run exits 0 whatever click's code", CLI,
+        "MANIFOLD existence check dropped", CLI,
+        '_MANIFOLD = _Option("MANIFOLD", _existing_file, ..., "")',
+        '_MANIFOLD = _Option("MANIFOLD", str, ..., "")',
+        (TEST_CLI,),
+        "A missing MANIFOLD file is then reported by the reader, not as "
+        "click's \"Invalid value for 'MANIFOLD': File ... does not exist.\"",
+    ),
+    Mutant(
+        "--opt=value left unsplit", CLI,
+        '        flag, eq, value = token.partition("=")\n',
+        '        flag, eq, value = token, "", ""\n',
+        (TEST_CLI,),
+        "\"--g=5\" is then an unknown option instead of --g with the value 5.",
+    ),
+    Mutant(
+        "missing required option given a default", CLI,
+        "        if flag not in values and option.default is ...:\n",
+        "        if False:\n",
+        (TEST_CLI,),
+        "A command run without --class then gets the placeholder default and "
+        "fails with a traceback instead of \"Missing option '--class'.\"",
+    ),
+    Mutant(
+        "run exits 0 whatever main's code", CLI,
         "        os._exit(exc.code)\n",
         "        os._exit(0)\n",
         (TEST_CLI_PROCESS,),

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 from sympencil import __version__
 from sympencil.catalog import STANDARD_BUILDERS, lattice_to_dict
-from sympencil.cli import _ReportCommand, main
+from sympencil.cli import _Command, main
 from sympencil.strata import (MAX_B2, MAX_BLOCK, MAX_CLASSES, MAX_FILE_BYTES, MAX_R,
                               MAX_SAMPLES)
 
@@ -57,6 +57,16 @@ class TestManifoldCheck:
         assert payload["b_plus"] == 3
         assert payload["k_squared"] == 0
         assert payload["even_form"] is True
+
+    @pytest.mark.parametrize("chi_h, valid", [("1/2", True), ("1\n", False)])
+    def test_schema_rational_admits_no_trailing_newline(self, runner, manifold_file,
+                                                        chi_h, valid):
+        """A rational string of the report schema matches in full, as
+        ``catalog.parse_rational`` reads one: ``$`` does not stop before a
+        final newline."""
+        payload = parsed(check(runner, ["manifold-check", manifold_file("cp2")]))
+        validator = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+        assert validator.is_valid(dict(payload, chi_h=chi_h)) is valid
 
     def test_invalid_lattice_exits_one(self, runner, tmp_path):
         data = lattice_to_dict(STANDARD_BUILDERS["cp2"]())
@@ -641,7 +651,7 @@ _INTEGER_OPTIONS = [
 def test_integer_options_take_only_ascii_digits(runner, manifold_file, args,
                                                 option, value):
     """Every integer option has the grammar of ``--class``: ``-?[0-9]+``,
-    with click's own failure message."""
+    with the failure message click gave."""
     args = [manifold_file("cp2") if a == "<cp2>" else a for a in args]
     result = runner.invoke(main, [*args, option, value])
     assert (result.exit_code, result.stdout) == (2, ""), result.output
@@ -650,11 +660,15 @@ def test_integer_options_take_only_ascii_digits(runner, manifold_file, args,
 
 
 def test_every_command_takes_the_report_path():
-    """Every command is a `_ReportCommand`, so none renders its own report,
-    sets its own exit code or maps its own input errors."""
+    """Every command is a `_Command` of the table, whose callback returns
+    its report to the one dispatcher: none prints, writes to a stream or
+    exits, so none renders its own report or sets its own exit code."""
     assert len(main.commands) == 9
     for name, command in main.commands.items():
-        assert isinstance(command, _ReportCommand), name
+        assert isinstance(command, _Command), name
+        names = set(command.callback.__code__.co_names)
+        assert not names & {"sys", "print", "exit", "_exit", "stdout", "stderr",
+                            "_echo", "_render"}, name
 
 
 def _source_env():
@@ -668,12 +682,12 @@ def _source_env():
 def test_cli_import_does_not_load_process_pool():
     """A fresh `import sympencil.cli` loads neither the process-pool modules
     (only `hilb` with several workers does), nor the modules that only some
-    commands use, nor `dataclasses`."""
+    commands use, nor `dataclasses`, nor `click`."""
     probe = (
         "import sys, sympencil.cli; "
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', "
         "'sympencil.hilb', 'sympencil.brill_noether', 'sympencil.applications', "
-        "'dataclasses') if m in sys.modules))"
+        "'dataclasses', 'click') if m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=_source_env(),
                          capture_output=True, text=True, check=True)
@@ -687,3 +701,104 @@ def test_version_in_a_source_checkout():
                          env=_source_env(), capture_output=True, text=True)
     assert (out.returncode, out.stderr) == (0, "")
     assert out.stdout.endswith(f", version {__version__}\n")
+
+
+def test_a_command_process_imports_no_click(tmp_path):
+    """A whole `manifold-check` run, as a fresh process, imports no `click`
+    module: `-X importtime` names every module the process imports."""
+    path = tmp_path / "cp2.json"
+    path.write_text(json.dumps(lattice_to_dict(STANDARD_BUILDERS["cp2"]())))
+    out = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "sympencil.cli", "manifold-check",
+         str(path)], env=_source_env(), capture_output=True, text=True)
+    assert out.returncode == 0 and json.loads(out.stdout)["valid"] is True
+    imported = [line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
+                if line.startswith("import time:") and line.count("|") == 2]
+    assert "sympencil.lattice" in imported
+    assert [name for name in imported if name.split(".")[0] == "click"] == []
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (["bn", "--g", "5", "--r", "2", "--s", "1"], ["bn", "--g=5", "--r=2", "--s", "1"]),
+    (["count", "<cp2>", "--class", "-1"], ["count", "<cp2>", "--class=-1"]),
+    (["hilb", "--r", "1", "--samples", "2", "--stratum", "b1zero"],
+     ["hilb", "--r=1", "--samples=2", "--stratum=b1zero"]),
+    (["manifold-check", "<cp2>", "--format", "text"],
+     ["manifold-check", "<cp2>", "--format=text"]),
+], ids=["bn", "count", "hilb", "format"])
+def test_option_value_after_an_equals_sign(runner, manifold_file, spaced, joined):
+    """``--opt=value`` in one argument is ``--opt value`` in two."""
+    def args(template):
+        return [manifold_file("cp2") if a == "<cp2>" else a for a in template]
+
+    want = check(runner, args(spaced))
+    assert runner.invoke(main, args(joined)).output == want.output
+
+
+def test_option_value_may_start_with_a_dash(runner, manifold_file):
+    """The argument after an option is its value, even when it looks like
+    an option: a class such as ``-3,0,1``, or ``--help`` itself."""
+    e1 = manifold_file("e1")
+    canonical = ",".join(str(c) for c in STANDARD_BUILDERS["e1"]().canonical)
+    assert canonical.startswith("-3,")
+    payload = parsed(check(runner, ["count", e1, "--class", canonical]))
+    assert payload["class"] == [int(c) for c in canonical.split(",")]
+    result = runner.invoke(main, ["count", e1, "--class", "--help"])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "Error: class '--help' is not a comma-separated integer list\n"
+
+
+def test_last_occurrence_of_an_option_wins(runner):
+    twice = check(runner, ["bn", "--g", "9", "--r", "2", "--s", "1", "--g", "5"])
+    assert parsed(twice)["g"] == 5
+    assert parsed(twice) == parsed(check(runner, ["bn", "--g", "5", "--r", "2", "--s", "1"]))
+
+
+@pytest.mark.parametrize("args, option", [
+    (a, o) for a, o in _INTEGER_OPTIONS if o != "--seed"],
+    ids=[f"{a[0]}{o}" for a, o in _INTEGER_OPTIONS if o != "--seed"])
+def test_missing_required_option_is_named(runner, manifold_file, args, option):
+    args = [manifold_file("cp2") if a == "<cp2>" else a for a in args]
+    result = runner.invoke(main, args)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == f"Error: Missing option '{option}'.\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["count", "--class", "1"], "Missing argument 'MANIFOLD'."),
+    (["count", ".", "--class", "1"], "Invalid value for 'MANIFOLD': File '.' is a directory."),
+    (["bn", "--g", "5", "--r", "2", "--s", "1", "extra"],
+     "Got unexpected extra argument (extra)"),
+    (["bn", "--g", "5", "--r", "2", "--s", "1", "--", "--a", "b"],
+     "Got unexpected extra arguments (--a b)"),
+    (["bn", "--g"], "Option '--g' requires an argument."),
+    (["bn", "--help=1"], "Option '--help' does not take a value."),
+    (["bn", "-x"], "No such option '-x'."),
+    (["count", "-3,0,1"], "No such option '-3'."),
+    (["bn", "--nonexistent", "5"], "No such option '--nonexistent'."),
+    (["--version=1"], "Option '--version' does not take a value."),
+    # click checks the options given, in the order given, before MANIFOLD
+    # and before the options not given.
+    (["gromov", "missing.json", "--h2", "x", "--class", "1"],
+     "Invalid value for '--h2': 'x' is not a valid integer."),
+    (["gromov", "missing.json", "--class", "1"],
+     "Invalid value for 'MANIFOLD': File 'missing.json' does not exist."),
+], ids=["no_manifold", "directory", "extra_argument", "extra_arguments", "no_value",
+        "flag_value", "short_option", "negative_class_alone", "unknown_option",
+        "version_value", "given_option_first", "manifold_before_missing_options"])
+def test_usage_errors_read_as_click_wrote_them(runner, tmp_path, monkeypatch, args,
+                                                message):
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, args)
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"Error: {message}\n")
+
+
+def test_help_and_version_come_before_any_check(runner):
+    """``--help`` prints the page and exits 0 whatever else is wrong with
+    the options after it, and ``--version`` or ``--help``, the first given,
+    acts before the command."""
+    page = check(runner, ["hilb", "--help", "--r", "x"]).stdout
+    assert page.startswith("Usage: main hilb [OPTIONS]\n") and "--stratum" in page
+    assert check(runner, ["--version", "--help"]).stdout == f"main, version {__version__}\n"
+    assert check(runner, ["--help", "--version"]).stdout.startswith("Usage: main [OPTIONS]")
+    assert check(runner, ["--version", "transmogrify"]).stdout.endswith(__version__ + "\n")

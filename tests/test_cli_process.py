@@ -1,11 +1,11 @@
 """The CLI as a fresh process: ``python -m sympencil.cli`` enters through
-``cli.run``, which leaves through ``os._exit`` with click's exit code.
+``cli.run``, which leaves through ``os._exit`` with ``main``'s exit code.
 
 These tests start subprocesses only and use no ``CliRunner``, so they also
-run on click 8.0, the oldest release the package declares. They replay
-part of ``cli_corpus.json`` byte for byte and check how a process ends
-when its streams are closed or broken, when its report is larger than a
-pipe's buffer, and when an ``atexit`` hook is registered.
+run where click is not installed. They replay part of ``cli_corpus.json``
+byte for byte and check how a process ends when its streams are closed or
+broken, when its report is larger than a pipe's buffer, and when an
+``atexit`` hook is registered.
 """
 
 import json
@@ -79,7 +79,7 @@ def test_corpus_replays_in_fresh_processes(tmp_path):
 
 def test_stdout_pipe_closed_by_the_reader():
     """The reader is gone before the report is written: exit 1, and
-    nothing on stderr, as click's standalone mode reports a broken pipe."""
+    nothing on stderr, as click's standalone mode reported a broken pipe."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -168,8 +168,8 @@ def test_run_skips_atexit_and_keeps_the_exit_code(tmp_path, args, code):
     ("string", 1, b"stopped\n"),
 ])
 def test_other_endings_keep_the_interpreter_exit(tmp_path, how, code, stderr):
-    """An uncaught exception or a non-int exit code is not click's ending,
-    so the interpreter exits as usual and runs the hook."""
+    """An uncaught exception or a non-int exit code is not how ``main``
+    ends, so the interpreter exits as usual and runs the hook."""
     marker = tmp_path / "fired"
     proc = subprocess.run(
         [sys.executable, "-c", _HOOKED, str(marker), how],

@@ -637,8 +637,9 @@ class TestManifoldFiles:
         (dict(_CP2_FILE, omega=["+1"]), False),
         (dict(_CP2_FILE, omega=["1 /2"]), False),
         (dict(_CP2_FILE, omega=["\u0663"]), False),
+        (dict(_CP2_FILE, omega=["1\n"]), False),
     ], ids=["cp2", "extra_field", "missing_field", "omega_half", "omega_plus",
-            "omega_space", "omega_arabic_indic"])
+            "omega_space", "omega_arabic_indic", "omega_trailing_newline"])
     def test_schema_and_parser_agree(self, doc, accepted):
         """``manifold.schema.json`` and ``catalog.manifold_fields`` accept
         and reject the same files."""

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from sympencil import applications, brill_noether, gromov, hilb, lattice, pencil
+from sympencil import applications, brill_noether, cli, gromov, hilb, lattice, pencil
 from sympencil.catalog import STANDARD_BUILDERS
 from sympencil.record import Record
 
@@ -24,6 +24,10 @@ EXAMPLES = {
     "ADHMTriple": lambda: hilb.sample_commuting_diagonal(2, 1),
     "RelADHMQuad": lambda: hilb.sample_smooth_stratum(2, 3, 1),
     "CertificationReport": lambda: hilb.certify_stratum("b1zero", 1, 2),
+    # The command table of the CLI.
+    "_Option": lambda: cli._FORMAT,
+    "_Command": lambda: cli.main.commands["bn"],
+    "_Program": lambda: cli.main,
 }
 
 

@@ -44,13 +44,6 @@ def test_data_holds_only_the_schemas():
     assert names == ["manifold.schema.json", "report.schema.json"]
 
 
-def _is_cli_command(node):
-    """A function that a ``@<group>.command(...)`` decorator registers;
-    click calls it through the group, not by name."""
-    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
-               and d.func.attr == "command" for d in node.decorator_list)
-
-
 def _uncalled_public_names(package, *callers):
     """``module:name`` of each public top-level ``def`` and ``class`` of the
     package's modules that no code of the package or of ``callers``
@@ -69,7 +62,6 @@ def _uncalled_public_names(package, *callers):
         for node in ast.parse(path.read_text(encoding="utf-8")).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_") and node.name not in referenced
-        and not _is_cli_command(node)
     ]
 
 
@@ -82,20 +74,25 @@ def test_every_public_name_has_a_caller():
 
 
 def test_caller_check_finds_an_orphan(tmp_path):
-    """A click command and a name called from another root count as used;
-    an import, or a name only a test would call, does not."""
+    """A command that the command table names, and a name called from
+    another root, count as used; an import, a decorator that registers a
+    function without naming it, or a name only a test would call, does
+    not."""
     package, bench = tmp_path / "package", tmp_path / "bench"
     package.mkdir()
     bench.mkdir()
     (package / "mod.py").write_text(
-        "@main.command('run')\n"
         "def run_cmd(): pass\n"
+        "@main.command('stop')\n"
+        "def stop_cmd(): pass\n"
         "def used(): pass\n"
         "def orphan(): pass\n"
         "class Orphan: pass\n"
-        "def _private(): pass\n")
+        "def _private(): pass\n"
+        "main = _Program('main', {'run': _Command(run_cmd, False, ())})\n")
     (bench / "caller.py").write_text("from mod import orphan, used\nused()\n")
-    assert _uncalled_public_names(package, bench) == ["mod:orphan", "mod:Orphan"]
+    assert _uncalled_public_names(package, bench) == [
+        "mod:stop_cmd", "mod:orphan", "mod:Orphan"]
 
 
 # The two input rules of ``exact`` and the set behind the exact-``int``
@@ -145,15 +142,29 @@ def test_input_rules_are_stated_once():
     assert found == []
 
 
-def test_cli_options_do_not_use_click_int():
-    """Every integer option of the CLI parses through ``cli._parse_int``;
-    click's ``type=int`` takes ``int()``'s wider grammar (``+2``, ``1_0``,
-    non-ASCII digits)."""
-    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
-    found = [node.lineno for node in ast.walk(tree)
-             if isinstance(node, ast.keyword) and node.arg == "type"
-             and isinstance(node.value, ast.Name) and node.value.id == "int"]
-    assert found == []
+def test_cli_integer_options_parse_through_parse_int():
+    """Every integer option of the command table parses through
+    ``cli._parse_int``; ``int`` would take ``int()``'s wider grammar
+    (``+2``, ``1_0``, non-ASCII digits). The other kinds are text, an
+    existing file, a choice of names, or none for a flag; no option of any
+    command uses another."""
+    from sympencil import cli
+
+    kinds = {(name, option.flag): option.kind
+             for name, command in cli.main.commands.items()
+             for option in (*command.options, cli._FORMAT, cli._HELP)}
+    integer = {key for key, kind in kinds.items() if kind is cli._parse_int}
+    assert integer == {
+        ("gromov", "--h0"), ("gromov", "--h2"), ("duality", "--h0"),
+        ("duality", "--h2"), ("pencil", "--k"), ("bn", "--g"), ("bn", "--r"),
+        ("bn", "--s"), ("aj-fibres", "--g"), ("aj-fibres", "--r"), ("hilb", "--r"),
+        ("hilb", "--samples"), ("hilb", "--seed")}
+    others = {key: kind for key, kind in kinds.items() if key not in integer}
+    assert all(kind in (str, cli._existing_file, None) or isinstance(kind, cli._Choice)
+               for kind in others.values()), others
+    assert {key for key, kind in others.items() if kind is str} == {
+        ("gromov", "--class"), ("duality", "--class"), ("pencil", "--class"),
+        ("count", "--class")}
 
 
 def test_readme_library_use_runs():

@@ -15,6 +15,7 @@ from typing import Iterable, Optional, Sequence
 # there later (such as the benchmark's tracer) is seen from this module too.
 from . import pencil
 from .catalog import format_rational
+from .exact import Rational
 from .gromov import gr_parity
 from .lattice import FourManifoldLattice, is_even_form
 from .record import Record
@@ -48,10 +49,10 @@ def _minimality_report(x: FourManifoldLattice) -> CheckReport:
     })
 
 
-def _classification_report(x: FourManifoldLattice) -> CheckReport:
+def _classification_report(x: FourManifoldLattice,
+                           k_omega: Rational) -> CheckReport:
     name = "b_plus_one_classification"
     cited = ("b_plus = 1", "b1 = 0", "K.omega < 0", "b_minus <= 8")
-    k_omega = x.omega_dot(x.canonical)
     if not (x.b_plus == 1 and x.b1 == 0 and k_omega < 0):
         return CheckReport(name, "not-applicable", cited, {
             "b_plus": x.b_plus,
@@ -79,10 +80,9 @@ def _classification_report(x: FourManifoldLattice) -> CheckReport:
     return CheckReport(name, "pass", cited, numbers)
 
 
-def _inflation_report(x: FourManifoldLattice) -> CheckReport:
+def _inflation_report(x: FourManifoldLattice, k_omega: Rational) -> CheckReport:
     name = "inflation_hypotheses"
     cited = ("declared minimal", "b_plus = 1", "K.K > 0", "K.omega > 0")
-    k_omega = x.omega_dot(x.canonical)
     numbers = {
         "k_squared": x.k_squared,
         "k_omega": format_rational(k_omega),
@@ -129,11 +129,13 @@ def run_all(
 ) -> list[CheckReport]:
     """Run every applicable check on the lattice, plus a surface-count
     decision for each supplied class; reports come back sorted by name.
-    Raises ``TypeError`` when a class coordinate is not an ``int``."""
+    K.omega is formed once, for both checks that print it. Raises
+    ``TypeError`` when a class coordinate is not an ``int``."""
+    k_omega = x.omega_dot(x.canonical)
     reports = [
         _minimality_report(x),
-        _classification_report(x),
-        _inflation_report(x),
+        _classification_report(x, k_omega),
+        _inflation_report(x, k_omega),
         _spin_parity_report(x),
     ]
     for cand in classes or ():

@@ -27,10 +27,9 @@ from .gromov import duality_check, gromov_invariant, serre_dual, vanishing_profi
 from .lattice import FourManifoldLattice, is_even_form, largest_block
 from .pencil import build_pencil, count_decision, fibre_degree, residual_fibre_degree
 from .record import Record
-from .strata import (MAX_B2, MAX_BLOCK, MAX_CLASSES, MAX_FILE_BYTES, MAX_R,
-                     MAX_SAMPLES, STRATA)
+from .strata import (DEFAULT_SEED, MAX_B2, MAX_BLOCK, MAX_CLASSES,
+                     MAX_FILE_BYTES, MAX_R, MAX_SAMPLES, STRATA)
 
-DEFAULT_SEED = 1729
 WORKERS_ENV = "SYMPENCIL_WORKERS"
 
 

@@ -32,7 +32,7 @@ from typing import Sequence
 from . import exact
 from .exact import Rational, RationalMatrix
 from .record import Record
-from .strata import MAX_R, MAX_SAMPLES, STRATA
+from .strata import DEFAULT_SEED, MAX_R, MAX_SAMPLES, STRATA
 
 Vector = tuple[Fraction, ...]
 
@@ -332,7 +332,7 @@ def _certify_one(args: tuple[str, int, int]) -> int:
     return kernel_dimension(_sample_for(*args))
 
 
-def certify_stratum(stratum: str, r: int, samples: int, seed: int = 1729,
+def certify_stratum(stratum: str, r: int, samples: int, seed: int = DEFAULT_SEED,
                     workers: int = 1) -> CertificationReport:
     """Sample the stratum `samples` times (seeds seed, seed+1, ...) and
     certify the kernel dimension at each point.

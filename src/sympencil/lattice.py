@@ -344,16 +344,6 @@ class FourManifoldLattice:
     def omega_dot(self, x: Sequence[Rational]):
         return self.pairing(self.omega, x)
 
-    def adjunction_genus(self, a: Sequence[int]) -> int:
-        """Genus from the adjunction relation 2g - 2 = a.a + K.a."""
-        rhs = self.square(a) + self.k_dot(a)
-        if rhs % 2:
-            raise ValueError(
-                "a.a + K.a is odd, so the adjunction genus is not an integer; "
-                "the canonical vector cannot be characteristic for this class"
-            )
-        return rhs // 2 + 1
-
     def __repr__(self) -> str:
         return (
             f"FourManifoldLattice({self.label!r}, b1={self.b1}, "
@@ -380,15 +370,10 @@ class HomologyClass(Record):
             raise ValueError("class length does not match the lattice rank")
         object.__setattr__(self, "coords", coords)
 
-    def square(self):
-        return self.lattice.square(self.coords)
-
-    def k_dot(self):
-        return self.lattice.k_dot(self.coords)
-
     def virtual_dim(self) -> int:
         """(a.a - K.a)/2, the expected dimension of the incidence moduli."""
-        num = self.square() - self.k_dot()
+        x, a = self.lattice, self.coords
+        num = x.square(a) - x.k_dot(a)
         if num % 2:
             raise ArithmeticError("characteristic K forces a.a = K.a mod 2")
         return num // 2

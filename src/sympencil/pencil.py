@@ -50,7 +50,14 @@ def build_pencil(x: FourManifoldLattice, k: int) -> PencilData:
     n = x.square(w)
     if n <= 0:
         raise ValueError("fibre class must have positive square")
-    genus = x.adjunction_genus(w)
+    # Adjunction, 2g - 2 = W.W + K.W, read off the W.W just formed.
+    rhs = n + x.k_dot(w)
+    if rhs % 2:
+        raise ValueError(
+            "a.a + K.a is odd, so the adjunction genus is not an integer; "
+            "the canonical vector cannot be characteristic for this class"
+        )
+    genus = rhs // 2 + 1
     if genus < 0:
         raise ValueError(f"negative fibre genus {genus}")
     delta = x.euler + n - (4 - 4 * genus)

@@ -1,12 +1,15 @@
-"""Names of the strata that :mod:`sympencil.hilb` samples, the size
-limits of one certification run, and the size limits of an input file
-and of the manifold it describes.
+"""Names of the strata that :mod:`sympencil.hilb` samples, the default
+seed and size limits of one certification run, and the size limits of an
+input file and of the manifold it describes.
 
 They live apart from that module so that the CLI can offer the names as
 choices, and state the limits in its help, without importing it.
 """
 
 STRATA = ("smooth", "singular", "b1zero")
+
+# Base seed of a certification run when none is given.
+DEFAULT_SEED = 1729
 
 # Largest matrix size r on every stratum: the smooth sampler draws r
 # distinct nonzero diagonal entries from [-9, 9], so it cannot go past 18.

@@ -3,11 +3,28 @@
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
+
 from sympencil.catalog import elliptic_like, spin_model
 from sympencil.exact import RationalMatrix, _require_ints
 from sympencil.gromov import CohomologyProfile
-from sympencil.lattice import HomologyClass
+from sympencil.lattice import FourManifoldLattice, HomologyClass
 from sympencil.pencil import build_pencil, fibre_degree
+
+
+@pytest.fixture
+def pairings(monkeypatch):
+    """The ``(x, y)`` arguments of every ``FourManifoldLattice.pairing``
+    call made while the test runs, in order."""
+    calls = []
+    pairing = FourManifoldLattice.pairing
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return pairing(self, x, y)
+
+    monkeypatch.setattr(FourManifoldLattice, "pairing", counted)
+    return calls
 
 
 @lru_cache(maxsize=None)

@@ -2,9 +2,10 @@
 fail. The mutants weaken the rank verifier (``exact._certify`` and its
 GF(p) rank), the integer producer it checks (``exact._primitive`` and
 ``exact._insert``), the rank that ``hilb.is_stable`` claims, the lattice's
-input checks, the boundaries of ``pencil.count_decision``, the boundaries
-of the minimality bound and the b+ = 1 classification in
-``applications``, a profile's certified virtual dimension and
+input checks, the adjunction genus of ``pencil.build_pencil``, the
+boundaries of ``pencil.count_decision``, the boundaries of the minimality
+bound and the b+ = 1 classification in ``applications`` and the K.omega
+that ``run_all`` hands its checks, a profile's certified virtual dimension and
 ``duality_check``'s check of ``r`` against it, the manifold parser's
 rejection of unknown fields, the CLI's class-count, b2 and block bounds,
 the parser's checks of a ``MANIFOLD`` path, of ``--opt=value`` and of a
@@ -246,6 +247,14 @@ MUTANTS = (
         "never compared.",
     ),
     Mutant(
+        "adjunction genus off by one", PENCIL,
+        "    genus = rhs // 2 + 1\n",
+        "    genus = rhs // 2\n",
+        (TEST_PENCIL,),
+        "2g - 2 = W.W + K.W: a pencil of plane cubics has genus 1, and the "
+        "mutant reads 0, so the critical-fibre count moves with it.",
+    ),
+    Mutant(
         "b+ > 1 + b1 loosened to >=", PENCIL,
         "    high_b_plus = x.b_plus > 1 + x.b1\n",
         "    high_b_plus = x.b_plus >= 1 + x.b1\n",
@@ -278,6 +287,15 @@ MUTANTS = (
         "E(1), the plane blown up nine times, has b_minus = 9 and so "
         "2e + 3sigma = 0 with K.omega < 0; the degree-zero count rejects it, "
         "and the mutant classifies it as cp2#9cp2bar.",
+    ),
+    Mutant(
+        "run_all hands K.K where K.omega belongs", APPLICATIONS,
+        "    k_omega = x.omega_dot(x.canonical)\n",
+        "    k_omega = x.pairing(x.canonical, x.canonical)\n",
+        (TEST_APPLICATIONS,),
+        "K.omega is formed once for the classification and inflation "
+        "checks; on CP2 K.K = 9 but K.omega = -3, so the plane is no longer "
+        "classified and its inflation report prints 9.",
     ),
     Mutant(
         "certified virtual dimension off by one", GROMOV,

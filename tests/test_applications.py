@@ -8,6 +8,7 @@ import pytest
 from sympencil.applications import CheckReport, run_all
 from sympencil.catalog import STANDARD_BUILDERS
 from sympencil.lattice import FourManifoldLattice, blow_up
+from sympencil.pencil import count_decision
 
 
 def by_name(reports):
@@ -177,3 +178,22 @@ class TestSelfCertification:
     def test_deterministic(self):
         x = STANDARD_BUILDERS["k3"]()
         assert run_all(x, [(0,) * 22]) == run_all(x, [(0,) * 22])
+
+
+class TestPairingCounts:
+    """run_all forms K.omega once for the checks that print it; each class
+    adds the pairings of its count decision."""
+
+    @pytest.mark.parametrize("name", ["cp2", "k3", "e1", "e3"])
+    def test_no_class_pairs_k_omega_once(self, pairings, name):
+        x = STANDARD_BUILDERS[name]()
+        run_all(x, [])
+        assert pairings == [(x.omega, x.canonical)]
+
+    def test_one_class_adds_the_pairings_of_count_decision(self, pairings):
+        x = STANDARD_BUILDERS["k3"]()
+        count_decision(x, (0,) * 22)
+        decision = len(pairings)
+        pairings.clear()
+        run_all(x, [(0,) * 22])
+        assert len(pairings) == 1 + decision

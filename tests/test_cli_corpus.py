@@ -4,7 +4,10 @@ records the corpus and describes what it covers."""
 
 import json
 
+import pytest
+
 from cli_corpus import CORPUS, corpus_inputs, replay, write_files
+from report_oracle import check_corpus
 from sympencil.catalog import STANDARD_BUILDERS
 from sympencil.cli import main
 
@@ -41,3 +44,29 @@ def test_generator_matches_the_recording():
     assert files == RECORDED["files"]
     assert invocations == [{k: v for k, v in entry.items() if k in ("args", "env")}
                            for entry in RECORDED["invocations"]]
+
+
+def test_pencil_and_count_reports_rederive():
+    """``report_oracle`` checks all 44 recorded pencil and count reports
+    against their input files with the benchmark's oracles."""
+    assert check_corpus(RECORDED) == (44, [])
+
+
+@pytest.mark.parametrize("command, old, new", [
+    ("pencil", '"genus":5', '"genus":6'),
+    ("pencil", "base_points: 8", "base_points: 9"),
+    ("count", '"a_sq":9', '"a_sq":8'),
+    ("count", "kind: Unknown", "kind: Zero"),
+    ("pencil", '"fibre_class":[2]', '"fibre_class":[3]'),
+    ("count", "no decisive hypothesis", "b+ > 1 + b1 and a.a != K.a"),
+])
+def test_report_oracle_refuses_a_changed_number(command, old, new):
+    invocations = [
+        dict(inv, stdout=inv["stdout"].replace(old, new))
+        if inv["args"][:1] == [command] else inv
+        for inv in RECORDED["invocations"]]
+    changed = sum(inv["stdout"] != new_inv["stdout"]
+                  for inv, new_inv in zip(RECORDED["invocations"], invocations))
+    _, problems = check_corpus({"files": RECORDED["files"],
+                                "invocations": invocations})
+    assert changed and len(problems) >= changed

@@ -209,18 +209,6 @@ class TestCertifiedVirtualDim:
     """A profile's virtual dimension is read from its Riemann-Roch-checked
     chi, not paired again; the direct pairing stays the oracle."""
 
-    @pytest.fixture
-    def pairings(self, monkeypatch):
-        calls = []
-        pairing = FourManifoldLattice.pairing
-
-        def counted(self, x, y):
-            calls.append((x, y))
-            return pairing(self, x, y)
-
-        monkeypatch.setattr(FourManifoldLattice, "pairing", counted)
-        return calls
-
     @staticmethod
     def _profiles():
         x = elliptic(4)

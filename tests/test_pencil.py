@@ -37,6 +37,21 @@ class TestBuildPencil:
         with pytest.raises(ValueError):
             build_pencil(STANDARD_BUILDERS["cp2"](), 0)
 
+    def test_rejects_negative_genus(self):
+        # CP2 blown up once, W = 2H + E: W.W = 3 and K.W = -7, so g = -1.
+        x = FourManifoldLattice("tilted", 0, [[1, 0], [0, -1]], [-3, 1],
+                                [2, 1], False)
+        with pytest.raises(ValueError, match="negative fibre genus -1"):
+            build_pencil(x, 1)
+
+    @pytest.mark.parametrize("name", ["cp2", "s2xs2", "k3", "e3"])
+    def test_pairs_w_w_and_k_w_once(self, pairings, name):
+        # The genus reads adjunction off the W.W that base_points holds.
+        x = STANDARD_BUILDERS[name]()
+        p = build_pencil(x, 2)
+        w = p.fibre_class.coords
+        assert pairings == [(w, w), (x.canonical, w)]
+
     def test_primitive_normalization(self):
         x = FourManifoldLattice(
             "frac", 0, [[0, 1], [1, 0]], [-2, -2],
@@ -188,6 +203,15 @@ class TestCountDecision:
         x = elliptic(4)
         d = class_of_virtual_dim(x, 4, 0)
         assert count_decision(x, d.coords).kind == "Unknown"
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "virtual_dim forms a.a and K.a and the context forms both again; "
+        "a one-pass decision waits on ROADMAP item 1a"))
+    def test_pairs_each_product_once(self, pairings):
+        # a.a, K.a, a.omega and K.omega.
+        x = STANDARD_BUILDERS["k3"]()
+        count_decision(x, x.canonical)
+        assert len(pairings) == 4
 
     def test_rule_exclusivity_sweep(self):
         # Whenever the +/-1 rule for {0, kappa} fires, the Zero-rule

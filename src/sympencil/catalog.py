@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from typing import Union
 
-from .exact import Rational, _require_ints
+from .exact import Rational, _lowest, _require_ints
 from .lattice import FourManifoldLattice
 
 HYPERBOLIC = ((0, 1), (1, 0))
@@ -87,10 +87,12 @@ def parse_rational(value: Union[int, str]) -> Fraction:
 
 def format_rational(q: Rational) -> Union[int, str]:
     """The JSON form of an exact rational, the inverse of
-    :func:`parse_rational`: an int, or ``"p/q"`` for a non-integer."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return q.numerator
+    :func:`parse_rational`: an int, or ``"p/q"`` for a non-integer. The
+    rational is read through ``exact``'s normal form, so an ``int`` comes
+    back as it is and a float raises ``TypeError``."""
+    q = _lowest(q)
+    if isinstance(q, int):
+        return q
     return f"{q.numerator}/{q.denominator}"
 
 

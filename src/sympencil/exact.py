@@ -7,7 +7,9 @@ Everything in this module is exact. Scalars are ``int`` or
 live here, and every module calls them: the entry rule ``_fraction`` (an
 exact ``Fraction`` kept, an ``int`` or ``bool`` converted, anything else a
 ``TypeError``) and the exact-``int`` rule ``_require_ints`` (a ``bool``,
-float, string or ``Fraction`` is a ``TypeError``, never truncated).
+float, string or ``Fraction`` is a ``TypeError``, never truncated). Next
+to them, the normal form ``_lowest`` holds a rational in lowest terms, as
+an ``int`` whenever it is integral, after the entry rule.
 
 One clearing rule (``_primitive``) and one fraction-free reducer
 (``_insert``) build every integer echelon, the rank routine's and
@@ -51,6 +53,18 @@ def _fraction(x: Rational) -> Fraction:
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     raise TypeError(f"exact entries are int or Fraction, not {type(x).__name__}")
+
+
+def _lowest(x: Rational) -> Rational:
+    """The normal form of an exact rational, in lowest terms: an exact
+    ``int`` is returned as it is, and any other entry goes through the
+    entry rule :func:`_fraction`, so a float or string raises
+    ``TypeError``, and comes back as an ``int`` when its denominator is 1.
+    Integral data thus computes on plain ints."""
+    if type(x) is int:
+        return x
+    q = _fraction(x)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _require_ints(values: Iterable[object], message: str) -> None:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Iterator, Sequence, Union
 
-from .exact import Rational, _fraction, _require_ints
+from .exact import Rational, _lowest, _require_ints
 from .record import Record
 
 IntVector = tuple[int, ...]
@@ -183,19 +183,26 @@ class FourManifoldLattice:
         Canonical class K in the basis of ``form``. Must be characteristic
         (K.x = x.x mod 2) and satisfy K.K = 2e + 3*signature.
     omega : rational vector
-        Symplectic direction; needs omega.omega > 0.
+        Symplectic direction; needs omega.omega > 0. Held in lowest terms,
+        each entry an ``int`` when it is integral, so the omega products
+        of integral data run on plain ints.
     minimal : bool
         Declared minimality (no embedded (-1)-sphere), taken on trust.
 
+    The holomorphic Euler characteristic chi_h = (e + sigma)/4 is formed
+    once, at construction: an ``int``, or a ``Fraction`` when b1 is odd and
+    4 does not divide e + sigma.
+
     Raises ``TypeError`` when ``b1`` or an entry of ``form`` or
     ``canonical`` is not an ``int`` (a ``bool``, float, string or
-    ``Fraction`` is not truncated), when ``minimal`` is not a ``bool`` or
+    ``Fraction`` is not truncated), when an entry of ``omega`` is not
+    exact (a float or a string), when ``minimal`` is not a ``bool`` or
     ``label`` not a ``str``, and ``ValueError`` when the data describe no
     valid lattice.
     """
 
     __slots__ = ("label", "b1", "form", "canonical", "omega", "minimal",
-                 "_support", "_b_plus", "_b_minus", "_k_squared")
+                 "_support", "_b_plus", "_b_minus", "_k_squared", "_chi_h")
 
     def __init__(
         self,
@@ -222,9 +229,8 @@ class FourManifoldLattice:
         support, (b_plus, b_minus, b_zero) = self._checked(q)
         k = tuple(canonical)
         _require_ints(k, "canonical vector entries must be integers")
-        # Entries parsed from a manifold file are Fractions already; any
-        # other entry follows exact's rule, so a float or string raises.
-        w = tuple(map(_fraction, omega))
+        # Lowest terms, an int where integral; a float or string raises.
+        w = tuple(map(_lowest, omega))
         if len(k) != n or len(w) != n:
             raise ValueError("canonical and omega must match the form's rank")
 
@@ -263,11 +269,13 @@ class FourManifoldLattice:
         )
         if omega_squared <= 0:
             raise ValueError("omega.omega must be positive")
-        if self.b1 % 2 == 0 and (self.euler + self.signature) % 4:
+        chi_h, rem = divmod(self.euler + self.signature, 4)
+        if rem and self.b1 % 2 == 0:
             raise ValueError(
                 "chi_h = (e + sigma)/4 is not an integer; "
                 "inconsistent almost-complex data"
             )
+        self._chi_h = Fraction(self.euler + self.signature, 4) if rem else chi_h
 
     def _checked(self, q: IntMatrix) -> tuple[_Support, tuple[int, int, int]]:
         """The nonzero entries of each row of ``q`` and its inertia
@@ -312,9 +320,9 @@ class FourManifoldLattice:
 
     @property
     def chi_h(self) -> Union[int, Fraction]:
-        """Holomorphic Euler characteristic (e + sigma)/4."""
-        q = Fraction(self.euler + self.signature, 4)
-        return q.numerator if q.denominator == 1 else q
+        """Holomorphic Euler characteristic (e + sigma)/4, as formed at
+        construction."""
+        return self._chi_h
 
     # -- pairings -----------------------------------------------------------
 
@@ -401,7 +409,7 @@ class BlownUpLattice(FourManifoldLattice):
         form += [(0,) * t + (-1,) + (0,) * (n - t - 1)
                  for t in range(base.b2, n)]
         canonical = tuple(base.canonical) + (1,) * n_exceptional
-        omega = tuple(base.omega) + (Fraction(0),) * n_exceptional
+        omega = tuple(base.omega) + (0,) * n_exceptional
         # Set first: the constructor reads them through _checked.
         self.base = base
         self.n_exceptional = n_exceptional

@@ -19,8 +19,9 @@ MAX_R = 18
 MAX_SAMPLES = 1000
 
 # Largest JSON file the CLI reads, in bytes. The largest manifold file the
-# benchmarks write is 172 KB (b2 = 238); a 16 MB one (b2 = 2,338) reads and
-# validates in about 1 s and 100 MB on a 2-CPU host.
+# benchmarks write is 172 KB (b2 = 238). A 16 MB one (b2 = 2,338) is read
+# and parsed, then refused by MAX_B2 before any lattice check runs: the
+# command exits 2 in about 0.35 s and 91 MB on a 2-CPU host.
 MAX_FILE_BYTES = 16 * 2**20
 
 # Most classes in a `classify --classes` file. A dense class on a b2 = 238

@@ -57,6 +57,27 @@ def char_poly(m: RationalMatrix) -> list[Fraction]:
     return coeffs
 
 
+def descartes_inertia(rows) -> tuple[int, int, int]:
+    """``(pos, neg, zero)`` of a symmetric matrix, read off the exact
+    characteristic polynomial.
+
+    A symmetric matrix has only real eigenvalues, so Descartes' rule of
+    signs counts the positive roots exactly, and applied to p(-x) the
+    negative ones; the zero eigenvalues are the vanishing low coefficients.
+    Independent of the elimination it checks.
+    """
+    coeffs = char_poly(RationalMatrix(rows))
+    zero = next(i for i, c in enumerate(coeffs) if c)
+    rest = coeffs[zero:]
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    neg = sign_changes([-c if k % 2 else c for k, c in enumerate(rest)])
+    return sign_changes(rest), neg, zero
+
+
 def _truncated_product(a: list[int], b: list[int]) -> list[int]:
     """Product of two integer series of one length, truncated to it."""
     out = [0] * len(a)

@@ -1,8 +1,9 @@
 """Mutation check: every mutant listed here must make the tests it names
 fail. The mutants weaken the rank verifier (``exact._certify`` and its
 GF(p) rank), the integer producer it checks (``exact._primitive`` and
-``exact._insert``), the rank that ``hilb.is_stable`` claims, the lattice's
-input checks, the adjunction genus of ``pencil.build_pencil``, the
+``exact._insert``), the rank that ``hilb.is_stable`` claims, the normal
+form ``exact._lowest`` that keeps a lattice's integral omega entries as
+``int``, the lattice's input checks, the adjunction genus of ``pencil.build_pencil``, the
 boundaries of ``pencil.count_decision``, the boundaries of the minimality
 bound and the b+ = 1 classification in ``applications`` and the K.omega
 that ``run_all`` hands its checks, a profile's certified virtual dimension and
@@ -214,6 +215,19 @@ MUTANTS = (
         "verdict counts accepted vectors, so the certificate must too.",
     ),
     Mutant(
+        "integral omega kept as Fraction", EXACT,
+        "    if type(x) is int:\n        return x\n    q = _fraction(x)\n"
+        "    return q.numerator if q.denominator == 1 else q\n",
+        "    return _fraction(x)\n",
+        (TEST_LATTICE,),
+        "The normal form reduced to the entry rule: integral omega entries "
+        "stay Fractions, so every omega product pays for Fraction "
+        "arithmetic while the pairings print the same bytes (str(3) == "
+        "str(Fraction(3))); the type checks of the catalog lattices' omega "
+        "and omega products see it, and format_rational's test sees 3 "
+        "printed as \"3/1\".",
+    ),
+    Mutant(
         "omega.omega = 0 accepted", LATTICE,
         "        if omega_squared <= 0:\n",
         "        if omega_squared < 0:\n",
@@ -223,7 +237,7 @@ MUTANTS = (
     ),
     Mutant(
         "chi_h integrality check skipped", LATTICE,
-        "        if self.b1 % 2 == 0 and (self.euler + self.signature) % 4:\n",
+        "        if rem and self.b1 % 2 == 0:\n",
         "        if False:\n",
         (TEST_LATTICE,),
         "A form with b1 even and e + sigma not divisible by 4 can still pass "

@@ -46,10 +46,11 @@ def test_generator_matches_the_recording():
                            for entry in RECORDED["invocations"]]
 
 
-def test_pencil_and_count_reports_rederive():
+def test_reports_rederive():
     """``report_oracle`` checks all 44 recorded pencil and count reports
+    and all 36 manifold-check and classify reports that exit 0 or 1
     against their input files with the benchmark's oracles."""
-    assert check_corpus(RECORDED) == (44, [])
+    assert check_corpus(RECORDED) == (80, [])
 
 
 @pytest.mark.parametrize("command, old, new", [
@@ -59,6 +60,12 @@ def test_pencil_and_count_reports_rederive():
     ("count", "kind: Unknown", "kind: Zero"),
     ("pencil", '"fibre_class":[2]', '"fibre_class":[3]'),
     ("count", "no decisive hypothesis", "b+ > 1 + b1 and a.a != K.a"),
+    ("manifold-check", '"chi_h":3', '"chi_h":4'),
+    ("manifold-check", "k_squared: 0", "k_squared: 1"),
+    ("manifold-check", '"valid":false', '"valid":true'),
+    ("classify", "numbers.k_omega: -3", "numbers.k_omega: -2"),
+    ("classify", '"homeo_type":"cp2"', '"homeo_type":"s2xs2"'),
+    ("classify", '"verdict":"fail"', '"verdict":"pass"'),
 ])
 def test_report_oracle_refuses_a_changed_number(command, old, new):
     invocations = [

@@ -4,19 +4,22 @@ import random
 import time
 from fractions import Fraction
 from importlib import resources
+from itertools import product
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import char_poly, series_geom_pow
+from conftest import descartes_inertia, series_geom_pow
 from sympencil.catalog import (
     E8_GRAM,
     HYPERBOLIC,
     STANDARD_BUILDERS,
     block_diag,
     elliptic_like,
+    format_rational,
     lattice_from_dict,
     lattice_to_dict,
     manifold_fields,
@@ -27,7 +30,6 @@ from sympencil.catalog import (
 from sympencil import lattice as lattice_module
 from sympencil.applications import run_all
 from sympencil.brill_noether import BNQuery, abel_jacobi_fibre_dims
-from sympencil.exact import RationalMatrix
 from sympencil.gromov import CohomologyProfile, gr_parity, vanishing_profile
 from sympencil.hilb import (
     certify_stratum,
@@ -48,7 +50,7 @@ from sympencil.lattice import (
     signature_of_symmetric,
     twist,
 )
-from sympencil.pencil import build_pencil
+from sympencil.pencil import build_pencil, count_decision
 
 
 def _catalog():
@@ -128,26 +130,6 @@ class TestSignature:
         b_plus, b_minus, b_zero = signature_of_symmetric(q)
         assert time.monotonic() - start < 3.0
         assert b_plus + b_minus + b_zero == 160
-
-
-def descartes_inertia(rows):
-    """``(pos, neg, zero)`` read off the exact characteristic polynomial.
-
-    A symmetric matrix has only real eigenvalues, so Descartes' rule of
-    signs counts the positive roots exactly, and applied to p(-x) the
-    negative ones; the zero eigenvalues are the vanishing low coefficients.
-    Independent of the elimination it checks.
-    """
-    coeffs = char_poly(RationalMatrix(rows))
-    zero = next(i for i, c in enumerate(coeffs) if c)
-    rest = coeffs[zero:]
-
-    def sign_changes(cs):
-        signs = [c > 0 for c in cs if c]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    neg = sign_changes([-c if k % 2 else c for k, c in enumerate(rest)])
-    return sign_changes(rest), neg, zero
 
 
 def _random_symmetric(rng, n, zero_diagonal=False):
@@ -430,6 +412,88 @@ class TestValidation:
         assert y.form == rows and type(y.form[0]) is tuple
 
 
+def _small_diagonal_lattices():
+    """Each ``(b1, form, K)`` with b1 <= 3, a diagonal form of one or two
+    entries in {+-1, +-3, +-5} with a positive one, and K in {1, 3, 5} at
+    each index, with omega the first positive basis vector, and the lattice
+    it builds or the ``ValueError`` that refuses it."""
+    for n in (1, 2):
+        for diag in product((1, -1, 3, -3, 5, -5), repeat=n):
+            if max(diag) < 0:
+                continue
+            form = [[d if i == j else 0 for j in range(n)]
+                    for i, d in enumerate(diag)]
+            omega = [int(i == diag.index(max(diag))) for i in range(n)]
+            for b1, k in product(range(4), product((1, 3, 5), repeat=n)):
+                try:
+                    yield b1, form, k, FourManifoldLattice(
+                        "t", b1, form, k, omega, False)
+                except ValueError as exc:
+                    yield b1, form, k, exc
+
+
+_CORPUS_FILES = json.loads(
+    (Path(__file__).resolve().parent / "cli_corpus.json").read_text("utf-8"))["files"]
+
+
+class TestExactTypes:
+    """Integral data computes on plain ints: omega is held in lowest terms,
+    an ``int`` where integral, and chi_h is formed once. A ``Fraction``
+    where an int belongs prints the same bytes, so only these type checks
+    see it."""
+
+    @pytest.mark.parametrize("name", ["cp2", "k3", "e3", "k3_sum3", "e1#2"])
+    def test_integral_omega_products_are_ints(self, name):
+        x = (blow_up(STANDARD_BUILDERS["e1"](), 2) if name == "e1#2"
+             else STANDARD_BUILDERS[name]())
+        assert x.label == name
+        assert {type(w) for w in x.omega} == {int}
+        assert type(x.chi_h) is int
+        ones = (1,) * x.b2
+        assert x.omega_dot(ones) != 0
+        assert type(x.omega_dot(ones)) is int
+        assert type(x.omega_dot(x.canonical)) is int
+
+    def test_rational_omega_stays_fraction(self):
+        x = lattice_from_dict(json.loads(_CORPUS_FILES["rational_omega.json"]))
+        assert x.omega == (Fraction(1, 3), 1)
+        assert [type(w) for w in x.omega] == [Fraction, int]
+        a_omega, k_omega = x.omega_dot((0, 1)), x.omega_dot(x.canonical)
+        assert (type(a_omega), type(k_omega)) == (Fraction, Fraction)
+        context = count_decision(x, (0, 1)).context
+        assert (context["a_omega"], context["k_omega"]) == ("1/3", "-8/3")
+        inflation = next(r for r in run_all(x)
+                         if r.check_name == "inflation_hypotheses")
+        assert inflation.numbers["k_omega"] == "-8/3"
+
+    def test_chi_h_is_a_fraction_exactly_when_b1_odd_and_unreduced(self):
+        kinds = set()
+        for b1, form, k, x in _small_diagonal_lattices():
+            # e = 2 - 2b1 + b2, and a diagonal form's signature is the
+            # sum of the signs of its entries.
+            e_sigma = 2 - 2 * b1 + len(form) + sum(
+                1 if row[i] > 0 else -1 for i, row in enumerate(form))
+            half = bool(e_sigma % 4)
+            if isinstance(x, ValueError):
+                if "chi_h" in str(x):
+                    assert half and b1 % 2 == 0, (b1, form, k)
+                    kinds.add("refused")
+                continue
+            assert x.euler + x.signature == e_sigma
+            assert x.chi_h == Fraction(e_sigma, 4)
+            assert type(x.chi_h) is (Fraction if half else int), (b1, form, k)
+            assert not half or b1 % 2
+            kinds.add((type(x.chi_h).__name__, b1 % 2))
+        assert kinds == {"refused", ("int", 0), ("int", 1), ("Fraction", 1)}
+
+    def test_omega_in_lowest_terms_through_a_blow_up(self):
+        x = FourManifoldLattice("q", 0, [[0, 1], [1, 0]], [-2, -2],
+                                [Fraction(1, 3), Fraction(2)], True)
+        xp = blow_up(x, 2)
+        assert xp.omega == (Fraction(1, 3), 2, 0, 0)
+        assert [type(w) for w in xp.omega] == [Fraction, int, int, int]
+
+
 def adjunction_genus(x, a):
     """The genus g of 2g - 2 = a.a + K.a for any class a, where
     ``build_pencil`` reads it only for a pencil's fibre."""
@@ -599,6 +663,20 @@ class TestManifoldFiles:
         assert parse_rational("3/4") == Fraction(3, 4)
         assert parse_rational("-2/5") == Fraction(-2, 5)
         assert parse_rational("7") == 7
+
+    def test_format_rational(self):
+        big = 10**30
+        assert format_rational(big) is big
+        assert format_rational(Fraction(6, 2)) == 3
+        assert type(format_rational(Fraction(6, 2))) is int
+        assert format_rational(True) == 1
+        assert format_rational(Fraction(-8, 3)) == "-8/3"
+
+    @pytest.mark.parametrize("value", [0.1, 1.0, "1/3"])
+    def test_format_rational_refuses_inexact(self, value):
+        # 0.1 used to print as 3602879701896397/36028797018963968.
+        with pytest.raises(TypeError, match="exact entries"):
+            format_rational(value)
 
     def test_parse_rational_rejects_junk(self):
         with pytest.raises(ValueError):

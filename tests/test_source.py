@@ -95,10 +95,10 @@ def test_caller_check_finds_an_orphan(tmp_path):
         "mod:stop_cmd", "mod:orphan", "mod:Orphan"]
 
 
-# The two input rules of ``exact`` and the set behind the exact-``int``
-# rule: the only code that may test a value's type against ``int`` or
-# ``Fraction``.
-_INPUT_RULES = {"_fraction", "_require_ints", "_INT"}
+# The two input rules of ``exact``, the set behind the exact-``int`` rule
+# and the normal form ``_lowest`` that applies the entry rule: the only
+# code that may test a value's type against ``int`` or ``Fraction``.
+_INPUT_RULES = {"_fraction", "_require_ints", "_INT", "_lowest"}
 
 
 def _is_exact_type_test(node):

@@ -133,30 +133,13 @@ class RationalMatrix:
         return tuple(out)
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        """Matrix product ``self @ other``."""
+        """Matrix product ``self @ other``: :meth:`apply` to each column
+        of ``other``, so one loop forms every rational dot product."""
         if self.ncols != other.nrows:
             raise ValueError(
                 f"inner dimensions differ: {self.ncols} vs {other.nrows}"
             )
-        cols = tuple(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = Fraction(0)
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc += a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return RationalMatrix(out)
-
-    @classmethod
-    def diagonal(cls, entries: Sequence[Rational]) -> "RationalMatrix":
-        """The square matrix with ``entries`` on its diagonal."""
-        zero = Fraction(0)
-        return cls([[x if i == j else zero for j in range(len(entries))]
-                    for i, x in enumerate(entries)])
+        return RationalMatrix(zip(*map(self.apply, zip(*other.rows))))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):

@@ -41,6 +41,10 @@ Vector = tuple[Fraction, ...]
 # each stratum.
 _NONZERO_POOL = tuple(x for x in range(-9, 10) if x != 0)
 
+# The zero entry that every model shares, kept as it is by the entry rule;
+# a plain 0 would become a new Fraction at each of up to r^2 zero entries.
+_ZERO = Fraction(0)
+
 
 def _signed_bytes(s: int) -> bytes:
     """Two's-complement bytes of s: a seed with its sign and no digit limit."""
@@ -50,6 +54,13 @@ def _signed_bytes(s: int) -> bytes:
 def _rng(seed: int) -> random.Random:
     """Negative seeds go in as bytes: ``random.Random(n)`` seeds by abs(n)."""
     return random.Random(seed if seed >= 0 else _signed_bytes(seed))
+
+
+def _model(r: int, nonzeros: dict[tuple[int, int], Rational]) -> RationalMatrix:
+    """The r x r matrix with the given ``{(row, column): entry}`` entries
+    and zero elsewhere: every matrix model is built from its nonzeros."""
+    return RationalMatrix([[nonzeros.get((i, j), _ZERO) for j in range(r)]
+                           for i in range(r)])
 
 
 def _check_model_shapes(b1: RationalMatrix, b2: RationalMatrix, v: Sequence,
@@ -136,7 +147,7 @@ class RelADHMQuad(Record):
         object.__setattr__(self, "lam", exact._fraction(self.lam))
         object.__setattr__(self, "v", tuple(map(exact._fraction, self.v)))
         _check_model_shapes(self.b1, self.b2, self.v, self.r)
-        scalar = RationalMatrix.diagonal([self.lam] * self.r)
+        scalar = _model(self.r, {(i, i): self.lam for i in range(self.r)})
         if self.b1.matmul(self.b2) != scalar:
             raise ValueError("B1 B2 is not lambda times the identity")
         if self.b2.matmul(self.b1) != scalar:
@@ -157,10 +168,9 @@ def sample_smooth_stratum(r: int, lam: Rational, seed: int) -> RelADHMQuad:
     if r > len(_NONZERO_POOL):
         raise ValueError(f"sampler supports r up to {len(_NONZERO_POOL)}")
     zs = _rng(seed).sample(_NONZERO_POOL, r)
-    b1 = RationalMatrix.diagonal(zs)
-    b2 = RationalMatrix.diagonal([lam / z for z in zs])
-    v = tuple(Fraction(1) for _ in range(r))
-    return RelADHMQuad(b1, b2, lam, v, r)
+    b1 = _model(r, {(i, i): z for i, z in enumerate(zs)})
+    b2 = _model(r, {(i, i): lam / z for i, z in enumerate(zs)})
+    return RelADHMQuad(b1, b2, lam, (1,) * r, r)
 
 
 def sample_singular_stratum(r: int, n: int, m: int, seed: int) -> RelADHMQuad:
@@ -181,21 +191,15 @@ def sample_singular_stratum(r: int, n: int, m: int, seed: int) -> RelADHMQuad:
     rng = _rng(seed)
     hs = [rng.randint(-9, 9) for _ in range(n)]
     caps = [rng.randint(-9, 9) for _ in range(m)]
-    zero = Fraction(0)
-    b1_rows = [[zero] * r for _ in range(r)]
-    for i in range(1, n + 1):
-        b1_rows[i][i - 1] = Fraction(1)
-        b1_rows[i][n] = Fraction(hs[i - 1])
-    b2_rows = [[zero] * r for _ in range(r)]
-    if m > 0:
-        b2_rows[n + 1][0] = Fraction(1)
-        for j in range(1, m):
-            b2_rows[n + j + 1][n + j] = Fraction(1)
-        for j in range(1, m + 1):
-            b2_rows[n + j][n + m] = Fraction(caps[j - 1])
-    v = tuple(Fraction(1 if i == 0 else 0) for i in range(r))
-    return RelADHMQuad(RationalMatrix(b1_rows), RationalMatrix(b2_rows),
-                       Fraction(0), v, r)
+    # Each chain starts at v (index 0): B1 runs 0 -> 1 -> ... -> n and B2
+    # runs 0 -> n + 1 -> ... -> n + m; the last column of each holds the
+    # fold-back coefficients.
+    b1 = {(i + 1, i): 1 for i in range(n)}
+    b1 |= {(i + 1, n): h for i, h in enumerate(hs)}
+    b2 = {(n + 1 + j, n + j if j else 0): 1 for j in range(m)}
+    b2 |= {(n + 1 + j, n + m): c for j, c in enumerate(caps)}
+    v = (1,) + (0,) * (r - 1)
+    return RelADHMQuad(_model(r, b1), _model(r, b2), 0, v, r)
 
 
 def sample_b1zero_stratum(r: int, seed: int) -> RelADHMQuad:
@@ -207,16 +211,10 @@ def sample_b1zero_stratum(r: int, seed: int) -> RelADHMQuad:
     rng = _rng(seed)
     const = rng.choice(_NONZERO_POOL)
     higher = [rng.randint(-9, 9) for _ in range(r - 1)]
-    coeffs = [const] + higher
-    zero = Fraction(0)
-    b2_rows = [[zero] * r for _ in range(r)]
-    for j in range(r - 1):
-        b2_rows[j + 1][j] = Fraction(1)
-    for i in range(r):
-        b2_rows[i][r - 1] = Fraction(coeffs[i])
-    b1 = RationalMatrix([[zero] * r for _ in range(r)])
-    v = tuple(Fraction(1 if i == 0 else 0) for i in range(r))
-    return RelADHMQuad(b1, RationalMatrix(b2_rows), Fraction(0), v, r)
+    b2 = {(j + 1, j): 1 for j in range(r - 1)}
+    b2 |= {(i, r - 1): c for i, c in enumerate([const] + higher)}
+    v = (1,) + (0,) * (r - 1)
+    return RelADHMQuad(_model(r, {}), _model(r, b2), 0, v, r)
 
 
 def _product_rows(b1: Sequence[Vector], b2: Sequence[Vector]
@@ -290,10 +288,10 @@ def sample_commuting_diagonal(r: int, seed: int) -> ADHMTriple:
     if r > len(_NONZERO_POOL):
         raise ValueError(f"sampler supports r up to {len(_NONZERO_POOL)}")
     rng = _rng(seed)
-    b1 = RationalMatrix.diagonal(rng.sample(_NONZERO_POOL, r))
-    b2 = RationalMatrix.diagonal([rng.randint(-9, 9) for _ in range(r)])
-    v = tuple(Fraction(1) for _ in range(r))
-    return ADHMTriple(b1, b2, v, r)
+    zs = rng.sample(_NONZERO_POOL, r)
+    b1 = _model(r, {(i, i): z for i, z in enumerate(zs)})
+    b2 = _model(r, {(i, i): rng.randint(-9, 9) for i in range(r)})
+    return ADHMTriple(b1, b2, (1,) * r, r)
 
 
 class CertificationReport(Record):
@@ -318,7 +316,7 @@ class CertificationReport(Record):
 def _sample_for(stratum: str, r: int, s: int) -> RelADHMQuad:
     if stratum == "smooth":
         key = b"lam:" + _signed_bytes(s)
-        lam = Fraction(random.Random(key).choice(_NONZERO_POOL))
+        lam = random.Random(key).choice(_NONZERO_POOL)
         return sample_smooth_stratum(r, lam, s)
     if stratum == "singular":
         n = s % r

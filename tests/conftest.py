@@ -44,7 +44,7 @@ def char_poly(m: RationalMatrix) -> list[Fraction]:
     r = m.nrows
     coeffs = [Fraction(0)] * (r + 1)
     coeffs[r] = Fraction(1)
-    work = RationalMatrix.diagonal([1] * r)
+    work = RationalMatrix([[int(i == j) for j in range(r)] for i in range(r)])
     for k in range(1, r + 1):
         prod = m.matmul(work)
         c = Fraction(-sum(prod.rows[i][i] for i in range(r)), k)

@@ -1,9 +1,13 @@
 """Mutation check: every mutant listed here must make the tests it names
 fail. The mutants weaken the rank verifier (``exact._certify`` and its
 GF(p) rank), the integer producer it checks (``exact._primitive`` and
-``exact._insert``), the rank that ``hilb.is_stable`` claims, the normal
-form ``exact._lowest`` that keeps a lattice's integral omega entries as
-``int``, the lattice's input checks, the adjunction genus of ``pencil.build_pencil``, the
+``exact._insert``), the rank that ``hilb.is_stable`` claims, the matrix
+models that ``hilb._model`` builds and the product
+``RationalMatrix.matmul`` that checks them, the normal form
+``exact._lowest`` that keeps a lattice's integral omega entries as
+``int``, the signature elimination (its diagonal swap, its hyperbolic add
+and the sign of each pivot), the lattice's input checks, the adjunction
+genus of ``pencil.build_pencil``, the
 boundaries of ``pencil.count_decision``, the boundaries of the minimality
 bound and the b+ = 1 classification in ``applications`` and the K.omega
 that ``run_all`` hands its checks, a profile's certified virtual dimension and
@@ -215,6 +219,27 @@ MUTANTS = (
         "verdict counts accepted vectors, so the certificate must too.",
     ),
     Mutant(
+        "matrix models built transposed", HILB,
+        "nonzeros.get((i, j), _ZERO)",
+        "nonzeros.get((j, i), _ZERO)",
+        (TEST_HILB,),
+        "Every model is then the transpose of the one stated: the diagonal "
+        "ones do not change, but the singular stratum's chains run the "
+        "other way and v = e0 is no longer cyclic, so "
+        "TestSamplers::test_singular_products_vanish sees the sampler raise.",
+    ),
+    Mutant(
+        "matmul applies self to the rows of other", EXACT,
+        "map(self.apply, zip(*other.rows))",
+        "map(self.apply, other.rows)",
+        (TEST_EXACT,),
+        "The product is then self times the transpose of other: "
+        "TestMatmul::test_rectangular_product sees a 2x3 by 3x2 product "
+        "refused, and in test_hilb two non-commuting models pass the "
+        "commutation check and both differential builders leave their "
+        "defining maps.",
+    ),
+    Mutant(
         "integral omega kept as Fraction", EXACT,
         "    if type(x) is int:\n        return x\n    q = _fraction(x)\n"
         "    return q.numerator if q.denominator == 1 else q\n",
@@ -226,6 +251,38 @@ MUTANTS = (
         "str(Fraction(3))); the type checks of the catalog lattices' omega "
         "and omega products see it, and format_rational's test sees 3 "
         "printed as \"3/1\".",
+    ),
+    Mutant(
+        "signature drops the diagonal swap", LATTICE,
+        "            if swap:\n",
+        "            if False:\n",
+        (TEST_LATTICE,),
+        "A zero corner is then always repaired by the hyperbolic add, whose "
+        "corner 2 a_0j + a_jj can be zero too; "
+        "TestSignature::test_zero_corner_repaired_by_a_diagonal_swap sees "
+        "the elimination divide by that zero pivot.",
+    ),
+    Mutant(
+        "signature drops the hyperbolic add", LATTICE,
+        "                a[0] = [x + y for x, y in zip(a[0], a[off])]\n"
+        "                for row in a:\n                    row[0] += row[off]\n",
+        "",
+        (TEST_LATTICE,),
+        "A block with a zero diagonal then pivots on zero and the next "
+        "step divides by it; "
+        "TestSignature::test_zero_diagonal_repaired_by_a_hyperbolic_add sees "
+        "it. (Adding to the row but not the column is an equivalent mutant: "
+        "the next pivot eliminates the added index, and the trailing block "
+        "is then the same.)",
+    ),
+    Mutant(
+        "signature sign read from d alone", LATTICE,
+        "        if (d > 0) == (prev > 0):\n",
+        "        if d > 0:\n",
+        (TEST_LATTICE,),
+        "A pivot's sign is that of d * prev: after a negative pivot a "
+        "negative d is a positive eigenvalue, so -E8 reads as four of each "
+        "and TestSignature::test_e8_is_definite sees it.",
     ),
     Mutant(
         "omega.omega = 0 accepted", LATTICE,

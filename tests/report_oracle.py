@@ -1,11 +1,11 @@
-"""Check the ``pencil``, ``count``, ``manifold-check`` and ``classify``
-reports of the CLI corpus against their input files.
+"""Check the reports of the CLI corpus against their input files, for
+all nine commands.
 
     python3 tests/report_oracle.py
 
-Every recorded invocation of those commands that exits 0, or for
-``manifold-check`` and ``classify`` 0 or 1, in either output format, is
-parsed into its fields. The manifold file it names becomes a
+Every recorded invocation that exits 0, or for ``manifold-check``,
+``classify`` and ``duality`` 0 or 1, in either output format, is parsed
+into its fields. The manifold file it names, if any, becomes a
 ``manifolds.Manifold`` from ``bench/``, whose inertia is read off the
 characteristic polynomial of each direct-sum block of the form by
 Descartes' rule (``conftest.descartes_inertia``), apart from the
@@ -18,8 +18,20 @@ sum, the count's reason, citations and ``section_torus_dim``, the exit
 code of ``classify`` (1 when a check fails), and every number of
 ``manifold-check``: its own validation of the file decides ``valid``,
 which must be true exactly when the command exits 0, and e, the
-signature, K.K, chi_h and 2e + 3sigma are recomputed. A record that exits
-otherwise must have printed nothing on stdout.
+signature, K.K, chi_h and 2e + 3sigma are recomputed.
+
+The other five commands are checked from their flags. ``bn``,
+``aj-fibres`` and ``hilb`` go through the benchmark's verifiers
+``wl_cli.v_bn``, ``v_aj`` and ``v_hilb``, text reports parsed by
+``wl_cli.parse_text``, and ``hilb`` must print the seed it was given
+(1729 by default). For ``gromov`` and ``duality``, r is the class's
+(a.a - K.a)/2 by the benchmark's pairing: chi must be chi_h + r, h1 must
+be h0 + h2 - chi and 0 when h0 > 0, each invariant must be
+``oracles.section_count`` of its profile, with binomials read off the
+integer series ``conftest.series_geom_pow`` rather than ``exact.binom``
+(0 when r < 0), and ``magnitudes_equal`` must hold exactly when the
+invariants agree in magnitude and the command exits 0. A record that
+exits otherwise must have printed nothing on stdout.
 """
 
 from __future__ import annotations
@@ -38,7 +50,8 @@ sys.path.append(str(HERE.parent / "bench"))
 sys.path.append(str(HERE.parent / "src"))
 
 import oracles  # noqa: E402
-from conftest import descartes_inertia  # noqa: E402
+import wl_cli  # noqa: E402
+from conftest import descartes_inertia, series_geom_pow  # noqa: E402
 from manifolds import Manifold  # noqa: E402
 from oracles import Mismatch, expect  # noqa: E402
 
@@ -53,22 +66,32 @@ REASONS = {
     "Unknown": ("no decisive hypothesis",),
 }
 
+# The hilb flags' defaults, which the report must echo.
+HILB_DEFAULTS = {"--seed": "1729", "--stratum": "smooth"}
+
 MANIFOLD_CHECK_CITATIONS = ("K.K = 2e + 3sigma, K = diag(Q) mod 2 (characteristic "
                             "vector), chi_h = (e + sigma)/4")
 
 
 class Invocation(NamedTuple):
     """One recorded report: the command line, the report as ``key: value``
-    strings, the exit code and the corpus's input files by name."""
+    strings, the exit code, the corpus's input files by name, and the
+    report as its JSON value, or as ``wl_cli.parse_text`` rebuilds it
+    from the text format ``fmt``."""
 
     args: list[str]
     fields: dict[str, str]
     exit_code: int
     files: dict[str, str]
+    payload: dict
+    fmt: str
 
     def options(self) -> dict[str, str]:
-        """``--name value`` pairs after the command and its manifold path."""
-        return dict(zip(self.args[2::2], self.args[3::2]))
+        """``--name value`` pairs after the command and its manifold path,
+        if it takes one."""
+        start = next((i for i, arg in enumerate(self.args) if arg.startswith("--")),
+                     len(self.args))
+        return dict(zip(self.args[start::2], self.args[start + 1::2]))
 
 
 def _fields(stdout: str, text: bool) -> dict[str, str]:
@@ -225,12 +248,93 @@ def check_classify(m: Manifold, inv: Invocation) -> None:
     expect(failed == (inv.exit_code == 1), "classify: exit code")
 
 
+def _binom(n: int, k: int) -> int:
+    """C(n, k) for k >= 0, the only lower index ``section_count`` asks
+    for: the H**k coefficient of the integer series (1 + H)**n."""
+    return series_geom_pow(n, k + 1)[k]
+
+
+def _profile(m: Manifold, inv: Invocation) -> tuple[int, int, int, int]:
+    """h0 and h2 from the flags, the class's virtual dimension r by the
+    benchmark's pairing, and chi = chi_h + r."""
+    opts = inv.options()
+    a = _ints(opts["--class"])
+    expect(_ints(inv.fields["class"]) == a, f"{inv.args[0]}: class")
+    r = (m.pair(a, a) - m.k_dot(a)) // 2
+    chi = m.chi_h + r
+    expect(chi.denominator == 1, f"{inv.args[0]}: chi_h + r is not an integer")
+    return int(opts["--h0"]), int(opts["--h2"]), r, int(chi)
+
+
+def _invariant(h0: int, h2: int, r: int) -> int:
+    return oracles.section_count(_binom, h0, h2, r) if r >= 0 else 0
+
+
+def _check_h1(command: str, h0: int, h1: int, h2: int, chi: int) -> None:
+    expect(h1 == h0 + h2 - chi and (h0 == 0 or h1 == 0), f"{command}: h1")
+
+
+def check_gromov(m: Manifold, inv: Invocation) -> None:
+    p = inv.payload
+    h0, h2, r, chi = _profile(m, inv)
+    expect((p["label"], p["h0"], p["h2"]) == (m.data["label"], h0, h2),
+           "gromov: label and profile")
+    expect(p["virtual_dim"] == r and p["chi"] == chi, "gromov: chi = chi_h + r")
+    _check_h1("gromov", h0, p["h1"], h2, chi)
+    expect(p["invariant"] == _invariant(h0, h2, r), "gromov: invariant")
+
+
+def check_duality(m: Manifold, inv: Invocation) -> None:
+    p = inv.payload
+    h0, h2, r, chi = _profile(m, inv)
+    h1 = p["profile"]["h1"]
+    expect(p["label"] == m.data["label"] and p["virtual_dim"] == r,
+           "duality: label and r")
+    expect(p["profile"] == {"h0": h0, "h1": h1, "h2": h2}, "duality: profile")
+    _check_h1("duality", h0, h1, h2, chi)
+    expect(p["dual_profile"] == {"h0": h2, "h1": h1, "h2": h0},
+           "duality: dual profile")
+    invariant, dual = _invariant(h0, h2, r), _invariant(h2, h0, r)
+    expect((p["invariant"], p["dual_invariant"]) == (invariant, dual),
+           "duality: invariants")
+    holds = abs(invariant) == abs(dual)
+    expect(p["magnitudes_equal"] == holds == (inv.exit_code == 0),
+           "duality: magnitudes_equal and exit code")
+
+
+def _verified(command: str, verify, inv: Invocation) -> None:
+    """Run a ``wl_cli`` verifier; its exit code must be the recorded one."""
+    expect(verify(inv.payload, inv.fmt) == inv.exit_code, f"{command}: exit code")
+
+
+def check_bn(m: None, inv: Invocation) -> None:
+    opts = inv.options()
+    _verified("bn", wl_cli.v_bn(*(int(opts[f]) for f in ("--g", "--r", "--s"))), inv)
+
+
+def check_aj(m: None, inv: Invocation) -> None:
+    opts = inv.options()
+    _verified("aj-fibres", wl_cli.v_aj(int(opts["--g"]), int(opts["--r"])), inv)
+
+
+def check_hilb(m: None, inv: Invocation) -> None:
+    opts = {**HILB_DEFAULTS, **inv.options()}
+    _verified("hilb", wl_cli.v_hilb(int(opts["--r"]), int(opts["--samples"]),
+                                    opts["--stratum"]), inv)
+    expect(inv.payload["seed"] == int(opts["--seed"]), "hilb: seed")
+
+
 # Each command's check and the exit codes whose reports it re-derives.
 CHECKS = {
     "pencil": (check_pencil, {0}),
     "count": (check_count, {0}),
     "manifold-check": (check_manifold_check, {0, 1}),
     "classify": (check_classify, {0, 1}),
+    "gromov": (check_gromov, {0}),
+    "duality": (check_duality, {0, 1}),
+    "bn": (check_bn, {0}),
+    "aj-fibres": (check_aj, {0}),
+    "hilb": (check_hilb, {0}),
 }
 
 
@@ -247,10 +351,14 @@ def check_corpus(corpus: dict) -> tuple[int, list[str]]:
             if record["stdout"]:
                 problems.append(f"{args}: exit {code} with a report")
             continue
-        inv = Invocation(args, _fields(record["stdout"], args[-2:] == ["--format", "text"]),
-                         code, files)
+        stdout = record["stdout"]
+        fmt = "text" if args[-2:] == ["--format", "text"] else "json"
+        payload = wl_cli.parse_text(stdout) if fmt == "text" else json.loads(stdout)
+        inv = Invocation(args, _fields(stdout, fmt == "text"), code, files,
+                         payload, fmt)
         try:
-            check(_manifold(files[args[1]])[0], inv)
+            m = _manifold(files[args[1]])[0] if args[1] in files else None
+            check(m, inv)
         except Mismatch as exc:
             problems.append(f"{args}: {exc}")
         checked += 1

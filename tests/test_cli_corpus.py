@@ -47,10 +47,12 @@ def test_generator_matches_the_recording():
 
 
 def test_reports_rederive():
-    """``report_oracle`` checks all 44 recorded pencil and count reports
-    and all 36 manifold-check and classify reports that exit 0 or 1
-    against their input files with the benchmark's oracles."""
-    assert check_corpus(RECORDED) == (80, [])
+    """``report_oracle`` checks all 44 recorded pencil and count reports,
+    all 36 manifold-check and classify reports that exit 0 or 1, the 21
+    gromov and 14 duality reports that exit 0 or 1, and the 14 hilb, bn
+    and aj-fibres reports that exit 0 against their input files and flags
+    with the benchmark's oracles."""
+    assert check_corpus(RECORDED) == (129, [])
 
 
 @pytest.mark.parametrize("command, old, new", [
@@ -66,6 +68,11 @@ def test_reports_rederive():
     ("classify", "numbers.k_omega: -3", "numbers.k_omega: -2"),
     ("classify", '"homeo_type":"cp2"', '"homeo_type":"s2xs2"'),
     ("classify", '"verdict":"fail"', '"verdict":"pass"'),
+    ("gromov", '"invariant":-1', '"invariant":1'),
+    ("duality", "magnitudes_equal: False", "magnitudes_equal: True"),
+    ("hilb", '"seed":1729', '"seed":1730'),
+    ("bn", "rho: -3", "rho: -2"),
+    ("aj-fibres", '"descriptor":"empty"', '"descriptor":"point"'),
 ])
 def test_report_oracle_refuses_a_changed_number(command, old, new):
     invocations = [

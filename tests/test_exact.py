@@ -768,6 +768,20 @@ class TestRationalMatrixEntries:
             build(entry)
 
 
+class TestMatmul:
+    def test_rectangular_product(self):
+        # Row i of the left factor against column j of the right one.
+        a = RationalMatrix([[1, 2, 0], [Fraction(1, 2), 0, -1]])
+        b = RationalMatrix([[0, 1], [1, 0], [3, Fraction(2, 3)]])
+        assert a.matmul(b).rows == ((2, 1), (-3, Fraction(-1, 6)))
+        assert {type(x) for row in a.matmul(b).rows for x in row} == {Fraction}
+
+    def test_inner_dimensions_must_agree(self):
+        a = RationalMatrix([[1, 2, 0], [0, 1, 1]])
+        with pytest.raises(ValueError, match="inner dimensions differ: 3 vs 2"):
+            a.matmul(a)
+
+
 class TestCharPoly:
     def test_two_by_two(self):
         # det(x I - [[2, 1], [1, 2]]) = x^2 - 4x + 3, constant first.

@@ -32,7 +32,8 @@ from sympencil.strata import MAX_R, MAX_SAMPLES, STRATA
 
 
 def diag(*entries):
-    return RationalMatrix.diagonal(entries)
+    return RationalMatrix([[x if i == j else 0 for j in range(len(entries))]
+                           for i, x in enumerate(entries)])
 
 
 def zeros(n):
@@ -143,7 +144,7 @@ def _dense_triples(draw):
             for i in range(k, r):
                 b[i][:k] = [0] * k
         v[k:] = [0] * (r - k)
-        u = RationalMatrix.diagonal([1] * r)
+        u = diag(*[1] * r)
         u_inv = u
         for _ in range(draw(st.integers(0, 2 * r))):
             i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))

@@ -50,7 +50,12 @@ from sympencil.lattice import (
     signature_of_symmetric,
     twist,
 )
-from sympencil.pencil import build_pencil, count_decision
+from sympencil.pencil import (
+    build_pencil,
+    count_decision,
+    fibre_degree,
+    primitive_symplectic_class,
+)
 
 
 def _catalog():
@@ -76,6 +81,18 @@ class TestSignature:
     def test_e8_is_definite(self):
         assert signature_of_symmetric(E8_GRAM) == (8, 0, 0)
         assert signature_of_symmetric(negated(E8_GRAM)) == (0, 8, 0)
+
+    def test_zero_corner_repaired_by_a_diagonal_swap(self):
+        # A later diagonal entry is nonzero, so it is swapped into the
+        # corner; the hyperbolic add would make the corner 2*1 - 2 = 0.
+        q = [[0, 1, 0], [1, -2, 1], [0, 1, 1]]
+        assert _dense_signature(q) == descartes_inertia(q) == (2, 1, 0)
+
+    def test_zero_diagonal_repaired_by_a_hyperbolic_add(self):
+        # No diagonal entry can be swapped in, so row and column 1 are
+        # added to row and column 0, making the corner 2.
+        q = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+        assert _dense_signature(q) == descartes_inertia(q) == (1, 2, 0)
 
     def test_degenerate_counted(self):
         assert signature_of_symmetric([[0, 0], [0, 0]]) == (0, 0, 2)
@@ -805,3 +822,137 @@ def test_integer_parameters_are_exact_ints(call, value):
     with pytest.raises(TypeError, match="integer"):
         call(value)
 
+
+
+# -- a change of basis changes no verdict ---------------------------------------
+
+
+def _mixed_forms():
+    """Even lattices that mix a hyperbolic plane with a -E8 block, with
+    K = 0 and with K twice an isotropic vector, and b1 = 0 and 1."""
+    neg_e8 = negated(E8_GRAM)
+    h_e8 = block_diag(HYPERBOLIC, neg_e8)
+    return {
+        "h+e8": FourManifoldLattice("h+e8", 0, h_e8, [0] * 10,
+                                    [1, 1] + [0] * 8, False),
+        "h+e8,K=2e0": FourManifoldLattice("h+e8,K=2e0", 0, h_e8, [2] + [0] * 9,
+                                          [1, 1] + [0] * 8, True),
+        "e8+2h": FourManifoldLattice(
+            "e8+2h", 1, block_diag(neg_e8, HYPERBOLIC, HYPERBOLIC), [0] * 12,
+            [0] * 8 + [1, 1, 1, 1], True),
+    }
+
+
+def _basis_change_case(name):
+    """A catalog lattice, one of two blow-ups or a mixed form, built when
+    a test asks, so that a broken constructor fails that test."""
+    if name in STANDARD_BUILDERS:
+        return STANDARD_BUILDERS[name]()
+    if name in ("cp2#2", "k3#1"):
+        base, n = name.split("#")
+        return blow_up(STANDARD_BUILDERS[base](), int(n))
+    return _mixed_forms()[name]
+
+
+_BASIS_CHANGE_CASES = sorted([*STANDARD_BUILDERS, "cp2#2", "k3#1", "h+e8",
+                              "h+e8,K=2e0", "e8+2h"])
+
+
+def _query_classes(x, rng, count=20):
+    """The zero class, K, and sparse classes with entries in [-3, 3], some
+    of them shifted by K."""
+    n = x.b2
+    classes = [(0,) * n, x.canonical]
+    while len(classes) < count:
+        a = [0] * n
+        for _ in range(rng.randint(1, 3)):
+            a[rng.randrange(n)] = rng.randint(-3, 3)
+        if rng.random() < 0.3:
+            a = [u + k for u, k in zip(a, x.canonical)]
+        classes.append(tuple(a))
+    return classes
+
+
+def _change_basis(x, vectors, rng):
+    """The lattice ``x`` in the basis ``P e_1, ..., P e_n`` and ``vectors``
+    in its coordinates, for a unimodular ``P``: the product of 3 b2
+    elementary matrices, each adding +-1 times basis vector i to basis
+    vector j, or for i = j changing the sign of basis vector i. The form
+    becomes ``P^T Q P``, and K, omega and each vector ``a`` become
+    ``P^-1 a``, so every pairing is unchanged."""
+    n = x.b2
+    q = [list(row) for row in x.form]
+    moved = [list(v) for v in (x.canonical, x.omega, *vectors)]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            for row in q:
+                row[i] = -row[i]
+            q[i] = [-a for a in q[i]]
+            for v in moved:
+                v[i] = -v[i]
+        else:
+            c = rng.choice((-1, 1))
+            for row in q:
+                row[j] += c * row[i]
+            q[j] = [a + c * b for a, b in zip(q[j], q[i])]
+            for v in moved:
+                v[i] -= c * v[j]
+    k, omega, *vectors = map(tuple, moved)
+    return FourManifoldLattice(x.label, x.b1, q, k, omega, x.minimal), vectors
+
+
+def _pencil_numbers(p, classes):
+    """A pencil's genus, base points, critical fibres and the fibre degree
+    of each class."""
+    return (p.genus, p.base_points, p.critical_fibres,
+            [fibre_degree(p, a) for a in classes])
+
+
+def _run_all_multiset(x, classes):
+    """``run_all``'s reports with the class coordinates dropped from the
+    check names, sorted, since the order follows those names."""
+    return sorted(repr((r.check_name.split("[")[0], r.verdict,
+                        r.cited_hypotheses, sorted(r.numbers.items())))
+                  for r in run_all(x, classes))
+
+
+class TestBasisChange:
+    """A metamorphic suite: a unimodular change of basis turns each
+    block-sparse lattice into a dense one with the same invariants, so
+    every invariant, decision and printed number must stay the same
+    (Sylvester's law of inertia; an indefinite unimodular form is fixed up
+    to isomorphism by rank, signature and type)."""
+
+    @pytest.mark.parametrize("seed, name", enumerate(_BASIS_CHANGE_CASES))
+    def test_no_verdict_changes(self, seed, name):
+        x = _basis_change_case(name)
+        rng = random.Random(seed)
+        classes = _query_classes(x, rng)
+        w = primitive_symplectic_class(x)
+        y, (w_y, *classes_y) = _change_basis(x, [w, *classes], rng)
+        assert largest_block(y.form) == y.b2  # one block, whatever x's blocks
+
+        def invariants(z):
+            return (z.b_plus, z.b_minus, z.chi_h, z.k_squared, is_even_form(z))
+
+        assert invariants(y) == invariants(x)
+        for a, a_y in zip(classes, classes_y):
+            want, got = count_decision(x, a), count_decision(y, a_y)
+            assert (got.kind, got.reason, got.context) == (
+                want.kind, want.reason, want.context), a
+        assert _run_all_multiset(y, classes_y) == _run_all_multiset(x, classes)
+        for k in (1, 2):
+            p, p_y = build_pencil(x, k), build_pencil(y, k)
+            assert (_pencil_numbers(p_y, classes_y[:5])
+                    == _pencil_numbers(p, classes[:5]))
+            assert p_y.fibre_class.coords == tuple(k * v for v in w_y)
+
+    def test_queries_reach_every_count_rule(self):
+        # The six rules of count_decision, each first to match somewhere.
+        reasons = set()
+        for seed, name in enumerate(_BASIS_CHANGE_CASES):
+            x = _basis_change_case(name)
+            for a in _query_classes(x, random.Random(seed)):
+                reasons.add(count_decision(x, a).reason)
+        assert len(reasons) == 6

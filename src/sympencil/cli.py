@@ -497,7 +497,7 @@ class _Program(Record):
 
 
 _G = _Option("--g", _parse_int, ..., "Curve genus.")
-main = _Program("main", {
+main = _Program("sympencil", {
     "manifold-check": _Command(manifold_check, True, ()),
     "gromov": _Command(gromov_cmd, True, (_CLASS, *_PROFILE)),
     "duality": _Command(duality_cmd, True, (_CLASS, *_PROFILE)),

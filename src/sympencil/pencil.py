@@ -50,8 +50,10 @@ def build_pencil(x: FourManifoldLattice, k: int) -> PencilData:
     n = x.square(w)
     if n <= 0:
         raise ValueError("fibre class must have positive square")
-    # Adjunction, 2g - 2 = W.W + K.W, read off the W.W just formed.
-    rhs = n + x.k_dot(w)
+    # Adjunction, 2g - 2 = W.W + K.W, read off the W.W just formed. The
+    # fibre class goes first here and below: a pairing walks one row per
+    # nonzero of its first argument, and W has few where K may be dense.
+    rhs = n + x.pairing(w, x.canonical)
     if rhs % 2:
         raise ValueError(
             "a.a + K.a is odd, so the adjunction genus is not an integer; "
@@ -62,10 +64,8 @@ def build_pencil(x: FourManifoldLattice, k: int) -> PencilData:
         raise ValueError(f"negative fibre genus {genus}")
     delta = x.euler + n - (4 - 4 * genus)
     if delta < 0:
-        raise ValueError(
-            f"critical-fibre count delta = {delta} is negative; "
-            "inconsistent input lattice"
-        )
+        raise ValueError(f"critical-fibre count delta = {delta} is negative; "
+                         "inconsistent input lattice")
     return PencilData(
         lattice=x,
         k=k,
@@ -86,7 +86,7 @@ def fibre_degree(pencil: PencilData, a: Sequence[int]) -> int:
     Raises ``TypeError`` when a coordinate of ``a`` is not an ``int``.
     """
     a = HomologyClass(pencil.lattice, a).coords
-    return pencil.lattice.pairing(a, pencil.fibre_class.coords) + pencil.base_points
+    return pencil.lattice.pairing(pencil.fibre_class.coords, a) + pencil.base_points
 
 
 def fibre_degree_blowup_route(pencil: PencilData, a: Sequence[int]) -> int:
@@ -98,7 +98,7 @@ def fibre_degree_blowup_route(pencil: PencilData, a: Sequence[int]) -> int:
     xp = blow_up(pencil.lattice, pencil.base_points)
     twisted = twist(xp, a)
     fibre = list(pencil.fibre_class.coords) + [-1] * pencil.base_points
-    return xp.pairing(twisted, fibre)
+    return xp.pairing(fibre, twisted)
 
 
 def residual_fibre_degree(pencil: PencilData, a: Sequence[int]) -> int:
@@ -108,7 +108,7 @@ def residual_fibre_degree(pencil: PencilData, a: Sequence[int]) -> int:
     x = pencil.lattice
     a = HomologyClass(x, a).coords
     residual = [k - v for k, v in zip(x.canonical, a)]
-    return x.pairing(residual, pencil.fibre_class.coords)
+    return x.pairing(pencil.fibre_class.coords, residual)
 
 
 class SurfaceCountVerdict(Record):

@@ -7,7 +7,8 @@ models that ``hilb._model`` builds and the product
 ``exact._lowest`` that keeps a lattice's integral omega entries as
 ``int``, the signature elimination (its diagonal swap, its hyperbolic add
 and the sign of each pivot), the lattice's input checks, the adjunction
-genus of ``pencil.build_pencil``, the
+genus of ``pencil.build_pencil`` and the fibre-class-first order of its
+adjunction and residual-degree pairings, the
 boundaries of ``pencil.count_decision``, the boundaries of the minimality
 bound and the b+ = 1 classification in ``applications`` and the K.omega
 that ``run_all`` hands its checks, a profile's certified virtual dimension and
@@ -324,6 +325,22 @@ MUTANTS = (
         (TEST_PENCIL,),
         "2g - 2 = W.W + K.W: a pencil of plane cubics has genus 1, and the "
         "mutant reads 0, so the critical-fibre count moves with it.",
+    ),
+    Mutant(
+        "adjunction pairs K first", PENCIL,
+        "    rhs = n + x.pairing(w, x.canonical)\n",
+        "    rhs = n + x.k_dot(w)\n",
+        (TEST_PENCIL,),
+        "Same genus, but the pairing walks a row per nonzero of K, every "
+        "row on the elliptic types, instead of the few rows of W.",
+    ),
+    Mutant(
+        "residual pairs K - a first", PENCIL,
+        "    return x.pairing(pencil.fibre_class.coords, residual)\n",
+        "    return x.pairing(residual, pencil.fibre_class.coords)\n",
+        (TEST_PENCIL,),
+        "Same degree, but the pairing walks a row per nonzero of K - a, "
+        "which is dense wherever K is, instead of the few rows of W.",
     ),
     Mutant(
         "b+ > 1 + b1 loosened to >=", PENCIL,

@@ -3,6 +3,9 @@ all nine commands.
 
     python3 tests/report_oracle.py
 
+``check_record`` checks one report; ``test_cli_fuzz.py`` hands it every
+exit-0/1 report it generates, with that example's own input files.
+
 Every recorded invocation that exits 0, or for ``manifold-check``,
 ``classify`` and ``duality`` 0 or 1, in either output format, is parsed
 into its fields. The manifold file it names, if any, becomes a
@@ -17,8 +20,11 @@ module adds what they do not check: the pencil's fibre class and degree
 sum, the count's reason, citations and ``section_torus_dim``, the exit
 code of ``classify`` (1 when a check fails), and every number of
 ``manifold-check``: its own validation of the file decides ``valid``,
-which must be true exactly when the command exits 0, and e, the
-signature, K.K, chi_h and 2e + 3sigma are recomputed.
+which must be true exactly when the command exits 0 (a form that is not
+square and symmetric, or a K or omega not of its rank, is not valid),
+and e, the signature, K.K, chi_h and 2e + 3sigma are recomputed. The text
+format prints a string that is not printable as its JSON literal, and the
+labels are compared as it prints them.
 
 The other five commands are checked from their flags. ``bn``,
 ``aj-fibres`` and ``hilb`` go through the benchmark's verifiers
@@ -115,6 +121,14 @@ def _fields(stdout: str, text: bool) -> dict[str, str]:
     return flat
 
 
+def _shown(value, fmt: str) -> str:
+    """A value as ``_fields`` reads it back from a report in ``fmt``: the
+    text format prints a string that is not printable as its JSON
+    literal, so that it stays on one line."""
+    text = str(value)
+    return json.dumps(text) if fmt == "text" and not text.isprintable() else text
+
+
 def _ints(value: str) -> list[int]:
     return [int(t) for t in value.replace(",", " ").split()]
 
@@ -150,14 +164,18 @@ def _blocks(rows) -> list[list[int]]:
 
 
 @lru_cache(maxsize=None)
-def _manifold(text: str) -> tuple[Manifold, int]:
+def _manifold(text: str) -> tuple[Manifold, int] | None:
     """The manifold of a file's text, with b+ and b- by Descartes' rule,
     which adds over the direct-sum blocks, and the number of zero
-    eigenvalues. The form must be symmetric."""
+    eigenvalues; None unless the form is square and symmetric and K and
+    omega have its rank."""
     data = json.loads(text)
     q = data["Q"]
-    expect(all(q[i][j] == q[j][i] for i in range(len(q)) for j in range(i)),
-           "form is not symmetric")
+    n = len(q)
+    if not (all(len(row) == n for row in q)
+            and len(data["K"]) == n == len(data["omega"])
+            and all(q[i][j] == q[j][i] for i in range(n) for j in range(i))):
+        return None
     pos = neg = zero = 0
     for block in _blocks(q):
         p, m, z = descartes_inertia([[q[i][j] for j in block] for i in block])
@@ -209,11 +227,13 @@ def _valid(m: Manifold, zero: int) -> bool:
             and (m.b1 % 2 == 1 or e_sigma % 4 == 0))
 
 
-def check_manifold_check(m: Manifold, inv: Invocation) -> None:
+def check_manifold_check(m: Manifold | None, inv: Invocation) -> None:
     f, valid = inv.fields, inv.exit_code == 0
-    _, zero = _manifold(inv.files[inv.args[1]])
-    expect(_valid(m, zero) == valid, "manifold-check: validity")
-    want = {"command": "manifold-check", "label": m.data["label"], "valid": valid}
+    parsed = _manifold(inv.files[inv.args[1]])
+    expect((parsed is not None and _valid(*parsed)) == valid,
+           "manifold-check: validity")
+    label = json.loads(inv.files[inv.args[1]])["label"]
+    want = {"command": "manifold-check", "label": label, "valid": valid}
     if valid:
         want.update({
             "b1": m.b1, "b2": m.b2, "b_plus": m.b_plus, "b_minus": m.b_minus,
@@ -227,7 +247,7 @@ def check_manifold_check(m: Manifold, inv: Invocation) -> None:
         expect(f.get("error"), "manifold-check: error message")
         want["error"] = f.get("error")
     for key in sorted(set(want) | set(f)):
-        expect(key in want and f.get(key) == str(want[key]),
+        expect(key in want and f.get(key) == _shown(want[key], inv.fmt),
                f"manifold-check: {key}")
 
 
@@ -277,7 +297,8 @@ def _check_h1(command: str, h0: int, h1: int, h2: int, chi: int) -> None:
 def check_gromov(m: Manifold, inv: Invocation) -> None:
     p = inv.payload
     h0, h2, r, chi = _profile(m, inv)
-    expect((p["label"], p["h0"], p["h2"]) == (m.data["label"], h0, h2),
+    expect((inv.fields["label"], p["h0"], p["h2"])
+           == (_shown(m.data["label"], inv.fmt), h0, h2),
            "gromov: label and profile")
     expect(p["virtual_dim"] == r and p["chi"] == chi, "gromov: chi = chi_h + r")
     _check_h1("gromov", h0, p["h1"], h2, chi)
@@ -288,8 +309,8 @@ def check_duality(m: Manifold, inv: Invocation) -> None:
     p = inv.payload
     h0, h2, r, chi = _profile(m, inv)
     h1 = p["profile"]["h1"]
-    expect(p["label"] == m.data["label"] and p["virtual_dim"] == r,
-           "duality: label and r")
+    expect(inv.fields["label"] == _shown(m.data["label"], inv.fmt)
+           and p["virtual_dim"] == r, "duality: label and r")
     expect(p["profile"] == {"h0": h0, "h1": h1, "h2": h2}, "duality: profile")
     _check_h1("duality", h0, h1, h2, chi)
     expect(p["dual_profile"] == {"h0": h2, "h1": h1, "h2": h0},
@@ -338,31 +359,42 @@ CHECKS = {
 }
 
 
+def _checked(args: list[str], code: int) -> bool:
+    """Whether ``check_record`` re-derives the report of this command line
+    and exit code."""
+    return bool(args) and args[0] in CHECKS and code in CHECKS[args[0]][1]
+
+
+def check_record(record: dict, files: dict[str, str]) -> str | None:
+    """One line when a recorded invocation's report fails its command's
+    check, else None. ``record`` holds ``args``, ``exit_code`` and
+    ``stdout``; ``args`` name input files by their keys in ``files``."""
+    args, code, stdout = record["args"], record["exit_code"], record["stdout"]
+    if not _checked(args, code):
+        if args and args[0] in CHECKS and stdout:
+            return f"{args}: exit {code} with a report"
+        return None
+    fmt = "text" if args[-2:] == ["--format", "text"] else "json"
+    payload = wl_cli.parse_text(stdout) if fmt == "text" else json.loads(stdout)
+    inv = Invocation(args, _fields(stdout, fmt == "text"), code, files,
+                     payload, fmt)
+    try:
+        parsed = _manifold(files[args[1]]) if args[1] in files else None
+        if args[1] in files and args[0] != "manifold-check":
+            expect(parsed is not None, "form not square and symmetric, or K or "
+                   "omega not of its rank")
+        CHECKS[args[0]][0](parsed and parsed[0], inv)
+    except Mismatch as exc:
+        return f"{args}: {exc}"
+    return None
+
+
 def check_corpus(corpus: dict) -> tuple[int, list[str]]:
     """The number of reports checked, and one line per report that fails."""
-    checked, problems = 0, []
-    files = corpus["files"]
-    for record in corpus["invocations"]:
-        args, code = record["args"], record["exit_code"]
-        if not args or args[0] not in CHECKS:
-            continue
-        check, codes = CHECKS[args[0]]
-        if code not in codes:
-            if record["stdout"]:
-                problems.append(f"{args}: exit {code} with a report")
-            continue
-        stdout = record["stdout"]
-        fmt = "text" if args[-2:] == ["--format", "text"] else "json"
-        payload = wl_cli.parse_text(stdout) if fmt == "text" else json.loads(stdout)
-        inv = Invocation(args, _fields(stdout, fmt == "text"), code, files,
-                         payload, fmt)
-        try:
-            m = _manifold(files[args[1]])[0] if args[1] in files else None
-            check(m, inv)
-        except Mismatch as exc:
-            problems.append(f"{args}: {exc}")
-        checked += 1
-    return checked, problems
+    records = corpus["invocations"]
+    problems = [check_record(r, corpus["files"]) for r in records]
+    return (sum(_checked(r["args"], r["exit_code"]) for r in records),
+            [p for p in problems if p])
 
 
 if __name__ == "__main__":

@@ -699,8 +699,8 @@ def test_version_in_a_source_checkout():
     installed package metadata and works with only `src` on the path."""
     out = subprocess.run([sys.executable, "-m", "sympencil.cli", "--version"],
                          env=_source_env(), capture_output=True, text=True)
-    assert (out.returncode, out.stderr) == (0, "")
-    assert out.stdout.endswith(f", version {__version__}\n")
+    assert (out.returncode, out.stdout, out.stderr) == (
+        0, f"sympencil, version {__version__}\n", "")
 
 
 def test_a_command_process_imports_no_click(tmp_path):
@@ -798,7 +798,7 @@ def test_help_and_version_come_before_any_check(runner):
     the options after it, and ``--version`` or ``--help``, the first given,
     acts before the command."""
     page = check(runner, ["hilb", "--help", "--r", "x"]).stdout
-    assert page.startswith("Usage: main hilb [OPTIONS]\n") and "--stratum" in page
-    assert check(runner, ["--version", "--help"]).stdout == f"main, version {__version__}\n"
-    assert check(runner, ["--help", "--version"]).stdout.startswith("Usage: main [OPTIONS]")
+    assert page.startswith("Usage: sympencil hilb [OPTIONS]\n") and "--stratum" in page
+    assert check(runner, ["--version", "--help"]).stdout == f"sympencil, version {__version__}\n"
+    assert check(runner, ["--help", "--version"]).stdout.startswith("Usage: sympencil [OPTIONS]")
     assert check(runner, ["--version", "transmogrify"]).stdout.endswith(__version__ + "\n")

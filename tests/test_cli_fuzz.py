@@ -3,9 +3,11 @@
 Every command, driven with generated manifold and classes documents and
 arbitrary flag values in both formats, exits 0, 1 or 2 and never raises;
 an exit-2 error prints nothing on stdout and one ``Error:`` line on
-stderr; JSON output validates against ``report.schema.json``. Input files
-are written inside each example, not into a function-scoped ``tmp_path``,
-which hypothesis would share between examples.
+stderr; JSON output validates against ``report.schema.json``; and every
+exit-0/1 report passes its command's check in ``report_oracle``, fed the
+example's own input files. Input files are written inside each example,
+not into a function-scoped ``tmp_path``, which hypothesis would share
+between examples.
 """
 
 import json
@@ -18,6 +20,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from report_oracle import check_record
 from sympencil.catalog import STANDARD_BUILDERS, lattice_to_dict, manifold_fields
 from sympencil.cli import main
 from sympencil.strata import STRATA
@@ -173,8 +176,8 @@ def test_every_command_keeps_the_contract(invocation):
     with tempfile.TemporaryDirectory() as tmp:
         for key, data in files_.items():
             (Path(tmp) / key).write_bytes(data)
-        args = [str(Path(tmp) / a) if a in files_ else a for a in args]
-        result = CliRunner().invoke(main, args, env=env)
+        paths = [str(Path(tmp) / a) if a in files_ else a for a in args]
+        result = CliRunner().invoke(main, paths, env=env)
     assert result.exit_code in (0, 1, 2), (args, result.output)
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         args, repr(result.exception))
@@ -182,8 +185,14 @@ def test_every_command_keeps_the_contract(invocation):
         assert result.stdout == "", args
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("Error: "), result.stderr
-    elif fmt != "text":
-        VALIDATOR.validate(json.loads(result.stdout))
+    else:
+        if fmt != "text":
+            VALIDATOR.validate(json.loads(result.stdout))
+        files = {key: data.decode("utf-8", "surrogateescape")
+                 for key, data in files_.items()}
+        record = {"args": args, "exit_code": result.exit_code,
+                  "stdout": result.stdout}
+        assert check_record(record, files) is None
 
 
 @settings(max_examples=300, deadline=None)

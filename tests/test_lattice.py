@@ -54,7 +54,9 @@ from sympencil.pencil import (
     build_pencil,
     count_decision,
     fibre_degree,
+    fibre_degree_blowup_route,
     primitive_symplectic_class,
+    residual_fibre_degree,
 )
 
 
@@ -903,10 +905,11 @@ def _change_basis(x, vectors, rng):
 
 
 def _pencil_numbers(p, classes):
-    """A pencil's genus, base points, critical fibres and the fibre degree
-    of each class."""
+    """A pencil's genus, base points, critical fibres and, for each class,
+    its fibre degree by both routes and its residual fibre degree."""
     return (p.genus, p.base_points, p.critical_fibres,
-            [fibre_degree(p, a) for a in classes])
+            [(fibre_degree(p, a), fibre_degree_blowup_route(p, a),
+              residual_fibre_degree(p, a)) for a in classes])
 
 
 def _run_all_multiset(x, classes):

@@ -47,10 +47,13 @@ class TestBuildPencil:
     @pytest.mark.parametrize("name", ["cp2", "s2xs2", "k3", "e3"])
     def test_pairs_w_w_and_k_w_once(self, pairings, name):
         # The genus reads adjunction off the W.W that base_points holds.
+        # The order is pinned on purpose: a pairing walks one row of the
+        # form per nonzero of its first argument, and W has few where K
+        # may be dense.
         x = STANDARD_BUILDERS[name]()
         p = build_pencil(x, 2)
         w = p.fibre_class.coords
-        assert pairings == [(w, w), (x.canonical, w)]
+        assert pairings == [(w, w), (w, x.canonical)]
 
     def test_primitive_normalization(self):
         x = FourManifoldLattice(
@@ -98,6 +101,19 @@ class TestFibreDegree:
                     == 2 * p.genus - 2
                 )
 
+    @pytest.mark.parametrize("route", [
+        fibre_degree, residual_fibre_degree, fibre_degree_blowup_route])
+    def test_pairs_the_fibre_class_first(self, pairings, route):
+        # One pairing each, W first (on the blown-up lattice W followed by
+        # N entries -1), for the reason the build_pencil test gives.
+        x = STANDARD_BUILDERS["cp2"]()
+        p = build_pencil(x, 2)
+        pairings.clear()
+        route(p, [1])
+        fibre = list(p.fibre_class.coords)
+        if route is fibre_degree_blowup_route:
+            fibre += [-1] * p.base_points
+        assert [list(first) for first, _ in pairings] == [fibre]
 
     def test_non_integer_class_not_truncated(self):
         cp2 = STANDARD_BUILDERS["cp2"]()

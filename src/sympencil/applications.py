@@ -49,8 +49,8 @@ def _minimality_report(x: FourManifoldLattice) -> CheckReport:
     })
 
 
-def _classification_report(x: FourManifoldLattice,
-                           k_omega: Rational) -> CheckReport:
+def _classification_report(x: FourManifoldLattice, k_omega: Rational,
+                           even: bool) -> CheckReport:
     name = "b_plus_one_classification"
     cited = ("b_plus = 1", "b1 = 0", "K.omega < 0", "b_minus <= 8")
     if not (x.b_plus == 1 and x.b1 == 0 and k_omega < 0):
@@ -59,7 +59,6 @@ def _classification_report(x: FourManifoldLattice,
             "b1": x.b1,
             "k_omega": format_rational(k_omega),
         })
-    even = is_even_form(x)
     numbers = {
         "b_minus": x.b_minus,
         "two_e_plus_3sigma": x.two_e_plus_3sigma,
@@ -94,11 +93,10 @@ def _inflation_report(x: FourManifoldLattice, k_omega: Rational) -> CheckReport:
     return CheckReport(name, "pass" if ok else "fail", cited, numbers)
 
 
-def _spin_parity_report(x: FourManifoldLattice) -> CheckReport:
+def _spin_parity_report(x: FourManifoldLattice, even: bool) -> CheckReport:
     name = "spin_parity"
     cited = ("even intersection form", "K.K = 0", "b1 = 0",
              "b_plus = 3 mod 4")
-    even = is_even_form(x)
     numbers = {
         "even": even,
         "k_squared": x.k_squared,
@@ -129,14 +127,16 @@ def run_all(
 ) -> list[CheckReport]:
     """Run every applicable check on the lattice, plus a surface-count
     decision for each supplied class; reports come back sorted by name.
-    K.omega is formed once, for both checks that print it. Raises
-    ``TypeError`` when a class coordinate is not an ``int``."""
+    K.omega and the form's parity are each formed once and handed to the
+    two checks that print it. Raises ``TypeError`` when a class coordinate
+    is not an ``int``."""
     k_omega = x.omega_dot(x.canonical)
+    even = is_even_form(x)
     reports = [
         _minimality_report(x),
-        _classification_report(x, k_omega),
+        _classification_report(x, k_omega, even),
         _inflation_report(x, k_omega),
-        _spin_parity_report(x),
+        _spin_parity_report(x, even),
     ]
     for cand in classes or ():
         reports.append(_count_report(x, tuple(cand)))

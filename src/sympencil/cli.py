@@ -56,9 +56,11 @@ def _text_lines(payload, prefix: str = ""):
 
 
 def _text_value(value) -> str:
-    """A scalar as text; an unprintable string as its JSON literal, so that
-    one value stays on one line and cannot forge another key's line."""
-    if isinstance(value, str) and not value.isprintable():
+    """A scalar as text; a string that is not printable, or that starts
+    with a double quote, as its JSON literal, so that one value stays on
+    one line, cannot forge another key's line, and reads back as itself."""
+    if isinstance(value, str) and (not value.isprintable()
+                                   or value.startswith('"')):
         return json.dumps(value)
     return str(value)
 

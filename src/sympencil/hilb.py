@@ -38,7 +38,7 @@ Vector = tuple[Fraction, ...]
 
 # Sampler draws live in [-9, 9]: small enough that exact elimination on
 # the assembled differentials stays cheap, generic enough to exercise
-# each stratum.
+# each stratum. Its 18 entries set MAX_R (see strata).
 _NONZERO_POOL = tuple(x for x in range(-9, 10) if x != 0)
 
 # The zero entry that every model shares, kept as it is by the entry rule;
@@ -63,10 +63,18 @@ def _model(r: int, nonzeros: dict[tuple[int, int], Rational]) -> RationalMatrix:
                            for i in range(r)])
 
 
+def _check_size(message: str, r: int, *others: int) -> None:
+    """The size rule of every sampler, record and run: r and the other
+    integer arguments are exactly ``int`` (else ``TypeError(message)``),
+    and 1 <= r <= MAX_R."""
+    exact._require_ints((r, *others), message)
+    if not 1 <= r <= MAX_R:
+        raise ValueError(f"matrix size r must be between 1 and {MAX_R}")
+
+
 def _check_model_shapes(b1: RationalMatrix, b2: RationalMatrix, v: Sequence,
                         r: int) -> None:
-    if r < 1:
-        raise ValueError("matrix size r must be positive")
+    _check_size("r must be an integer", r)
     for name, m in (("B1", b1), ("B2", b2)):
         if m.nrows != r or m.ncols != r:
             raise ValueError(f"{name} is {m.nrows}x{m.ncols}, expected {r}x{r}")
@@ -159,14 +167,10 @@ class RelADHMQuad(Record):
 def sample_smooth_stratum(r: int, lam: Rational, seed: int) -> RelADHMQuad:
     """Generic point over lambda != 0: B1 a distinct-diagonal matrix,
     B2 = lambda * B1^{-1}, all-ones cyclic vector."""
-    exact._require_ints((r, seed), "r and seed must be integers")
+    _check_size("r and seed must be integers", r, seed)
     lam = exact._fraction(lam)
     if lam == 0:
         raise ValueError("smooth-stratum samples need lambda != 0")
-    if r < 1:
-        raise ValueError("matrix size r must be positive")
-    if r > len(_NONZERO_POOL):
-        raise ValueError(f"sampler supports r up to {len(_NONZERO_POOL)}")
     zs = _rng(seed).sample(_NONZERO_POOL, r)
     b1 = _model(r, {(i, i): z for i, z in enumerate(zs)})
     b2 = _model(r, {(i, i): lam / z for i, z in enumerate(zs)})
@@ -183,7 +187,7 @@ def sample_singular_stratum(r: int, n: int, m: int, seed: int) -> RelADHMQuad:
     zero, for any draw of the remaining coefficients.  n = 0 or m = 0
     degenerates to one matrix vanishing identically.
     """
-    exact._require_ints((r, n, m, seed), "r, n, m and seed must be integers")
+    _check_size("r, n, m and seed must be integers", r, n, m, seed)
     if n < 0 or m < 0:
         raise ValueError("chain lengths must be nonnegative")
     if n + m + 1 != r:
@@ -205,9 +209,7 @@ def sample_singular_stratum(r: int, n: int, m: int, seed: int) -> RelADHMQuad:
 def sample_b1zero_stratum(r: int, seed: int) -> RelADHMQuad:
     """Point with B1 identically zero and B2 an invertible cyclic
     operator (companion matrix with nonzero constant coefficient)."""
-    exact._require_ints((r, seed), "r and seed must be integers")
-    if r < 1:
-        raise ValueError("matrix size r must be positive")
+    _check_size("r and seed must be integers", r, seed)
     rng = _rng(seed)
     const = rng.choice(_NONZERO_POOL)
     higher = [rng.randint(-9, 9) for _ in range(r - 1)]
@@ -282,11 +284,7 @@ def verify_absolute_cokernel(t: ADHMTriple) -> bool:
 def sample_commuting_diagonal(r: int, seed: int) -> ADHMTriple:
     """Commuting stable pair: B1 with distinct diagonal entries, B2 an
     arbitrary diagonal, all-ones cyclic vector."""
-    exact._require_ints((r, seed), "r and seed must be integers")
-    if r < 1:
-        raise ValueError("matrix size r must be positive")
-    if r > len(_NONZERO_POOL):
-        raise ValueError(f"sampler supports r up to {len(_NONZERO_POOL)}")
+    _check_size("r and seed must be integers", r, seed)
     rng = _rng(seed)
     zs = rng.sample(_NONZERO_POOL, r)
     b1 = _model(r, {(i, i): z for i, z in enumerate(zs)})
@@ -321,9 +319,7 @@ def _sample_for(stratum: str, r: int, s: int) -> RelADHMQuad:
     if stratum == "singular":
         n = s % r
         return sample_singular_stratum(r, n, r - 1 - n, s)
-    if stratum == "b1zero":
-        return sample_b1zero_stratum(r, s)
-    raise ValueError(f"unknown stratum {stratum!r}; choose from {STRATA}")
+    return sample_b1zero_stratum(r, s)
 
 
 def _certify_one(args: tuple[str, int, int]) -> int:
@@ -348,10 +344,8 @@ def certify_stratum(stratum: str, r: int, samples: int, seed: int = DEFAULT_SEED
     """
     if stratum not in STRATA:
         raise ValueError(f"unknown stratum {stratum!r}; choose from {STRATA}")
-    exact._require_ints((r, samples, seed, workers),
-                        "r, samples, seed and workers must be integers")
-    if not 1 <= r <= MAX_R:
-        raise ValueError(f"matrix size r must be between 1 and {MAX_R}")
+    _check_size("r, samples, seed and workers must be integers",
+                r, samples, seed, workers)
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must be between 1 and {MAX_SAMPLES}")
     if workers < 1:

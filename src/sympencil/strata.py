@@ -13,6 +13,8 @@ DEFAULT_SEED = 1729
 
 # Largest matrix size r on every stratum: the smooth sampler draws r
 # distinct nonzero diagonal entries from [-9, 9], so it cannot go past 18.
+# Every hilb entry enforces it through one check: the samplers, the matrix
+# records, is_stable and certify_stratum.
 MAX_R = 18
 
 # Most samples in one run; the acceptance suite certifies 50 per stratum.

@@ -183,6 +183,12 @@ def corpus_inputs() -> tuple[dict[str, str], list[dict]]:
     files["rational_classes.json"] = "[[0, 1], [-2, -2]]"
     add(["count", "rational_omega.json", "--class", "0,1"], text=True)
     add(["classify", "rational_omega.json", "--classes", "rational_classes.json"])
+
+    # A K one entry short of the form's rank: the lattice refuses it, so
+    # manifold-check reports it invalid and exits 1. Recorded last, for the
+    # same reason.
+    files["short_canonical.json"] = manifold(dict(s2xs2, K=[-2]))
+    add(["manifold-check", "short_canonical.json"], text=True)
     return files, invocations
 
 

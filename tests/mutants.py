@@ -6,7 +6,8 @@ models that ``hilb._model`` builds and the product
 ``RationalMatrix.matmul`` that checks them, the normal form
 ``exact._lowest`` that keeps a lattice's integral omega entries as
 ``int``, the signature elimination (its diagonal swap, its hyperbolic add
-and the sign of each pivot), the lattice's input checks, the adjunction
+and the sign of each pivot), the lattice's input checks (K and omega
+of the form's rank among them), the adjunction
 genus of ``pencil.build_pencil`` and the fibre-class-first order of its
 adjunction and residual-degree pairings, the
 boundaries of ``pencil.count_decision``, the boundaries of the minimality
@@ -15,7 +16,9 @@ that ``run_all`` hands its checks, a profile's certified virtual dimension and
 ``duality_check``'s check of ``r`` against it, the manifold parser's
 rejection of unknown fields, the CLI's class-count, b2 and block bounds,
 the parser's checks of a ``MANIFOLD`` path, of ``--opt=value`` and of a
-missing required option, and the exit code of ``cli.run``.
+missing required option, the text format's rule for labels that would
+not read back, the exit code of ``cli.run``, and the matrix-size rule
+``hilb._check_size``: its upper bound, and one sampler's call of it.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -220,6 +223,26 @@ MUTANTS = (
         "verdict counts accepted vectors, so the certificate must too.",
     ),
     Mutant(
+        "size rule without its upper bound", HILB,
+        "    if not 1 <= r <= MAX_R:\n",
+        "    if not 1 <= r:\n",
+        (TEST_HILB,),
+        "Every hilb entry then takes r = MAX_R + 1: the singular and b1zero "
+        "samplers build 19 x 19 models, the records and is_stable take them, "
+        "and the smooth sampler fails inside random.sample with another "
+        "message; TestMatrixSizeRule sees each.",
+    ),
+    Mutant(
+        "singular sampler skips the size rule", HILB,
+        '    _check_size("r, n, m and seed must be integers", r, n, m, seed)\n',
+        '    exact._require_ints((r, n, m, seed), "r, n, m and seed must be integers")\n',
+        (TEST_HILB,),
+        "The exact-int rule still holds, and the record it builds checks r "
+        "again, so r = MAX_R + 1 is still refused; but r = 0 reaches the "
+        "chain-length check and is refused with another message, which "
+        "TestMatrixSizeRule sees.",
+    ),
+    Mutant(
         "matrix models built transposed", HILB,
         "nonzeros.get((i, j), _ZERO)",
         "nonzeros.get((j, i), _ZERO)",
@@ -301,6 +324,16 @@ MUTANTS = (
         "A form with b1 even and e + sigma not divisible by 4 can still pass "
         "the characteristic congruence and K.K = 2e + 3sigma; only this "
         "check refuses its half-integral chi_h.",
+    ),
+    Mutant(
+        "K and omega rank check dropped", LATTICE,
+        "        if len(k) != n or len(w) != n:\n",
+        "        if False:\n",
+        (TEST_LATTICE,),
+        "A K or omega padded with a zero entry then passes as the lattice's "
+        "K or omega, and a short one fails later with an IndexError instead "
+        "of a ValueError; TestValidation::test_k_and_omega_of_the_form_rank "
+        "sees both.",
     ),
     Mutant(
         "symmetry checked above the diagonal only", LATTICE,
@@ -460,6 +493,16 @@ MUTANTS = (
         (TEST_CLI,),
         "A command run without --class then gets the placeholder default and "
         "fails with a traceback instead of \"Missing option '--class'.\"",
+    ),
+    Mutant(
+        "text label rule forgets the leading quote", CLI,
+        "(not value.isprintable()\n                                   or value.startswith('\"'))",
+        "not value.isprintable()",
+        (TEST_CLI,),
+        "The printable label \"\\u001f\" (eight characters) then prints as "
+        "the JSON literal of U+001F does, so the two labels' text reports "
+        "are the same bytes and neither reads back; "
+        "test_text_labels_print_apart sees it.",
     ),
     Mutant(
         "run exits 0 whatever main's code", CLI,

@@ -23,8 +23,9 @@ code of ``classify`` (1 when a check fails), and every number of
 which must be true exactly when the command exits 0 (a form that is not
 square and symmetric, or a K or omega not of its rank, is not valid),
 and e, the signature, K.K, chi_h and 2e + 3sigma are recomputed. The text
-format prints a string that is not printable as its JSON literal, and the
-labels are compared as it prints them.
+format prints a string that is not printable, or that starts with a
+double quote, as its JSON literal, and the labels are compared as it
+prints them.
 
 The other five commands are checked from their flags. ``bn``,
 ``aj-fibres`` and ``hilb`` go through the benchmark's verifiers
@@ -123,10 +124,12 @@ def _fields(stdout: str, text: bool) -> dict[str, str]:
 
 def _shown(value, fmt: str) -> str:
     """A value as ``_fields`` reads it back from a report in ``fmt``: the
-    text format prints a string that is not printable as its JSON
-    literal, so that it stays on one line."""
+    text format prints a string that is not printable, or that starts
+    with a double quote, as its JSON literal, so that it stays on one line
+    and reads back as itself."""
     text = str(value)
-    return json.dumps(text) if fmt == "text" and not text.isprintable() else text
+    literal = not text.isprintable() or text.startswith('"')
+    return json.dumps(text) if fmt == "text" and literal else text
 
 
 def _ints(value: str) -> list[int]:

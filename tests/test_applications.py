@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from sympencil import applications
 from sympencil.applications import CheckReport, run_all
 from sympencil.catalog import STANDARD_BUILDERS
-from sympencil.lattice import FourManifoldLattice, blow_up
+from sympencil.lattice import FourManifoldLattice, blow_up, is_even_form
 from sympencil.pencil import count_decision
 
 
@@ -183,6 +184,21 @@ class TestSelfCertification:
 class TestPairingCounts:
     """run_all forms K.omega once for the checks that print it; each class
     adds the pairings of its count decision."""
+
+    def test_parity_formed_once(self, monkeypatch):
+        # On CP2 both the b+ = 1 classification and the spin parity check
+        # apply, and both print the form's parity.
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return is_even_form(x)
+
+        monkeypatch.setattr(applications, "is_even_form", counted)
+        reports = by_name(run_all(STANDARD_BUILDERS["cp2"]()))
+        assert len(calls) == 1
+        assert reports["b_plus_one_classification"].numbers["even"] is False
+        assert reports["spin_parity"].numbers["even"] is False
 
     @pytest.mark.parametrize("name", ["cp2", "k3", "e1", "e3"])
     def test_no_class_pairs_k_omega_once(self, pairings, name):

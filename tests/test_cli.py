@@ -659,6 +659,44 @@ def test_integer_options_take_only_ascii_digits(runner, manifold_file, args,
                              f"{value!r} is not a valid integer.\n")
 
 
+def test_integer_option_past_the_digit_limit(runner, manifold_file):
+    """4,301 digits is past the interpreter's int-to-str limit: ``int()``
+    raises, and the option is refused like any other bad integer."""
+    value = "1" * 4301
+    result = runner.invoke(main, ["gromov", manifold_file("cp2"), "--class", "1",
+                                  "--h2", "0", "--h0", value])
+    assert (result.exit_code, result.stdout) == (2, ""), result.output
+    assert result.stderr == (f"Error: Invalid value for '--h0': "
+                             f"{value!r} is not a valid integer.\n")
+
+
+def _text_report(runner, tmp_path, label):
+    """``manifold-check --format text`` on CP2 labelled ``label``."""
+    path = tmp_path / "labelled.json"
+    data = dict(lattice_to_dict(STANDARD_BUILDERS["cp2"]()), label=label)
+    path.write_text(json.dumps(data))
+    return check(runner, ["manifold-check", str(path), "--format", "text"]).stdout
+
+
+@pytest.mark.parametrize("label", ["cp2", 'a "b"', "\u001f", "a\nb", '"',
+                                   '"\\u001f"'],
+                         ids=["plain", "inner_quotes", "control", "newline",
+                              "quote", "escaped_control"])
+def test_text_label_reads_back(runner, tmp_path, label):
+    """A label prints as itself, or as its JSON literal when it is not
+    printable or starts with a double quote, so it reads back as itself."""
+    out = _text_report(runner, tmp_path, label)
+    shown = dict(line.split(": ", 1) for line in out.splitlines())["label"]
+    assert (json.loads(shown) if shown.startswith('"') else shown) == label
+
+
+def test_text_labels_print_apart(runner, tmp_path):
+    """The control character U+001F and the eight printable characters
+    ``"\\u001f"`` are two labels, and their text reports differ."""
+    assert (_text_report(runner, tmp_path, "\u001f")
+            != _text_report(runner, tmp_path, '"\\u001f"'))
+
+
 def test_every_command_takes_the_report_path():
     """Every command is a `_Command` of the table, whose callback returns
     its report to the one dispatcher: none prints, writes to a stream or

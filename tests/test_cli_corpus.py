@@ -48,11 +48,11 @@ def test_generator_matches_the_recording():
 
 def test_reports_rederive():
     """``report_oracle`` checks all 44 recorded pencil and count reports,
-    all 36 manifold-check and classify reports that exit 0 or 1, the 21
+    all 38 manifold-check and classify reports that exit 0 or 1, the 21
     gromov and 14 duality reports that exit 0 or 1, and the 14 hilb, bn
     and aj-fibres reports that exit 0 against their input files and flags
     with the benchmark's oracles."""
-    assert check_corpus(RECORDED) == (129, [])
+    assert check_corpus(RECORDED) == (131, [])
 
 
 @pytest.mark.parametrize("command, old, new", [

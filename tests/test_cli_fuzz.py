@@ -109,14 +109,19 @@ def ints(low, high, other=flags):
 
 def class_flags(doc):
     """Comma-separated classes of the document's rank when it has one: the
-    zero class, K (both have chi = chi_h, so small section counts are often
-    consistent) or any small class."""
+    zero class, K when it is a list of that width (both have chi = chi_h,
+    so small section counts are often consistent) or any small class. A
+    replaced K may be any JSON value, so it is offered only as such a
+    list."""
     form = doc.get("Q") if isinstance(doc, dict) else None
     width = len(form) if isinstance(form, list) and 0 < len(form) <= 30 else None
     coords = st.lists(small, min_size=width or 1, max_size=width or 3)
     if width is not None:
-        coords = st.sampled_from([[0] * width, doc.get("K")]) | coords
-    return mostly(coords.map(lambda v: ",".join(map(str, v or []))),
+        k = doc.get("K")
+        fixed = [[0] * width] + ([k] if isinstance(k, list) and len(k) == width
+                                 else [])
+        coords = st.sampled_from(fixed) | coords
+    return mostly(coords.map(lambda v: ",".join(map(str, v))),
                   st.text(max_size=8))
 
 

@@ -306,6 +306,16 @@ class TestRankAndKernel:
         with pytest.raises(ValueError):
             RationalMatrix([[1, 2], [3]])
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            RationalMatrix([])
+        with pytest.raises(ValueError, match="at least one column"):
+            RationalMatrix([[], []])
+
+    def test_apply_checks_the_vector_length(self):
+        with pytest.raises(ValueError, match="vector length 3 != ncols 2"):
+            RationalMatrix([[1, 2]]).apply((1, 2, 3))
+
 
 # Full row rank with a one-dimensional kernel; the fractions make the
 # denominator clearing do real work.

@@ -276,6 +276,80 @@ class TestModelValidation:
         q = RelADHMQuad(diag(1, 2), diag(2, 1), Fraction(2), (1, 1), 2)
         assert q.lam == 2
 
+    def test_quad_wrong_reversed_product_rejected(self):
+        # B1 B2 = 0 = lambda I, but B2 B1 = B1 is not.
+        b1 = RationalMatrix([[0, 1], [0, 0]])
+        b2 = RationalMatrix([[1, 0], [0, 0]])
+        with pytest.raises(ValueError, match="B2 B1 is not lambda times"):
+            RelADHMQuad(b1, b2, 0, (1, 1), 2)
+
+    def test_unstable_quad_rejected(self):
+        with pytest.raises(ValueError, match="invariant subspace"):
+            RelADHMQuad(diag(1, 2), diag(2, 1), Fraction(2), (1, 0), 2)
+
+
+class _Empty:
+    """A 0 x 0 stand-in: ``RationalMatrix`` refuses an empty matrix, and
+    ``is_stable`` reads r off B1."""
+
+    nrows = ncols = 0
+
+
+def _stable_models(r):
+    """diag(1, ..., r), diag(1, 1/2, ..., 1/r) and the all-ones vector: a
+    stable pair with B1 B2 = I = B2 B1. At r = 0 they are 1 x 1, so only
+    the size rule can refuse a record built from them."""
+    n = max(r, 1)
+    b2 = diag(*(Fraction(1, i) for i in range(1, n + 1)))
+    return diag(*range(1, n + 1)), b2, (1,) * n
+
+
+def _triple(r):
+    b1, _, v = _stable_models(r)
+    return ADHMTriple(b1, b1, v, r)
+
+
+def _quad(r):
+    b1, b2, v = _stable_models(r)
+    return RelADHMQuad(b1, b2, 1, v, r)
+
+
+def _stable(r):
+    if r == 0:
+        return is_stable(_Empty(), _Empty(), ())
+    b1, b2, v = _stable_models(r)
+    return is_stable(b1, b2, v)
+
+
+# Every hilb entry that takes a matrix size, called at size r: the four
+# samplers, the two records, the stability test and a certification run.
+_SIZED_ENTRIES = {
+    "smooth": lambda r: sample_smooth_stratum(r, 2, 1),
+    "singular": lambda r: sample_singular_stratum(r, 0, r - 1, 1),
+    "b1zero": lambda r: sample_b1zero_stratum(r, 1),
+    "commuting_diagonal": lambda r: sample_commuting_diagonal(r, 1),
+    "ADHMTriple": _triple,
+    "RelADHMQuad": _quad,
+    "is_stable": _stable,
+    "certify_stratum": lambda r: certify_stratum("smooth", r, 1),
+}
+
+
+class TestMatrixSizeRule:
+    @pytest.mark.parametrize("entry", list(_SIZED_ENTRIES))
+    def test_one_rule_on_every_entry(self, entry):
+        """1 <= r <= MAX_R, with one message, wherever a size comes in."""
+        call = _SIZED_ENTRIES[entry]
+        for r in (0, MAX_R + 1):
+            with pytest.raises(ValueError) as info:
+                call(r)
+            assert str(info.value) == f"matrix size r must be between 1 and {MAX_R}"
+        call(MAX_R)
+
+    def test_the_pool_sets_max_r(self):
+        # The smooth and diagonal samplers draw r distinct pool entries.
+        assert len(hilb._NONZERO_POOL) == MAX_R
+
 
 class TestSamplers:
     def test_smooth_rank_one(self):

@@ -30,8 +30,11 @@ from sympencil.catalog import (
 from sympencil import lattice as lattice_module
 from sympencil.applications import run_all
 from sympencil.brill_noether import BNQuery, abel_jacobi_fibre_dims
+from sympencil.exact import RationalMatrix
 from sympencil.gromov import CohomologyProfile, gr_parity, vanishing_profile
 from sympencil.hilb import (
+    ADHMTriple,
+    RelADHMQuad,
     certify_stratum,
     sample_b1zero_stratum,
     sample_commuting_diagonal,
@@ -358,6 +361,12 @@ class TestGeneratorFamilies:
         # K is twice an integral vector, so K/2 is itself a lattice class.
         assert all(c % 2 == 0 for c in x.canonical)
 
+    @pytest.mark.parametrize("family", [elliptic_like, spin_model])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_rejected(self, family, n):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            family(n)
+
 
 class TestValidation:
     def test_asymmetric_rejected(self):
@@ -393,6 +402,28 @@ class TestValidation:
     def test_negative_b1_rejected(self):
         with pytest.raises(ValueError, match="b1"):
             FourManifoldLattice("bad", -1, [[1]], [-3], [1], True)
+
+    def test_empty_form_rejected(self):
+        with pytest.raises(ValueError, match="intersection form must be nonempty"):
+            FourManifoldLattice("bad", 0, [], [], [], True)
+
+    @pytest.mark.parametrize("k, omega", [
+        ([-2], [1, 1]),
+        ([-2, -2, 0], [1, 1]),
+        ([-2, -2], [1]),
+        ([-2, -2], [1, 1, 0]),
+    ], ids=["short_k", "long_k", "short_omega", "long_omega"])
+    def test_k_and_omega_of_the_form_rank(self, k, omega):
+        # S2 x S2 with K = (-2, -2) and omega = (1, 1) is valid; a K or an
+        # omega of another length, even one padded with a zero, is not.
+        with pytest.raises(ValueError, match="must match the form's rank"):
+            FourManifoldLattice("bad", 0, [[0, 1], [1, 0]], k, omega, True)
+
+    def test_pairing_checks_the_vector_lengths(self):
+        cp2 = FourManifoldLattice("cp2", 0, [[1]], [-3], [1], True)
+        for x, y in (((1, 0), (1,)), ((1,), (1, 0)), ((), (1,))):
+            with pytest.raises(ValueError, match="does not match the form's rank"):
+                cp2.pairing(x, y)
 
     @pytest.mark.parametrize("entry", [1.9, True, "1", Fraction(1, 2), Fraction(1)])
     def test_non_integer_entries_not_truncated(self, entry):
@@ -779,6 +810,9 @@ def _e3_structure_profile(h0):
     return CohomologyProfile(h0, 0, 2, HomologyClass(e3, (0,) * e3.b2))
 
 
+_ONE = RationalMatrix([[1]])
+
+
 @pytest.mark.parametrize("value", [True, 2.0, 5.5])
 @pytest.mark.parametrize("call", [
     lambda v: BNQuery(v, 2, 1),
@@ -805,6 +839,8 @@ def _e3_structure_profile(h0):
     lambda v: sample_b1zero_stratum(2, v),
     lambda v: sample_commuting_diagonal(v, 1),
     lambda v: sample_commuting_diagonal(2, v),
+    lambda v: ADHMTriple(_ONE, _ONE, (1,), v),
+    lambda v: RelADHMQuad(_ONE, _ONE, 1, (1,), v),
     lambda v: series_geom_pow(v, 3),
     lambda v: series_geom_pow(3, v),
     lambda v: abel_jacobi_fibre_dims(v, 9),
@@ -815,8 +851,8 @@ def _e3_structure_profile(h0):
         "profile_h0", "build_pencil", "elliptic_like", "spin_model",
         "smooth_r", "smooth_seed", "singular_r", "singular_n", "singular_m",
         "singular_seed", "b1zero_r", "b1zero_seed", "diagonal_r",
-        "diagonal_seed", "series_exponent", "series_cap", "aj_g", "aj_r",
-        "gr_parity_n"])
+        "diagonal_seed", "triple_r", "quad_r", "series_exponent", "series_cap",
+        "aj_g", "aj_r", "gr_parity_n"])
 def test_integer_parameters_are_exact_ints(call, value):
     # A bool or a float is neither coerced nor carried into a result: True
     # would label a lattice "elliptic_like_True" or give a sample r=True,
